@@ -26,7 +26,12 @@ from .core import (
     serialize_hypergraph,
     validate,
 )
-from .degree_constrained import IncidenceSelection, build_selection, list_color_gk
+from .degree_constrained import (
+    IncidenceSelection,
+    build_selection,
+    gk_selection,
+    list_color_gk,
+)
 from .dense import (
     DenseExperimentReport,
     PaletteSplit,

@@ -17,7 +17,7 @@ from itertools import combinations
 from math import ceil
 from typing import Optional, Sequence
 
-from .core import Coloring, Hypergraph, ListAssignment
+from .core import Coloring, Hypergraph, ListAssignment, _ListSearch
 from .errors import GuardExceededError, TheoremContradictionError
 
 MAX_VERTICES = 12
@@ -25,44 +25,11 @@ MAX_UNIVERSE = 12
 CHROMATIC_MAX_VERTICES = 20
 
 
-def _solve_lists(
-    hg: Hypergraph, lists: Sequence[Sequence[int]]
-) -> Optional[list[int]]:
-    """First list coloring in lexicographic order, or None.
-
-    Backtracks over vertices in index order, colors in list order; an edge is
-    rejected as soon as its last vertex is assigned and all values coincide.
-    """
-    n = hg.n
-    finish_at: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    for e in hg.edges:
-        finish_at[e[-1]].append(e)
-    color: list[Optional[int]] = [None] * n
-
-    def rec(v: int) -> bool:
-        if v == n:
-            return True
-        for c in lists[v]:
-            color[v] = c
-            ok = True
-            for e in finish_at[v]:
-                c0 = color[e[0]]
-                if all(color[u] == c0 for u in e):
-                    ok = False
-                    break
-            if ok and rec(v + 1):
-                return True
-        color[v] = None
-        return False
-
-    return list(color) if rec(0) else None  # type: ignore[arg-type]
-
-
 def color_from_lists(hg: Hypergraph, lists: ListAssignment) -> Optional[Coloring]:
     """A proper coloring with every color drawn from its vertex list, or None."""
     if lists.n != hg.n:
         raise ValueError("list assignment size differs from vertex count")
-    solved = _solve_lists(hg, lists.lists)
+    solved = _ListSearch(hg).solve(lists.lists)
     return None if solved is None else Coloring(tuple(solved))
 
 
@@ -134,6 +101,7 @@ def is_f_choosable(
         # most deg(v) colors are excluded when v is reached.
         return ChoosabilityVerdict(True, None, 0)
 
+    search = _ListSearch(hg)
     suffix_capacity = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix_capacity[i] = suffix_capacity[i + 1] + f[i] * (f[i] - 1) // 2
@@ -151,7 +119,7 @@ def is_f_choosable(
             if used * (used - 1) // 2 > len(covered):
                 return True  # a color pair never co-occurs: dominated, skip
             examined += 1
-            if _solve_lists(hg, lists_acc) is None:
+            if search.solve(lists_acc) is None:
                 witness = ListAssignment(tuple(lists_acc))
                 return False
             return True
@@ -186,35 +154,8 @@ def is_f_choosable(
 
     if rec(0, 0):
         return ChoosabilityVerdict(True, None, examined)
-    assert witness is not None and _solve_lists(hg, witness.lists) is None
+    assert witness is not None and search.solve(witness.lists) is None
     return ChoosabilityVerdict(False, witness, examined)
-
-
-def _exists_coloring(hg: Hypergraph, r: int) -> bool:
-    """Whether a proper r-coloring exists; new colors introduced in order."""
-    n = hg.n
-    finish_at: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    for e in hg.edges:
-        finish_at[e[-1]].append(e)
-    color = [0] * n
-
-    def rec(v: int, used: int) -> bool:
-        if v == n:
-            return True
-        for c in range(1, min(r, used + 1) + 1):
-            color[v] = c
-            ok = True
-            for e in finish_at[v]:
-                c0 = color[e[0]]
-                if all(color[u] == c0 for u in e):
-                    ok = False
-                    break
-            if ok and rec(v + 1, max(used, c)):
-                return True
-        color[v] = 0
-        return False
-
-    return rec(0, 0)
 
 
 def chromatic_number(
@@ -225,8 +166,9 @@ def chromatic_number(
         raise GuardExceededError(f"{hg.n} vertices exceeds the guard {max_vertices}")
     if not hg.edges:
         return 1 if hg.n else 0
+    search = _ListSearch(hg)
     for r in range(2, hg.n + 1):
-        if _exists_coloring(hg, r):
+        if search.solve([range(r)] * hg.n, interchangeable=True) is not None:
             return r
     raise TheoremContradictionError("rainbow coloring rejected")  # pragma: no cover
 

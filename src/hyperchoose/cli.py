@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 2 unreadable or malformed input; 3 guard or budget
 exceeded; 4 method precondition failed; 5 no coloring exists (or the sampling
-budget produced none).  Identical invocations with identical seeds print
+budget produced none); 6 internal error (a proven guarantee failed, or any
+other unexpected exception).  Identical invocations with identical seeds print
 byte-identical JSON once timing is suppressed with --no-timing.
 """
 
@@ -43,6 +44,7 @@ EXIT_INPUT = 2
 EXIT_GUARD = 3
 EXIT_PRECONDITION = 4
 EXIT_NO_COLORING = 5
+EXIT_INTERNAL = 6
 
 SCHEMA_VERSION = 1
 
@@ -139,11 +141,9 @@ def cmd_color(args) -> int:
             raise PreconditionError("sparse method requires a 2-colorable hypergraph")
         coloring = orientation.list_color_sparse(hg, bip, lists)
     elif args.method == "gk":
-        coloring = degree_constrained.list_color_gk(hg, lists)
+        selection = degree_constrained.gk_selection(hg)
+        coloring = degree_constrained.list_color_gk(hg, lists, selection)
         if args.selection:
-            met = metrics(hg)
-            cap = ceil(Fraction(2 * met.max_degree, met.min_edge_size))
-            selection = degree_constrained.build_selection(hg, cap)
             Path(args.selection).write_text(
                 json.dumps([list(p) for p in selection.chosen]) + "\n", "utf-8"
             )
@@ -405,6 +405,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        # TheoremContradictionError and anything unforeseen: a defect in the
+        # program, never a property of the input.
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:

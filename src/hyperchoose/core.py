@@ -1,4 +1,5 @@
-"""Hypergraph types, HGR file I/O, validation, and instance generators.
+"""Hypergraph types, HGR file I/O, validation, the list-coloring search, and
+instance generators.
 
 Vertices are the integers 0..n-1.  Edges are stored as sorted vertex tuples
 in insertion order; duplicate edges are allowed (multigraph semantics: degree
@@ -12,11 +13,11 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import HgrFormatError
+from .errors import GuardExceededError, HgrFormatError
 
 SIDE_A = "A"
 SIDE_B = "B"
@@ -55,9 +56,6 @@ class Hypergraph:
             for v in e:
                 d[v] += 1
         return d
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hypergraph):
@@ -304,37 +302,191 @@ def serialize_hypergraph(hg: Hypergraph) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Instance generators
+# List-coloring search
 # ---------------------------------------------------------------------------
 
+# Branching decisions allowed to the searches behind polynomial pipelines
+# (find_bipartition and the sparse pair-graph coloring), so that an input on
+# which the search goes exponential raises instead of hanging.  The exact
+# oracles in choosability keep their size guards and have no node budget.
+SEARCH_NODE_GUARD = 1_000_000
 
-def find_bipartition(hg: Hypergraph) -> Optional[Bipartition]:
-    """First valid 2-coloring in lexicographic backtracking order (A before B).
 
-    Returns None iff the hypergraph admits no proper 2-coloring.
+class _ListSearch:
+    """Depth-first list-coloring search with edge unit propagation.
+
+    A proper list coloring of a hypergraph is NAE-SAT over the lists: no edge
+    may take a single value.  The search branches on the lowest-index
+    unassigned vertex, trying the values of its list in list order, and keeps
+    an explicit stack of decisions plus a trail of assignments and domain
+    removals that backtracking undoes (Davis-Logemann-Loveland).
+
+    Propagation: when every assigned vertex of an edge has value c and exactly
+    one vertex is free, c leaves that vertex's domain; an empty domain is a
+    conflict and a single remaining value is assigned at once.  Only values
+    that no proper extension uses are removed, so the first coloring found is
+    the lexicographically first one (vertex 0 most significant, each list in
+    its own order).
+
+    The incidence index is built once and reused by every :meth:`solve` call.
     """
-    side: list[Optional[str]] = [None] * hg.n
-    # Edges become checkable once their largest vertex is assigned.
-    finish_at: list[list[tuple[int, ...]]] = [[] for _ in range(hg.n)]
-    for e in hg.edges:
-        finish_at[e[-1]].append(e)
 
-    def rec(v: int) -> bool:
-        if v == hg.n:
-            return True
-        for s in (SIDE_A, SIDE_B):
-            side[v] = s
-            if all(len({side[u] for u in e}) > 1 for e in finish_at[v]):
-                if rec(v + 1):
-                    return True
-        side[v] = None
-        return False
+    def __init__(self, hg: Hypergraph):
+        self.n = hg.n
+        self.edges = hg.edges
+        self.sizes = [len(e) for e in hg.edges]
+        self.inc: list[list[int]] = [[] for _ in range(hg.n)]
+        for j, e in enumerate(hg.edges):
+            for v in e:
+                self.inc[v].append(j)
+        self.nodes = 0  # branching decisions made by the last solve
 
-    if hg.n == 0:
-        return Bipartition(())
-    if not rec(0):
-        return None
-    return Bipartition(tuple(side))  # type: ignore[arg-type]
+    def solve(
+        self,
+        lists: Sequence[Sequence],
+        *,
+        max_nodes: Optional[int] = None,
+        interchangeable: bool = False,
+    ) -> Optional[list]:
+        """First proper coloring taking each vertex's value from its list, or None.
+
+        ``interchangeable`` declares all values symmetric, as for uniform lists
+        ``range(r)``: a branching vertex then tries only values up to one past
+        the largest value assigned so far (in order of first appearance in the
+        lists).  Existence stays exact; the lexicographic guarantee does not.
+        More than ``max_nodes`` branching decisions raise GuardExceededError.
+        """
+        n, edges, inc = self.n, self.edges, self.inc
+        index: dict = {}  # value -> bit position, in order of first appearance
+        options: list[list[int]] = []  # each list as bit positions, in list order
+        dom: list[int] = []  # bitmask of the values still open to each vertex
+        queue: list[tuple[int, int]] = []  # (vertex, bit) assignments to propagate
+        for v, lv in enumerate(lists):
+            opts = []
+            d = 0
+            for c in lv:
+                i = index.get(c)
+                if i is None:
+                    i = index[c] = len(index)
+                opts.append(i)
+                d |= 1 << i
+            if not d:
+                return None
+            if not d & (d - 1):
+                queue.append((v, opts[0]))
+            options.append(opts)
+            dom.append(d)
+        values = list(index)
+        color = [-1] * n
+        free = self.sizes[:]  # unassigned vertices per edge
+        trail: list[int] = []  # assigned vertices, in assignment order
+        dtrail: list[tuple[int, int]] = []  # (vertex, domain before a removal)
+        # One frame per open decision: (vertex, next list position, trail
+        # marks before the decision, largest value assigned before it).
+        stack: list[tuple[int, int, int, int, int]] = []
+        self.nodes = nodes = 0
+        top = -1
+        v = -1  # the vertex of the current decision; -1 at the root
+        pos = tmark = dmark = 0
+        while True:
+            ok = True
+            while queue and ok:
+                u, c = queue.pop()
+                color[u] = c
+                trail.append(u)
+                for j in inc[u]:
+                    f = free[j] - 1
+                    free[j] = f
+                    if f > 1 or not ok:
+                        continue
+                    w = -1
+                    for x in edges[j]:
+                        cx = color[x]
+                        if cx == -1:
+                            w = x
+                        elif cx != c:
+                            break
+                    else:
+                        # Every assigned vertex of edge j has value c.
+                        if f == 0:
+                            ok = False
+                            continue
+                        d = dom[w]
+                        if d >> c & 1:
+                            dtrail.append((w, d))
+                            d ^= 1 << c
+                            dom[w] = d
+                            if not d:
+                                ok = False
+                            elif not d & (d - 1):
+                                queue.append((w, d.bit_length() - 1))
+            if ok:
+                if v >= 0:
+                    stack.append((v, pos, tmark, dmark, top))
+                if interchangeable:
+                    top = max([top] + [color[u] for u in trail[tmark:]])
+                v += 1
+                while v < n and color[v] != -1:
+                    v += 1
+                if v == n:
+                    self.nodes = nodes
+                    return [values[c] for c in color]
+                pos = 0
+                tmark, dmark = len(trail), len(dtrail)
+            elif v < 0:
+                return None
+            else:
+                queue.clear()
+            # Undo to the marks of the decision at v and take its next open
+            # value; when none is left, resume the previous decision instead.
+            while True:
+                while len(trail) > tmark:
+                    u = trail.pop()
+                    color[u] = -1
+                    for j in inc[u]:
+                        free[j] += 1
+                while len(dtrail) > dmark:
+                    w, d = dtrail.pop()
+                    dom[w] = d
+                opts = options[v]
+                d = dom[v]
+                while pos < len(opts):
+                    c = opts[pos]
+                    pos += 1
+                    if d >> c & 1 and not (interchangeable and c > top + 1):
+                        break
+                else:
+                    if not stack:
+                        self.nodes = nodes
+                        return None
+                    v, pos, tmark, dmark, top = stack.pop()
+                    continue
+                break
+            nodes += 1
+            if max_nodes is not None and nodes > max_nodes:
+                self.nodes = nodes
+                raise GuardExceededError(
+                    f"coloring search exceeded the node guard {max_nodes}"
+                )
+            queue.append((v, c))
+
+
+def find_bipartition(
+    hg: Hypergraph, *, max_nodes: Optional[int] = SEARCH_NODE_GUARD
+) -> Optional[Bipartition]:
+    """First valid 2-coloring in lexicographic order (index order, A before B).
+
+    Returns None iff the hypergraph admits no proper 2-coloring.  Raises
+    GuardExceededError once the search has made more than ``max_nodes``
+    branching decisions; pass None for no budget.
+    """
+    side = _ListSearch(hg).solve([(SIDE_A, SIDE_B)] * hg.n, max_nodes=max_nodes)
+    return None if side is None else Bipartition(tuple(side))
+
+
+# ---------------------------------------------------------------------------
+# Instance generators
+# ---------------------------------------------------------------------------
 
 
 def gen_complete(s: int, n: int, m: int) -> tuple[Hypergraph, Bipartition]:

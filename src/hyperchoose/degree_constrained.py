@@ -106,28 +106,42 @@ def build_selection(hg: Hypergraph, k: int) -> Optional[IncidenceSelection]:
     return IncidenceSelection(tuple((p[0], p[1]) for p in chosen), k)
 
 
-def list_color_gk(hg: Hypergraph, lists: ListAssignment) -> Coloring:
+def gk_selection(hg: Hypergraph) -> IncidenceSelection:
+    """The degree-capped selection at the guaranteed cap ceil(2*max_degree/min_size)."""
+    met = metrics(hg)
+    k = ceil(Fraction(2 * met.max_degree, met.min_edge_size))
+    selection = build_selection(hg, k)
+    if selection is None:
+        raise TheoremContradictionError(
+            f"no degree-{k} selection found at the guaranteed cap"
+        )
+    return selection
+
+
+def list_color_gk(
+    hg: Hypergraph,
+    lists: ListAssignment,
+    selection: Optional[IncidenceSelection] = None,
+) -> Coloring:
     """Proper list coloring of an arbitrary hypergraph with cap+1 list entries.
 
-    Builds the degree-capped selection at cap = ceil(2*max_degree/min_size),
-    then colors the selected pairs greedily in vertex order; every vertex sees
-    at most cap colored neighbors, so cap+1 entries always leave a choice.
+    Colors the pairs of a degree-capped selection greedily in vertex order;
+    every vertex sees at most cap colored neighbors, so cap+1 entries always
+    leave a choice.  ``selection`` must be a selection for ``hg`` with every
+    degree at most its cap; it defaults to :func:`gk_selection`, and a caller
+    that also reports the selection passes the one it built.
     """
     if lists.n != hg.n:
         raise PreconditionError("list assignment size differs from vertex count")
-    met = metrics(hg)
-    k = ceil(Fraction(2 * met.max_degree, met.min_edge_size))
+    if selection is None:
+        selection = gk_selection(hg)
+    k = selection.k
     short = [v for v in range(hg.n) if len(lists.lists[v]) < k + 1]
     if short:
         v = short[0]
         raise PreconditionError(
             f"vertex {v}: list of size {len(lists.lists[v])} is below the "
             f"required {k + 1} (2*max_degree/min_size rounded up, plus 1)"
-        )
-    selection = build_selection(hg, k)
-    if selection is None:
-        raise TheoremContradictionError(
-            f"no degree-{k} selection found at the guaranteed cap"
         )
     adj: list[list[int]] = [[] for _ in range(hg.n)]
     for x, y in selection.chosen:

@@ -15,11 +15,13 @@ from math import ceil
 from typing import Optional
 
 from .core import (
+    SEARCH_NODE_GUARD,
     Bipartition,
     Coloring,
     Hypergraph,
     ListAssignment,
     Orientation,
+    _ListSearch,
     bipartition_is_valid,
     is_proper,
     orientation_is_valid,
@@ -141,42 +143,19 @@ def reduce_to_pairgraph(
     return PairGraph(hg.n, tuple(pairs), tuple(range(len(hg.edges))))
 
 
-def _backtrack_pair_coloring(
-    pg: PairGraph, lists: ListAssignment
-) -> Optional[list[int]]:
-    """Exhaustive list coloring of the pair graph, most-constrained-first."""
-    adj: list[list[int]] = [[] for _ in range(pg.n)]
-    for x, y in pg.pairs:
-        adj[x].append(y)
-        adj[y].append(x)
-    order = sorted(range(pg.n), key=lambda v: (-len(adj[v]), v))
-    color: list[Optional[int]] = [None] * pg.n
-
-    def rec(i: int) -> bool:
-        if i == pg.n:
-            return True
-        v = order[i]
-        taken = {color[u] for u in adj[v] if color[u] is not None}
-        for c in lists.lists[v]:
-            if c not in taken:
-                color[v] = c
-                if rec(i + 1):
-                    return True
-        color[v] = None
-        return False
-
-    if not rec(0):
-        return None
-    return color  # type: ignore[return-value]
-
-
 def list_color_sparse(
-    hg: Hypergraph, bip: Bipartition, lists: ListAssignment
+    hg: Hypergraph,
+    bip: Bipartition,
+    lists: ListAssignment,
+    *,
+    max_nodes: Optional[int] = SEARCH_NODE_GUARD,
 ) -> Coloring:
     """Proper list coloring of a 2-colorable hypergraph via its minimal orientation.
 
     Requires every list to exceed the head degree of its vertex under the
     minimal orientation; uniform lists of size ceil(L) + 1 always qualify.
+    The pair graph is colored by the list-coloring search, which raises
+    GuardExceededError after more than ``max_nodes`` branching decisions.
     """
     if lists.n != hg.n:
         raise PreconditionError("list assignment size differs from vertex count")
@@ -192,7 +171,9 @@ def list_color_sparse(
             f"required {deg[v] + 1} (head degree + 1)"
         )
     pg = reduce_to_pairgraph(hg, bip, phi)
-    color = _backtrack_pair_coloring(pg, lists)
+    color = _ListSearch(Hypergraph(pg.n, pg.pairs)).solve(
+        lists.lists, max_nodes=max_nodes
+    )
     if color is None:
         raise TheoremContradictionError(
             "pair graph admitted no list coloring despite sufficient lists"

@@ -24,6 +24,19 @@ def exhaustive_two_colorable(hg: Hypergraph) -> bool:
     return False
 
 
+def first_bipartition(hg: Hypergraph) -> tuple[str, ...] | None:
+    """Lexicographically first siding (vertex 0 most significant, A before B)."""
+    return first_list_coloring(hg, [("A", "B")] * hg.n)
+
+
+def first_list_coloring(hg: Hypergraph, lists) -> tuple | None:
+    """First proper coloring in the product order of the lists, or None."""
+    for cols in product(*lists):
+        if all(len({cols[v] for v in e}) > 1 for e in hg.edges):
+            return cols
+    return None
+
+
 def naive_density(hg: Hypergraph) -> Fraction:
     """Plain maximum of |E'|/|union| over all nonempty subsets, no pruning."""
     best = Fraction(0)

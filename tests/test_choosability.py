@@ -15,7 +15,7 @@ from hyperchoose import (
     is_f_choosable,
     is_proper,
 )
-from oracles import exhaustive_colorable, random_hypergraph
+from oracles import exhaustive_colorable, first_list_coloring, random_hypergraph
 
 CLASSIC_BAD = ListAssignment(((1, 2), (1, 3), (2, 3), (1, 2), (1, 3), (2, 3)))
 
@@ -43,6 +43,25 @@ def test_color_from_lists_verifies_and_is_deterministic():
         assert first == color_from_lists(hg, lists)
         if first is not None:
             assert is_proper(hg, first) and first.respects(lists)
+
+
+def test_color_from_lists_is_lex_first():
+    rnd = random.Random(4242)
+    uncolorable = 0
+    for _ in range(240):
+        n = rnd.randint(2, 7)
+        hg = random_hypergraph(rnd, n, rnd.randint(1, 12), max_size=3)
+        lists = ListAssignment(
+            tuple(tuple(rnd.sample(range(1, 5), rnd.choice((1, 2, 2, 3)))) for _ in range(n))
+        )
+        expected = first_list_coloring(hg, lists.lists)
+        found = color_from_lists(hg, lists)
+        if expected is None:
+            uncolorable += 1
+            assert found is None
+        else:
+            assert found is not None and found.color == expected
+    assert uncolorable >= 10
 
 
 def test_is_f_choosable_k33_two_lists():
@@ -102,6 +121,18 @@ def test_chromatic_number_examples():
     # Independent confirmation for the Fano plane.
     assert not exhaustive_colorable(gen_fano(), 2)
     assert exhaustive_colorable(gen_fano(), 3)
+
+
+def test_chromatic_number_matches_brute_force():
+    rnd = random.Random(31)
+    seen = set()
+    for _ in range(60):
+        n = rnd.randint(2, 7)
+        hg = random_hypergraph(rnd, n, rnd.randint(1, 14), max_size=rnd.choice((2, 3)))
+        chi = chromatic_number(hg)
+        assert exhaustive_colorable(hg, chi) and not exhaustive_colorable(hg, chi - 1)
+        seen.add(chi)
+    assert {2, 3, 4} <= seen
 
 
 def test_chromatic_guard():

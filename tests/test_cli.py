@@ -3,7 +3,9 @@ import json
 import pytest
 
 from hyperchoose import gen_complete, gen_fano, is_proper, parse_hypergraph, serialize_hypergraph, Coloring
+from hyperchoose import degree_constrained, density
 from hyperchoose.cli import main
+from hyperchoose.errors import TheoremContradictionError
 
 K33 = gen_complete(2, 3, 3)[0]
 
@@ -242,12 +244,18 @@ def test_generate_regular_infeasible_exits_2(capsys):
     assert code == 2
 
 
-def test_color_gk_writes_selection(capsys, tmp_path, fano_path):
+def test_color_gk_writes_selection(capsys, monkeypatch, tmp_path, fano_path):
+    built = []
+    build = degree_constrained.build_selection
+    monkeypatch.setattr(
+        degree_constrained, "build_selection", lambda hg, k: built.append(k) or build(hg, k)
+    )
     lists = lists_file(tmp_path, [[1, 2, 3]] * 7)
     sel_file = tmp_path / "selection.json"
     code, _ = run(capsys, "color", fano_path, lists, "--method", "gk",
                   "--selection", str(sel_file))
     assert code == 0
+    assert built == [2]  # one selection, at ceil(2 * 3 / 3), colors and is written
     pairs = json.loads(sel_file.read_text())
     fano = gen_fano()
     assert len(pairs) == 7
@@ -261,3 +269,16 @@ def test_analyze_exact_guard_exits_3(capsys, tmp_path):
     big.write_text("p hg 25 24\n" + "\n".join(edges) + "\n")
     code, _ = run(capsys, "analyze", str(big), "--exact")
     assert code == 3
+
+
+def test_internal_error_exits_6(capsys, monkeypatch, k33_path):
+    def contradiction(hg):
+        raise TheoremContradictionError("parametric search failed to improve")
+
+    monkeypatch.setattr(density, "edge_density", contradiction)
+    code = main(["analyze", k33_path, "--no-timing"])
+    captured = capsys.readouterr()
+    assert code == 6 and captured.out == ""
+    assert captured.err == (
+        "error: internal: TheoremContradictionError: parametric search failed to improve\n"
+    )

@@ -5,6 +5,7 @@ import pytest
 from hyperchoose import (
     Bipartition,
     Coloring,
+    GuardExceededError,
     Hypergraph,
     HgrFormatError,
     ListAssignment,
@@ -19,7 +20,7 @@ from hyperchoose import (
     serialize_hypergraph,
     validate,
 )
-from oracles import exhaustive_two_colorable, random_hypergraph
+from oracles import exhaustive_two_colorable, first_bipartition, random_hypergraph
 
 K33_TEXT = "p hg 6 9\n" + "".join(f"e {a} {b}\n" for a in (0, 1, 2) for b in (3, 4, 5))
 
@@ -136,6 +137,29 @@ def test_find_bipartition_agrees_with_exhaustive():
         assert (found is not None) == exhaustive_two_colorable(hg)
         if found is not None:
             assert bipartition_is_valid(hg, found)
+
+
+def test_find_bipartition_is_lex_first():
+    rnd = random.Random(2024)
+    uncolorable = 0
+    for _ in range(240):
+        n = rnd.randint(1, 10)
+        m = rnd.randint(0, 14) if n > 1 else 0
+        hg = random_hypergraph(rnd, n, m, max_size=3)
+        expected = first_bipartition(hg)
+        found = find_bipartition(hg)
+        if expected is None:
+            uncolorable += 1
+            assert found is None
+        else:
+            assert found is not None and found.side == expected
+    assert uncolorable >= 20
+
+
+def test_find_bipartition_node_guard():
+    with pytest.raises(GuardExceededError):
+        find_bipartition(gen_fano(), max_nodes=1)
+    assert find_bipartition(gen_fano(), max_nodes=None) is None
 
 
 def test_gen_complete_counts():

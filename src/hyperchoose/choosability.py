@@ -11,13 +11,12 @@ scale despite the doubly-exponential raw space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import ceil
 from typing import Optional, Sequence
 
 from .core import Coloring, Hypergraph, ListAssignment, _ListSearch
+from .density import bound_gk
 from .errors import GuardExceededError, TheoremContradictionError
 
 MAX_VERTICES = 12
@@ -188,9 +187,7 @@ def choice_number(
     chi = chromatic_number(hg, max_vertices=min(max_vertices, CHROMATIC_MAX_VERTICES))
     if not hg.edges:
         return chi
-    sizes = {len(e) for e in hg.edges}
-    cap = ceil(Fraction(2 * max(hg.degrees()), min(sizes))) + 1
-    for k in range(chi, cap + 1):
+    for k in range(chi, bound_gk(hg) + 1):
         verdict = is_f_choosable(
             hg,
             [k] * hg.n,

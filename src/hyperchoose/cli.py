@@ -102,7 +102,7 @@ def cmd_analyze(args) -> int:
         "l_den": lam.denominator,
         "bound_sparse": ceil(lam) + 1,
         "bound_degree": ceil(Fraction(met.max_degree, met.min_edge_size)) + 1,
-        "bound_gk": ceil(Fraction(2 * met.max_degree, met.min_edge_size)) + 1,
+        "bound_gk": density.bound_gk(hg),
         "warnings": validate(hg),
     }
     if args.exact:

@@ -1,23 +1,20 @@
 """Degree-capped incidence selection and the greedy coloring it enables.
 
-Every edge keeps exactly two of its incidences; overloaded vertices shed
-degree along augmenting paths that alternate kept and dropped incidences over
-pairwise-distinct edges.  Each flip moves one unit of degree from an
-overloaded vertex to a deficient one, so the overload potential strictly
-decreases and the repair loop terminates.  At the cap 2*max_degree/min_size
-(rounded up) a zero-potential selection always exists, and greedy coloring of
-the selected pairs with cap+1 list entries never runs out of colors.
+Every edge keeps exactly two of its incidences and every vertex keeps at most
+k: a flow on source -> edge (cap 2) -> incident vertex (cap 1) -> sink
+(cap k), computed by the shared max-flow :func:`core.edge_vertex_flow`.  At
+the cap 2*max_degree/min_size (rounded up) such a selection always exists, and
+greedy coloring of the selected pairs with cap+1 list entries never runs out
+of colors.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
-from math import ceil
 from typing import Optional
 
-from .core import Coloring, Hypergraph, ListAssignment, is_proper, metrics
+from .core import Coloring, Hypergraph, ListAssignment, edge_vertex_flow, is_proper
+from .density import bound_gk
 from .errors import PreconditionError, TheoremContradictionError
 
 
@@ -42,74 +39,25 @@ class IncidenceSelection:
 def build_selection(hg: Hypergraph, k: int) -> Optional[IncidenceSelection]:
     """Select two incidences per edge with all vertex degrees at most k.
 
-    Starts from the two smallest vertices of every edge, then repeatedly runs
-    a BFS from the overloaded vertices along augmenting paths (kept incidence
-    out, dropped incidence in, edges distinct) and flips the first path that
-    reaches a vertex below the cap.  Returns None when no overloaded vertex
-    can reach a deficit, which can only happen below the constructible cap.
+    A max flow on source -> edge (cap 2) -> incident vertex (cap 1) -> sink
+    (cap k); a flow that saturates every edge keeps the two vertices that
+    took its units.  Returns None when no such flow exists, which can only
+    happen below the guaranteed cap.
     """
     if k < 1:
         raise ValueError("degree cap must be at least 1")
-    chosen = [[e[0], e[1]] for e in hg.edges]
-    deg = [0] * hg.n
-    for pair in chosen:
-        for v in pair:
-            deg[v] += 1
-    initial_potential = sum(max(0, d - k) for d in deg)
-    flips = 0
-
-    while True:
-        sources = sorted(v for v in range(hg.n) if deg[v] > k)
-        if not sources:
-            break
-        # held[v] lists edges currently keeping an incidence at v.
-        held: list[list[int]] = [[] for _ in range(hg.n)]
-        for j, pair in enumerate(chosen):
-            for v in pair:
-                held[v].append(j)
-        parent: dict[int, tuple[int, int]] = {}
-        visited = set(sources)
-        used_edges = set()
-        queue = deque(sources)
-        target = None
-        while queue and target is None:
-            v = queue.popleft()
-            for j in held[v]:
-                if j in used_edges:
-                    continue
-                used_edges.add(j)
-                for w in hg.edges[j]:
-                    if w in chosen[j] or w in visited:
-                        continue
-                    visited.add(w)
-                    parent[w] = (v, j)
-                    if deg[w] < k:
-                        target = w
-                        break
-                    queue.append(w)
-                if target is not None:
-                    break
-        if target is None:
-            return None
-        # Flip the path backwards: each hop drops (v, edge) and keeps (w, edge).
-        w = target
-        while w in parent:
-            v, j = parent[w]
-            chosen[j][chosen[j].index(v)] = w
-            w = v
-        deg[target] += 1
-        deg[w] -= 1
-        flips += 1
-        # Each flip lowers the overload potential by exactly one.
-        assert flips <= initial_potential
-
-    return IncidenceSelection(tuple((p[0], p[1]) for p in chosen), k)
+    value, flows, _ = edge_vertex_flow(hg, 2, k, 1)
+    if value < 2 * len(hg.edges):
+        return None
+    chosen = tuple(
+        tuple(v for v, units in zip(e, f) if units) for e, f in zip(hg.edges, flows)
+    )
+    return IncidenceSelection(chosen, k)
 
 
 def gk_selection(hg: Hypergraph) -> IncidenceSelection:
     """The degree-capped selection at the guaranteed cap ceil(2*max_degree/min_size)."""
-    met = metrics(hg)
-    k = ceil(Fraction(2 * met.max_degree, met.min_edge_size))
+    k = bound_gk(hg) - 1
     selection = build_selection(hg, k)
     if selection is None:
         raise TheoremContradictionError(

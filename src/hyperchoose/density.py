@@ -9,12 +9,11 @@ to floating point.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from .core import Hypergraph, find_bipartition, metrics
+from .core import Hypergraph, edge_vertex_flow, find_bipartition, metrics
 from .errors import GuardExceededError, TheoremContradictionError
 
 EXACT_EDGE_GUARD = 24
@@ -58,98 +57,27 @@ def _edge_mask(edge: tuple[int, ...]) -> int:
     return mask
 
 
-class _Dinic:
-    """Max flow on small integer-capacity networks (level BFS + blocking DFS)."""
-
-    def __init__(self, num_nodes: int):
-        self.graph: list[list[list[int]]] = [[] for _ in range(num_nodes)]
-
-    def add_edge(self, u: int, v: int, cap: int):
-        self.graph[u].append([v, cap, len(self.graph[v])])
-        self.graph[v].append([u, 0, len(self.graph[u]) - 1])
-
-    def _bfs(self, s: int, t: int) -> bool:
-        self.level = [-1] * len(self.graph)
-        self.level[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for v, cap, _ in self.graph[u]:
-                if cap > 0 and self.level[v] < 0:
-                    self.level[v] = self.level[u] + 1
-                    q.append(v)
-        return self.level[t] >= 0
-
-    def _dfs(self, u: int, t: int, pushed: int) -> int:
-        if u == t:
-            return pushed
-        while self.it[u] < len(self.graph[u]):
-            arc = self.graph[u][self.it[u]]
-            v, cap, rev = arc
-            if cap > 0 and self.level[v] == self.level[u] + 1:
-                got = self._dfs(v, t, min(pushed, cap))
-                if got > 0:
-                    arc[1] -= got
-                    self.graph[v][rev][1] += got
-                    return got
-            self.it[u] += 1
-        return 0
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while self._bfs(s, t):
-            self.it = [0] * len(self.graph)
-            while True:
-                pushed = self._dfs(s, t, 1 << 62)
-                if pushed == 0:
-                    break
-                flow += pushed
-        return flow
-
-    def source_side(self, s: int) -> set[int]:
-        """Nodes reachable from the source in the residual network."""
-        seen = {s}
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for v, cap, _ in self.graph[u]:
-                if cap > 0 and v not in seen:
-                    seen.add(v)
-                    q.append(v)
-        return seen
-
-
 def density_flow(hg: Hypergraph) -> Fraction:
     """Same value as density_exact via parametric min-cut (Dinkelbach search).
 
     For a candidate density a/b, the network  source -> edge nodes (cap b),
-    edge -> incident vertices (cap inf), vertex -> sink (cap a)  has min cut
+    edge -> incident vertices (cap b), vertex -> sink (cap a)  has min cut
     below b*|E| iff some subset E' satisfies b|E'| - a|union E'| > 0, and the
-    source side of the cut exhibits a strictly denser subset.  Each round
+    source side of the cut exhibits a strictly denser subset.  An edge node
+    receives at most b, so incidence arcs of cap b act as uncapped ones: the
+    residual source side contains every vertex of its edges.  Each round
     replaces the candidate with the density of that subset; candidates are
     achieved densities, so the loop finishes within |E| rounds.
     """
     m = len(hg.edges)
     if m == 0:
         raise ValueError("density undefined for an empty edge set")
-    vertices = sorted({v for e in hg.edges for v in e})
-    vid = {v: i for i, v in enumerate(vertices)}
-    lam = Fraction(m, len(vertices))
+    lam = Fraction(m, len({v for e in hg.edges for v in e}))
     for _ in range(m + 1):
         a, b = lam.numerator, lam.denominator
-        source, sink = 0, 1 + m + len(vertices)
-        net = _Dinic(sink + 1)
-        inf = b * m + 1
-        for j, e in enumerate(hg.edges):
-            net.add_edge(source, 1 + j, b)
-            for v in e:
-                net.add_edge(1 + j, 1 + m + vid[v], inf)
-        for v in vertices:
-            net.add_edge(1 + m + vid[v], sink, a)
-        if net.max_flow(source, sink) >= b * m:
+        value, _, subset = edge_vertex_flow(hg, b, a, b)
+        if value >= b * m:
             return lam
-        side = net.source_side(source)
-        subset = [j for j in range(m) if 1 + j in side]
         union = {v for j in subset for v in hg.edges[j]}
         better = Fraction(len(subset), len(union))
         if better <= lam:

@@ -1,15 +1,16 @@
-"""Matching-based orientations and the sparse constructive coloring pipeline.
+"""Flow-based orientations and the sparse constructive coloring pipeline.
 
-An orientation with max degree k exists iff the bipartite graph between edge
-nodes and k slot copies of each vertex has a matching covering every edge
-node; this is a Hall condition realized by Hopcroft-Karp phases.  For a
+An orientation with max degree k exists iff the network source -> edge
+(cap 1) -> incident vertex (cap 1) -> sink (cap k) carries a flow that
+saturates every edge node (Hall's condition); the shared max-flow
+:func:`core.edge_vertex_flow` computes it, and the minimal cap is ceil(L)
+(Hakimi), so one flow at that cap gives a minimal orientation.  For a
 2-colorable hypergraph the orientation reduces list coloring to a bipartite
 pair graph whose list colorings always exist and pull back to the hypergraph.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from math import ceil
 from typing import Optional
@@ -23,10 +24,11 @@ from .core import (
     Orientation,
     _ListSearch,
     bipartition_is_valid,
+    edge_vertex_flow,
     is_proper,
     orientation_is_valid,
 )
-from .density import EXACT_EDGE_GUARD, density_exact, density_flow
+from .density import edge_density
 from .errors import PreconditionError, TheoremContradictionError
 
 
@@ -39,89 +41,38 @@ class PairGraph:
     source_edges: tuple[int, ...]
 
 
-def _hopcroft_karp(adj: list[list[int]], n_left: int, n_right: int) -> list[int]:
-    """Maximum matching; returns the matched right node per left node (-1 if none)."""
-    INF = float("inf")
-    match_l = [-1] * n_left
-    match_r = [-1] * n_right
-    dist = [0.0] * n_left
-
-    def bfs() -> bool:
-        q = deque()
-        for u in range(n_left):
-            if match_l[u] == -1:
-                dist[u] = 0
-                q.append(u)
-            else:
-                dist[u] = INF
-        found = False
-        while q:
-            u = q.popleft()
-            for v in adj[u]:
-                w = match_r[v]
-                if w == -1:
-                    found = True
-                elif dist[w] == INF:
-                    dist[w] = dist[u] + 1
-                    q.append(w)
-        return found
-
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = match_r[v]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = INF
-        return False
-
-    while bfs():
-        for u in range(n_left):
-            if match_l[u] == -1:
-                dfs(u)
-    return match_l
-
-
 def hall_orientation(hg: Hypergraph, k: int) -> Optional[Orientation]:
     """An orientation with every vertex heading at most k edges, if one exists.
 
-    Edge nodes are matched into k slot copies of each vertex; a matching that
-    covers all edges is exactly such an orientation.
+    Each edge sends one unit of flow to one of its vertices and each vertex
+    passes at most k units to the sink; a flow that saturates every edge is
+    exactly such an orientation, its heads the vertices that took the flow.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    m = len(hg.edges)
-    adj = [[v * k + i for v in e for i in range(k)] for e in hg.edges]
-    match_l = _hopcroft_karp(adj, m, hg.n * k)
-    if any(slot == -1 for slot in match_l):
+    value, flows, _ = edge_vertex_flow(hg, 1, k, 1)
+    if value < len(hg.edges):
         return None
-    return Orientation(tuple(slot // k for slot in match_l))
+    return Orientation(tuple(e[f.index(1)] for e, f in zip(hg.edges, flows)))
 
 
 def min_orientation(hg: Hypergraph) -> tuple[int, Orientation]:
     """The smallest degree cap admitting an orientation, with a witness.
 
-    The minimum always equals ceil(L): an orientation at that cap exists by
-    the Hall argument, and any orientation concentrates each subset's edges
-    on its own union, forcing max degree >= L.
+    The minimum equals ceil(L) (Hakimi): any orientation concentrates each
+    subset's edges on its own union, forcing max degree >= L, and the Hall
+    condition for cap ceil(L) holds on every subset.  So one flow at that cap
+    gives the witness, and the witness's max degree must be exactly ceil(L).
     """
     if not hg.edges:
         raise ValueError("min_orientation undefined for an empty edge set")
-    for k in range(1, max(hg.degrees()) + 1):
-        phi = hall_orientation(hg, k)
-        if phi is not None:
-            dens = (
-                density_exact(hg)
-                if len(hg.edges) <= EXACT_EDGE_GUARD
-                else density_flow(hg)
-            )
-            if k != ceil(dens):
-                raise TheoremContradictionError(
-                    f"minimal orientation cap {k} != ceil(L) = {ceil(dens)}"
-                )
-            return k, phi
-    raise TheoremContradictionError("no orientation found at the max-degree cap")
+    k = ceil(edge_density(hg))
+    phi = hall_orientation(hg, k)
+    if phi is None or phi.max_degree(hg.n) != k:
+        raise TheoremContradictionError(
+            f"no orientation of max degree exactly ceil(L) = {k}"
+        )
+    return k, phi
 
 
 def reduce_to_pairgraph(

@@ -70,6 +70,18 @@ def brute_min_orientation(hg: Hypergraph) -> int:
     return best
 
 
+def brute_selection_exists(hg: Hypergraph, k: int) -> bool:
+    """Scan every choice of two vertices per edge for one with all degrees <= k."""
+    for pairs in product(*(combinations(e, 2) for e in hg.edges)):
+        deg = [0] * hg.n
+        for pair in pairs:
+            for v in pair:
+                deg[v] += 1
+        if max(deg, default=0) <= k:
+            return True
+    return False
+
+
 def exhaustive_colorable(hg: Hypergraph, r: int) -> bool:
     """Scan all r^n colorings for a proper one (tiny n only)."""
     for cols in product(range(r), repeat=hg.n):

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from hyperchoose import gen_complete, gen_fano, is_proper, parse_hypergraph, serialize_hypergraph, Coloring
-from hyperchoose import degree_constrained, density
+from hyperchoose import degree_constrained, density, orientation
 from hyperchoose.cli import main
 from hyperchoose.errors import TheoremContradictionError
 
@@ -81,6 +81,17 @@ def test_orient_min(capsys, k33_path):
     doc = json.loads(out)
     assert code == 0 and doc["k_star"] == 2
     assert max(doc["degrees"]) <= 2 and len(doc["head"]) == 9
+
+
+def test_orient_runs_one_hall_orientation(capsys, monkeypatch, k33_path):
+    caps = []
+    hall = orientation.hall_orientation
+    monkeypatch.setattr(
+        orientation, "hall_orientation", lambda hg, k: caps.append(k) or hall(hg, k)
+    )
+    code, out = run(capsys, "orient", k33_path)
+    assert code == 0 and json.loads(out)["k_star"] == 2
+    assert caps == [2]  # one flow, at ceil(L) = ceil(3 / 2)
 
 
 def test_orient_fixed_k_infeasible(capsys, k33_path):

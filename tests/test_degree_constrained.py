@@ -15,7 +15,7 @@ from hyperchoose import (
     list_color_gk,
     metrics,
 )
-from oracles import random_hypergraph
+from oracles import brute_selection_exists, random_hypergraph
 
 
 def test_build_selection_fano_reaches_zero_potential():
@@ -63,6 +63,24 @@ def test_build_selection_never_absent_at_guaranteed_cap():
             p[0] in e and p[1] in e and p[0] != p[1]
             for p, e in zip(sel.chosen, hg.edges)
         )
+
+
+def test_build_selection_matches_brute_force():
+    rnd = random.Random(41)
+    absent = 0
+    for _ in range(120):
+        hg = random_hypergraph(rnd, rnd.randint(2, 7), rnd.randint(1, 6))
+        for k in range(1, 5):
+            sel = build_selection(hg, k)
+            assert (sel is None) == (not brute_selection_exists(hg, k))
+            absent += sel is None
+            if sel is not None:
+                assert max(sel.degrees(hg.n)) <= k
+                assert all(
+                    p[0] in e and p[1] in e and p[0] != p[1]
+                    for p, e in zip(sel.chosen, hg.edges)
+                )
+    assert absent >= 100
 
 
 def test_list_color_gk_fano():

@@ -68,6 +68,22 @@ def test_min_orientation_matches_brute_force():
         assert max(phi.degrees(hg.n)) == k_star
 
 
+def test_hall_orientation_matches_brute_force():
+    rnd = random.Random(78)
+    infeasible = 0
+    for _ in range(120):
+        hg = random_hypergraph(rnd, rnd.randint(2, 7), rnd.randint(1, 7), max_size=3)
+        k_min = brute_min_orientation(hg)
+        for k in range(1, 5):
+            phi = hall_orientation(hg, k)
+            assert (phi is None) == (k < k_min)
+            infeasible += phi is None
+            if phi is not None:
+                assert orientation_is_valid(hg, phi)
+                assert max(phi.degrees(hg.n)) <= k
+    assert infeasible >= 50
+
+
 def test_reduce_to_pairgraph_single_edge():
     hg = Hypergraph(3, ((0, 1, 2),))
     bip = find_bipartition(hg)

@@ -4,8 +4,7 @@ Every instance here is 2-colorable, so the coloring search must return a
 valid certificate; the CLI runs must exit 0.  A step that recurses once per
 vertex or searches exponentially fails these tests (a deadline turns a hang
 into a failure) instead of passing on desk-sized inputs.  The module runs in
-a few seconds.  Chain ``orient``, ``analyze`` and ``color --method sparse``
-are not covered yet: they still recurse in the flow and matching code.
+a few seconds.
 """
 
 import json
@@ -20,10 +19,12 @@ from hyperchoose import (
     Coloring,
     Hypergraph,
     ListAssignment,
+    Orientation,
     bipartition_is_valid,
     find_bipartition,
     gen_k_regular_k_uniform,
     is_proper,
+    orientation_is_valid,
     serialize_hypergraph,
 )
 from hyperchoose.cli import main
@@ -74,6 +75,15 @@ def write(tmp_path, name, text) -> str:
     return str(path)
 
 
+def run_cli(capsys, tmp_path, family, command, *options, lists=None):
+    """Run one CLI command on an instance (and a lists file); return its JSON."""
+    files = [write(tmp_path, "h.hgr", serialize_hypergraph(instance(family)))]
+    if lists is not None:
+        files.append(write(tmp_path, "lists.json", json.dumps({"n": N, "lists": lists})))
+    assert main([command, *files, *options]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
 @pytest.mark.parametrize("family", ["planted", "regular", "chain"])
 def test_find_bipartition_at_scale(family):
     hg = instance(family)
@@ -88,21 +98,40 @@ def test_chain_is_solved_by_propagation():
 
 
 def test_cli_analyze_regular(capsys, tmp_path):
-    path = write(tmp_path, "regular.hgr", serialize_hypergraph(instance("regular")))
-    code = main(["analyze", path, "--no-timing"])
-    doc = json.loads(capsys.readouterr().out)
-    assert code == 0 and doc["two_colorable"]
+    doc = run_cli(capsys, tmp_path, "regular", "analyze", "--no-timing")
+    assert doc["two_colorable"]
     assert (doc["l_num"], doc["l_den"]) == (1, 1)
 
 
-def test_cli_color_sparse_planted(capsys, tmp_path):
-    hg = instance("planted")
-    size = ceil(max(hg.degrees()) / 3) + 1
+def test_cli_analyze_chain(capsys, tmp_path):
+    doc = run_cli(capsys, tmp_path, "chain", "analyze", "--no-timing")
+    assert doc["two_colorable"]
+    assert (doc["l_num"], doc["l_den"]) == (1, 1)
+
+
+def test_cli_orient_chain(capsys, tmp_path):
+    doc = run_cli(capsys, tmp_path, "chain", "orient")
+    assert doc["k_star"] == 1 == max(doc["degrees"])
+    assert orientation_is_valid(instance("chain"), Orientation(doc["head"]))
+
+
+def check_coloring(capsys, tmp_path, family, method, size):
     rnd = random.Random(2)
     lists = [sorted(rnd.sample(range(2 * size), size)) for _ in range(N)]
-    path = write(tmp_path, "planted.hgr", serialize_hypergraph(hg))
-    lpath = write(tmp_path, "lists.json", json.dumps({"n": N, "lists": lists}))
-    code = main(["color", path, lpath, "--method", "sparse"])
-    coloring = Coloring(tuple(json.loads(capsys.readouterr().out)))
-    assert code == 0
-    assert is_proper(hg, coloring) and coloring.respects(ListAssignment(lists))
+    color = run_cli(capsys, tmp_path, family, "color", "--method", method, lists=lists)
+    coloring = Coloring(tuple(color))
+    assert is_proper(instance(family), coloring)
+    assert coloring.respects(ListAssignment(lists))
+
+
+def test_cli_color_sparse_planted(capsys, tmp_path):
+    size = ceil(max(instance("planted").degrees()) / 3) + 1
+    check_coloring(capsys, tmp_path, "planted", "sparse", size)
+
+
+def test_cli_color_sparse_chain(capsys, tmp_path):
+    check_coloring(capsys, tmp_path, "chain", "sparse", 2)  # head degree 1, plus 1
+
+
+def test_cli_color_gk_regular(capsys, tmp_path):
+    check_coloring(capsys, tmp_path, "regular", "gk", 3)  # ceil(2 * 3 / 3) + 1

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .core import Coloring, Hypergraph, ListAssignment, _ListSearch
 from .density import bound_gk
-from .errors import GuardExceededError, TheoremContradictionError
+from .errors import GuardExceededError, PreconditionError, TheoremContradictionError
 
 MAX_VERTICES = 12
 MAX_UNIVERSE = 12
@@ -27,7 +27,7 @@ CHROMATIC_MAX_VERTICES = 20
 def color_from_lists(hg: Hypergraph, lists: ListAssignment) -> Optional[Coloring]:
     """A proper coloring with every color drawn from its vertex list, or None."""
     if lists.n != hg.n:
-        raise ValueError("list assignment size differs from vertex count")
+        raise PreconditionError("list assignment size differs from vertex count")
     solved = _ListSearch(hg).solve(lists.lists)
     return None if solved is None else Coloring(tuple(solved))
 

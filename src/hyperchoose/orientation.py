@@ -3,16 +3,17 @@
 An orientation with max degree k exists iff the network source -> edge
 (cap 1) -> incident vertex (cap 1) -> sink (cap k) carries a flow that
 saturates every edge node (Hall's condition); the shared max-flow
-:func:`core.edge_vertex_flow` computes it, and the minimal cap is ceil(L)
-(Hakimi), so one flow at that cap gives a minimal orientation.  For a
-2-colorable hypergraph the orientation reduces list coloring to a bipartite
-pair graph whose list colorings always exist and pull back to the hypergraph.
+:func:`core.edge_vertex_flow` computes it.  The minimal cap is ceil(L)
+(Hakimi), and it is found by integer steps on this unit network alone: a flow
+that falls short cuts off an edge subset denser than the cap, whose density
+ceiling is the next cap.  No exact density is solved.  For a 2-colorable
+hypergraph the orientation reduces list coloring to a bipartite pair graph
+whose list colorings always exist and pull back to the hypergraph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
 from typing import Optional
 
 from .core import (
@@ -28,7 +29,6 @@ from .core import (
     is_proper,
     orientation_is_valid,
 )
-from .density import edge_density
 from .errors import PreconditionError, TheoremContradictionError
 
 
@@ -53,6 +53,11 @@ def hall_orientation(hg: Hypergraph, k: int) -> Optional[Orientation]:
     value, flows, _ = edge_vertex_flow(hg, 1, k, 1)
     if value < len(hg.edges):
         return None
+    return _heads(hg, flows)
+
+
+def _heads(hg: Hypergraph, flows: list[tuple[int, ...]]) -> Orientation:
+    """The orientation read off a unit flow that saturates every edge."""
     return Orientation(tuple(e[f.index(1)] for e, f in zip(hg.edges, flows)))
 
 
@@ -61,14 +66,29 @@ def min_orientation(hg: Hypergraph) -> tuple[int, Orientation]:
 
     The minimum equals ceil(L) (Hakimi): any orientation concentrates each
     subset's edges on its own union, forcing max degree >= L, and the Hall
-    condition for cap ceil(L) holds on every subset.  So one flow at that cap
-    gives the witness, and the witness's max degree must be exactly ceil(L).
+    condition for cap ceil(L) holds on every subset.  The search starts at
+    k = ceil(|E| / |union E|) <= ceil(L) and runs the unit flow at cap k.  If
+    the flow saturates every edge, k is the minimum.  Otherwise the edges E'
+    on the residual source side span exactly the vertices on that side, so
+    the cut (|E| - |E'|) + k|union E'| < |E| gives |E'| > k|union E'|, and
+    the next cap is ceil(|E'| / |union E'|): at least k + 1, at most ceil(L).
     """
-    if not hg.edges:
+    m = len(hg.edges)
+    if m == 0:
         raise ValueError("min_orientation undefined for an empty edge set")
-    k = ceil(edge_density(hg))
-    phi = hall_orientation(hg, k)
-    if phi is None or phi.max_degree(hg.n) != k:
+    k = -(-m // len({v for e in hg.edges for v in e}))
+    while True:
+        value, flows, subset = edge_vertex_flow(hg, 1, k, 1)
+        if value == m:
+            break
+        union = {v for j in subset for v in hg.edges[j]}
+        if len(subset) <= k * len(union):
+            raise TheoremContradictionError(
+                f"cut at cap {k} exhibited no edge subset denser than {k}"
+            )
+        k = -(-len(subset) // len(union))
+    phi = _heads(hg, flows)
+    if phi.max_degree(hg.n) != k:
         raise TheoremContradictionError(
             f"no orientation of max degree exactly ceil(L) = {k}"
         )

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hyperchoose
 from hyperchoose import gen_complete, gen_fano, is_proper, parse_hypergraph, serialize_hypergraph, Coloring
 from hyperchoose import degree_constrained, density, orientation
 from hyperchoose.cli import main
@@ -83,15 +88,27 @@ def test_orient_min(capsys, k33_path):
     assert max(doc["degrees"]) <= 2 and len(doc["head"]) == 9
 
 
-def test_orient_runs_one_hall_orientation(capsys, monkeypatch, k33_path):
-    caps = []
-    hall = orientation.hall_orientation
+def test_orient_runs_one_unit_flow_at_ceil_l(capsys, monkeypatch, tmp_path, k33_path):
+    calls = []
+    flow = orientation.edge_vertex_flow
     monkeypatch.setattr(
-        orientation, "hall_orientation", lambda hg, k: caps.append(k) or hall(hg, k)
+        orientation,
+        "edge_vertex_flow",
+        lambda hg, *caps: calls.append(caps) or flow(hg, *caps),
     )
     code, out = run(capsys, "orient", k33_path)
     assert code == 0 and json.loads(out)["k_star"] == 2
-    assert caps == [2]  # one flow, at ceil(L) = ceil(3 / 2)
+    assert calls == [(1, 2, 1)]  # one unit flow, at ceil(L) = ceil(3 / 2)
+
+    def no_density(hg, **_):
+        raise AssertionError("exact density solved")
+
+    for name in ("edge_density", "density_exact", "density_flow"):
+        monkeypatch.setattr(density, name, no_density)
+    lists = lists_file(tmp_path, [[1, 2, 3]] * 6)
+    assert run(capsys, "orient", k33_path)[0] == 0
+    assert run(capsys, "color", k33_path, lists, "--method", "sparse")[0] == 0
+    assert run(capsys, "coefficient", k33_path)[0] == 0
 
 
 def test_orient_fixed_k_infeasible(capsys, k33_path):
@@ -121,6 +138,13 @@ def test_color_exact_bad_lists_exits_5(capsys, tmp_path, k33_path):
     lists = lists_file(tmp_path, [[1, 2], [1, 3], [2, 3]] * 2)
     code, _ = run(capsys, "color", k33_path, lists, "--method", "exact")
     assert code == 5
+
+
+def test_color_lists_size_mismatch_exits_4(capsys, tmp_path, k33_path):
+    lists = lists_file(tmp_path, [[1, 2, 3]] * 5)
+    for method in ("exact", "sparse", "gk"):
+        code, _ = run(capsys, "color", k33_path, lists, "--method", method)
+        assert code == 4, method
 
 
 def test_color_sparse_on_fano_exits_4(capsys, tmp_path, fano_path):
@@ -293,3 +317,20 @@ def test_internal_error_exits_6(capsys, monkeypatch, k33_path):
     assert captured.err == (
         "error: internal: TheoremContradictionError: parametric search failed to improve\n"
     )
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(hyperchoose.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def hyperchoose_m(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "hyperchoose", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    assert hyperchoose_m("generate", "fano", "-o", "f.hgr").returncode == 0
+    done = hyperchoose_m("orient", "f.hgr")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["k_star"] == 1

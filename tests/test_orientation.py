@@ -8,6 +8,7 @@ from hyperchoose import (
     ListAssignment,
     PreconditionError,
     density_exact,
+    density_flow,
     find_bipartition,
     gen_complete,
     gen_fano,
@@ -16,6 +17,7 @@ from hyperchoose import (
     is_proper,
     list_color_sparse,
     min_orientation,
+    orientation,
     orientation_is_valid,
     reduce_to_pairgraph,
 )
@@ -66,6 +68,60 @@ def test_min_orientation_matches_brute_force():
         assert k_star == ceil(density_exact(hg))
         assert orientation_is_valid(hg, phi)
         assert max(phi.degrees(hg.n)) == k_star
+
+
+def dense_core_sparse_tail(rnd: random.Random) -> Hypergraph:
+    """Many 2- and 3-edges on 4-6 vertices plus a few 2-edges on many more.
+
+    The tail lowers |E| / |union E| below the core's density, so the first
+    cap min_orientation tries is often below ceil(L).
+    """
+    c = rnd.randint(4, 6)
+    core = [
+        tuple(sorted(rnd.sample(range(c), rnd.randint(2, 3))))
+        for _ in range(rnd.randint(c + 2, 2 * c + 2))
+    ]
+    n = c + rnd.randint(8, 16)
+    tail = [tuple(sorted(rnd.sample(range(c - 1, n), 2))) for _ in range(rnd.randint(3, 8))]
+    return Hypergraph(n, tuple(core + tail))
+
+
+def record_flow_caps(monkeypatch) -> list[int]:
+    caps = []
+    flow = orientation.edge_vertex_flow
+    monkeypatch.setattr(
+        orientation,
+        "edge_vertex_flow",
+        lambda hg, e, k, i: caps.append(k) or flow(hg, e, k, i),
+    )
+    return caps
+
+
+def test_min_orientation_multi_round_matches_brute_force(monkeypatch):
+    caps = record_flow_caps(monkeypatch)
+    rnd = random.Random(79)
+    multi_round = 0
+    for _ in range(80):
+        hg = dense_core_sparse_tail(rnd)
+        caps.clear()
+        k_star, phi = min_orientation(hg)
+        assert k_star == brute_min_orientation(hg) == ceil(density_exact(hg))
+        assert orientation_is_valid(hg, phi)
+        assert max(phi.degrees(hg.n)) == k_star
+        assert caps == sorted(set(caps)) and caps[-1] == k_star
+        multi_round += len(caps) > 1
+    assert multi_round >= 20
+
+
+def test_min_orientation_k6_plus_path_takes_two_flows(monkeypatch):
+    caps = record_flow_caps(monkeypatch)
+    k6 = [(u, v) for u in range(6) for v in range(u + 1, 6)]
+    path = [(v, v + 1) for v in range(6, 36)]
+    hg = Hypergraph(37, tuple(k6 + path))
+    k_star, phi = min_orientation(hg)
+    assert caps == [2, 3]  # ceil(45 / 37), then ceil(15 / 6) from the cut
+    assert k_star == 3 == ceil(density_flow(hg))
+    assert max(phi.degrees(hg.n)) == 3
 
 
 def test_hall_orientation_matches_brute_force():

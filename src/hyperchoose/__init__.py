@@ -34,29 +34,23 @@ from .degree_constrained import (
 )
 from .dense import (
     DenseExperimentReport,
-    PaletteSplit,
     complete_proper_exists,
     cond_corollary,
     cond_ert_upper,
     expected_counts,
     feasibility_margin,
-    is_dangerous,
-    is_monochromatic,
     lower_bound_experiment,
     random_split_color,
     random_split_color_report,
-    sample_split,
     split_experiment,
     split_probability,
 )
 from .density import (
-    SparseBound,
-    bound_degree,
+    Bounds,
     bound_gk,
-    bound_sparse,
+    bounds,
     density_exact,
     density_flow,
-    edge_density,
 )
 from .errors import (
     GuardExceededError,

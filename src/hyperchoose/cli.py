@@ -15,8 +15,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
-from math import ceil
 from pathlib import Path
 
 from . import choosability, degree_constrained, dense, density, orientation
@@ -85,8 +83,7 @@ def cmd_analyze(args) -> int:
     if not hg.edges:
         raise HgrFormatError("hypergraph has no edges; nothing to analyze")
     met = metrics(hg)
-    lam = density.density_flow(hg) if args.flow else density.edge_density(hg)
-    two_colorable = find_bipartition(hg) is not None
+    bounds = density.bounds(hg)
     report = {
         "schema_version": SCHEMA_VERSION,
         "digest": hashlib.sha256(raw).hexdigest(),
@@ -97,12 +94,12 @@ def cmd_analyze(args) -> int:
             "uniform": met.uniform,
             "edge_count": met.edge_count,
         },
-        "two_colorable": two_colorable,
-        "l_num": lam.numerator,
-        "l_den": lam.denominator,
-        "bound_sparse": ceil(lam) + 1,
-        "bound_degree": ceil(Fraction(met.max_degree, met.min_edge_size)) + 1,
-        "bound_gk": density.bound_gk(hg),
+        "two_colorable": bounds.two_colorable,
+        "l_num": bounds.density.numerator,
+        "l_den": bounds.density.denominator,
+        "bound_sparse": bounds.sparse,
+        "bound_degree": bounds.degree,
+        "bound_gk": bounds.gk,
         "warnings": validate(hg),
     }
     if args.exact:
@@ -299,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="density, bounds, and optional exact numbers")
     p.add_argument("path")
     p.add_argument("--exact", action="store_true", help="also compute ch and chi")
-    p.add_argument("--flow", action="store_true", help="force the min-cut density route")
     p.add_argument("--no-timing", action="store_true")
     p.set_defaults(func=cmd_analyze)
 

@@ -172,11 +172,21 @@ class ListAssignment:
             lists = doc["lists"]
         except (TypeError, KeyError) as exc:
             raise HgrFormatError(f"list assignment document missing field: {exc}")
+        if not _is_int(n) or not isinstance(lists, list) or not all(
+            isinstance(lv, list) and all(_is_int(c) for c in lv) for lv in lists
+        ):
+            raise HgrFormatError(
+                "list assignment needs an integer n and lists of integer colors"
+            )
         if len(lists) != n:
             raise HgrFormatError(
                 f"list assignment declares n={n} but carries {len(lists)} lists"
             )
         return cls(tuple(tuple(lv) for lv in lists))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

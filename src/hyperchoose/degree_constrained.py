@@ -32,9 +32,6 @@ class IncidenceSelection:
                 d[v] += 1
         return d
 
-    def potential(self, n: int) -> int:
-        return sum(max(0, d - self.k) for d in self.degrees(n))
-
 
 def build_selection(hg: Hypergraph, k: int) -> Optional[IncidenceSelection]:
     """Select two incidences per edge with all vertex degrees at most k.

@@ -6,7 +6,9 @@ if it misses blue or misses red.  With the neutral probability tuned so the
 dangerous-to-monochromatic expectation ratio equals the edge size, rejection
 sampling of splits yields proper colorings of uniform 2-colorable hypergraphs
 whenever no list is monochromatic and fewer than edge-size lists are
-dangerous.  The mirrored-random-lists experiment below probes the opposite
+dangerous.  The sampler and the split experiment share one vectorized tally
+of monochromatic and dangerous lists over a block of splits, the sampler one
+row at a time.  The mirrored-random-lists experiment below probes the opposite
 regime: sampled list systems on a complete 2-colorable hypergraph that admit
 no proper coloring certify a choice-number lower bound.
 
@@ -42,10 +44,6 @@ from .errors import (
 
 LOWER_BOUND_MAX_L = 3
 LOWER_BOUND_MAX_T = 24
-
-BLUE = "blue"
-RED = "red"
-NEUTRAL = "neutral"
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -146,57 +144,39 @@ def expected_counts(lists: ListAssignment, p: float) -> tuple[float, float]:
     )
 
 
-@dataclass(frozen=True)
-class PaletteSplit:
-    """A partition of the palette into blue, red, and neutral color classes."""
-
-    blue: frozenset[int]
-    red: frozenset[int]
-    neutral: frozenset[int]
-    p: float
-
-    def __post_init__(self):
-        if (
-            self.blue & self.red
-            or self.blue & self.neutral
-            or self.red & self.neutral
-        ):
-            raise ValueError("split classes must be disjoint")
-
-    def label(self, color: int) -> str:
-        if color in self.blue:
-            return BLUE
-        if color in self.red:
-            return RED
-        if color in self.neutral:
-            return NEUTRAL
-        raise KeyError(f"color {color} is outside the split's palette")
+def _member(lists: ListAssignment, palette: list[int]) -> np.ndarray:
+    """(lists x palette) matrix marking the colors of each list."""
+    index = {c: j for j, c in enumerate(palette)}
+    member = np.zeros((lists.n, len(palette)), dtype=bool)
+    for i, lv in enumerate(lists.lists):
+        for c in lv:
+            member[i, index[c]] = True
+    return member
 
 
-def sample_split(palette: list[int], p: float, rng: np.random.Generator) -> PaletteSplit:
-    """Classify each palette color: neutral with probability p, else blue/red evenly."""
-    draws = rng.random(len(palette))
-    blue, red, neutral = set(), set(), set()
-    for color, u in zip(palette, draws):
-        if u < p:
-            neutral.add(color)
-        elif u < p + (1 - p) / 2:
-            blue.add(color)
-        else:
-            red.add(color)
-    return PaletteSplit(frozenset(blue), frozenset(red), frozenset(neutral), p)
+def _split(draws: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Blue and red masks of uniform draws: neutral below p, then blue, then red."""
+    is_blue = (draws >= p) & (draws < p + (1 - p) / 2)
+    is_red = draws >= p + (1 - p) / 2
+    return is_blue, is_red
 
 
-def is_monochromatic(colors: tuple[int, ...], split: PaletteSplit) -> bool:
-    return all(c in split.blue for c in colors) or all(
-        c in split.red for c in colors
-    )
+def _tally(
+    member: np.ndarray, is_blue: np.ndarray, is_red: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Monochromatic and dangerous lists under a (trials x palette) block of splits.
 
-
-def is_dangerous(colors: tuple[int, ...], split: PaletteSplit) -> bool:
-    return not any(c in split.blue for c in colors) or not any(
-        c in split.red for c in colors
-    )
+    Returns the monochromatic count per trial, the two-sided dangerous tally
+    per trial (missing blue plus missing red, so a list with neither counts
+    twice), and the (trials x lists) mask of dangerous lists.
+    """
+    blue_hits = is_blue.astype(np.int64) @ member.T.astype(np.int64)
+    red_hits = is_red.astype(np.int64) @ member.T.astype(np.int64)
+    list_sizes = member.sum(axis=1)
+    mono = (blue_hits == list_sizes) | (red_hits == list_sizes)
+    no_blue, no_red = blue_hits == 0, red_hits == 0
+    tally = (no_blue.astype(np.int64) + no_red).sum(axis=1)
+    return mono.sum(axis=1), tally, no_blue | no_red
 
 
 @dataclass(frozen=True)
@@ -274,6 +254,7 @@ def random_split_color_report(
     l = sizes.pop()
     p = split_probability(s, l)
     palette = lists.palette()
+    member = _member(lists, palette)
     closed_a, closed_b = expected_counts(lists, p)
     rng = _rng(seed)
     counts = {"rejected_monochromatic": 0, "rejected_dangerous": 0, "colored": 0}
@@ -296,33 +277,23 @@ def random_split_color_report(
         )
 
     for it in range(max_iters):
-        split = sample_split(palette, p, rng)
-        mono = sum(1 for lv in lists.lists if is_monochromatic(lv, split))
-        dangerous = [is_dangerous(lv, split) for lv in lists.lists]
-        n_dang = sum(dangerous)
-        tally = sum(
-            (not any(c in split.blue for c in lv))
-            + (not any(c in split.red for c in lv))
-            for lv in lists.lists
-        )
-        mono_counts.append(mono)
-        dang_counts.append(tally)
-        if mono > 0:
+        draws = rng.random(len(palette))
+        is_blue, is_red = _split(draws[None, :], p)
+        mono, tally, dangerous = _tally(member, is_blue, is_red)
+        mono_counts.append(int(mono[0]))
+        dang_counts.append(int(tally[0]))
+        if mono[0] > 0:
             counts["rejected_monochromatic"] += 1
             continue
-        if n_dang >= s:
+        if dangerous[0].sum() >= s:
             counts["rejected_dangerous"] += 1
             continue
+        # Dangerous vertices take a neutral color, side A blue and side B red.
+        label = dict(zip(palette, (is_blue[0] + 2 * is_red[0]).tolist()))
         color = []
-        for v in range(hg.n):
-            lv = lists.lists[v]
-            if dangerous[v]:
-                choice = next(c for c in lv if c in split.neutral)
-            elif bip.side[v] == SIDE_A:
-                choice = next(c for c in lv if c in split.blue)
-            else:
-                choice = next(c for c in lv if c in split.red)
-            color.append(choice)
+        for v, lv in enumerate(lists.lists):
+            want = 0 if dangerous[0, v] else 1 if bip.side[v] == SIDE_A else 2
+            color.append(next(c for c in lv if label[c] == want))
         coloring = Coloring(tuple(color))
         if not is_proper(hg, coloring) or not coloring.respects(lists):
             raise TheoremContradictionError("split coloring failed verification")
@@ -363,22 +334,11 @@ def split_experiment(
         p = split_probability(s, l)
     closed_a, closed_b = expected_counts(lists, p)
     palette = lists.palette()
-    index = {c: j for j, c in enumerate(palette)}
-    member = np.zeros((lists.n, len(palette)), dtype=bool)
-    for i, lv in enumerate(lists.lists):
-        for c in lv:
-            member[i, index[c]] = True
-
     draws = _rng(seed).random((trials, len(palette)))
-    is_blue = (draws >= p) & (draws < p + (1 - p) / 2)
-    is_red = draws >= p + (1 - p) / 2
-    blue_hits = is_blue.astype(np.int64) @ member.T.astype(np.int64)
-    red_hits = is_red.astype(np.int64) @ member.T.astype(np.int64)
-    list_sizes = member.sum(axis=1)
-    mono = (blue_hits == list_sizes) | (red_hits == list_sizes)
-    mono_counts = mono.sum(axis=1)
-    dang_counts = ((blue_hits == 0).astype(np.int64) + (red_hits == 0)).sum(axis=1)
-    dang_set_counts = ((blue_hits == 0) | (red_hits == 0)).sum(axis=1)
+    mono_counts, dang_counts, dangerous = _tally(
+        _member(lists, palette), *_split(draws, p)
+    )
+    dang_set_counts = dangerous.sum(axis=1)
 
     n_mono = int((mono_counts > 0).sum())
     n_over = int(((mono_counts == 0) & (dang_set_counts >= s)).sum())

@@ -1,10 +1,10 @@
 """Exact edge density L and the closed-form choosability upper bounds.
 
-L(H) is the maximum of |E'| / |union of E'| over nonempty edge subsets.  Two
-independent exact routes are provided: subset enumeration with bitset unions
-(guarded) and a parametric min-cut search (scales past the guard).  All
-arithmetic is exact rational; ceilings at integer boundaries are never left
-to floating point.
+L(H) is the maximum of |E'| / |union of E'| over nonempty edge subsets.  The
+parametric min-cut search :func:`density_flow` is the route every report
+takes; subset enumeration with bitset unions, :func:`density_exact`, is an
+independent cross-check kept behind an edge guard.  All arithmetic is exact
+rational; ceilings at integer boundaries are never left to floating point.
 """
 
 from __future__ import annotations
@@ -86,38 +86,40 @@ def density_flow(hg: Hypergraph) -> Fraction:
     raise TheoremContradictionError("parametric search did not converge")
 
 
-def edge_density(hg: Hypergraph) -> Fraction:
-    """Exact L via enumeration when small enough, min-cut search otherwise."""
-    if len(hg.edges) <= EXACT_EDGE_GUARD:
-        return density_exact(hg)
-    return density_flow(hg)
-
-
 @dataclass(frozen=True)
-class SparseBound:
-    """An upper-bound value plus the 2-colorability flag its validity needs."""
+class Bounds:
+    """The exact density L and the closed-form choosability upper bounds.
 
-    value: int
+    ``sparse`` = ceil(L) + 1 and ``degree`` = ceil(max_degree / min_size) + 1
+    bound the choice number only when ``two_colorable``; ``gk`` =
+    ceil(2 * max_degree / min_size) + 1 holds for every hypergraph.
+    """
+
+    density: Fraction
     two_colorable: bool
+    sparse: int
+    degree: int
+    gk: int
 
 
-def bound_sparse(hg: Hypergraph) -> SparseBound:
-    """ceil(L) + 1, valid as a choosability bound only for 2-colorable inputs."""
-    value = ceil(edge_density(hg)) + 1
-    return SparseBound(value, find_bipartition(hg) is not None)
+def bounds(hg: Hypergraph) -> Bounds:
+    """Solve L once (min-cut search) and 2-colorability once, then every bound.
 
-
-def bound_degree(hg: Hypergraph) -> SparseBound:
-    """ceil(max_degree / min_edge_size) + 1, with the same validity flag.
-
-    Always at least as large as bound_sparse because L <= max_degree / s:
+    ``degree`` is never below ``sparse`` because L <= max_degree / s:
     counting incidences, |E'| * s <= sum of |e| <= |union E'| * max_degree.
     """
+    lam = density_flow(hg)
     met = metrics(hg)
     ratio = ceil(Fraction(met.max_degree, met.min_edge_size))
-    if ratio < ceil(edge_density(hg)):
+    if ratio < ceil(lam):
         raise TheoremContradictionError("degree ratio fell below the density ceiling")
-    return SparseBound(ratio + 1, find_bipartition(hg) is not None)
+    return Bounds(
+        density=lam,
+        two_colorable=find_bipartition(hg) is not None,
+        sparse=ceil(lam) + 1,
+        degree=ratio + 1,
+        gk=bound_gk(hg),
+    )
 
 
 def bound_gk(hg: Hypergraph) -> int:

@@ -34,11 +34,10 @@ from .errors import PreconditionError, TheoremContradictionError
 
 @dataclass(frozen=True)
 class PairGraph:
-    """One crossing vertex pair per hypergraph edge, with provenance indices."""
+    """One crossing vertex pair per hypergraph edge, in edge order."""
 
     n: int
     pairs: tuple[tuple[int, int], ...]
-    source_edges: tuple[int, ...]
 
 
 def hall_orientation(hg: Hypergraph, k: int) -> Optional[Orientation]:
@@ -111,22 +110,20 @@ def reduce_to_pairgraph(
     for e, head in zip(hg.edges, phi.head):
         partner = next(v for v in e if bip.side[v] != bip.side[head])
         pairs.append((head, partner))
-    return PairGraph(hg.n, tuple(pairs), tuple(range(len(hg.edges))))
+    return PairGraph(hg.n, tuple(pairs))
 
 
 def list_color_sparse(
     hg: Hypergraph,
     bip: Bipartition,
     lists: ListAssignment,
-    *,
-    max_nodes: Optional[int] = SEARCH_NODE_GUARD,
 ) -> Coloring:
     """Proper list coloring of a 2-colorable hypergraph via its minimal orientation.
 
     Requires every list to exceed the head degree of its vertex under the
     minimal orientation; uniform lists of size ceil(L) + 1 always qualify.
     The pair graph is colored by the list-coloring search, which raises
-    GuardExceededError after more than ``max_nodes`` branching decisions.
+    GuardExceededError after more than ``SEARCH_NODE_GUARD`` branching decisions.
     """
     if lists.n != hg.n:
         raise PreconditionError("list assignment size differs from vertex count")
@@ -143,7 +140,7 @@ def list_color_sparse(
         )
     pg = reduce_to_pairgraph(hg, bip, phi)
     color = _ListSearch(Hypergraph(pg.n, pg.pairs)).solve(
-        lists.lists, max_nodes=max_nodes
+        lists.lists, max_nodes=SEARCH_NODE_GUARD
     )
     if color is None:
         raise TheoremContradictionError(

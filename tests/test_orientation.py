@@ -167,7 +167,6 @@ def test_reduce_to_pairgraph_complete_3_uniform():
     for x, _ in pg.pairs:
         heads[x] += 1
     assert heads == phi.degrees(hg.n)
-    assert pg.source_edges == (0, 1, 2, 3)
 
 
 def test_list_color_sparse_k33():

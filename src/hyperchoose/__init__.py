@@ -60,12 +60,8 @@ from .errors import (
 )
 from .nullstellensatz import (
     CrossingTree,
-    ExpandCheck,
-    MonomialTarget,
     coefficient_count,
     crossing_tree,
-    expand_check,
-    fstar_coefficients,
     monomial_coefficient,
 )
 from .orientation import (

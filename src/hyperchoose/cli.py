@@ -19,6 +19,7 @@ from pathlib import Path
 
 from . import choosability, degree_constrained, dense, density, orientation
 from .core import (
+    SIDE_B,
     Hypergraph,
     ListAssignment,
     find_bipartition,
@@ -195,7 +196,7 @@ def cmd_coefficient(args) -> int:
         raise PreconditionError("coefficient requires a 2-colorable hypergraph")
     _, phi = orientation.min_orientation(hg)
     coef = coefficient_count(hg, bip, phi)
-    b_heads = sum(1 for h in phi.head if bip.side[h] == "B")
+    b_heads = sum(1 for h in phi.head if bip.side[h] == SIDE_B)
     _emit(
         {
             "coef": coef,

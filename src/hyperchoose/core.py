@@ -652,6 +652,8 @@ def gen_k_regular_k_uniform(
         raise ValueError("k must be at least 2")
     if n < k:
         raise ValueError(f"edge size {k} exceeds vertex count {n}")
+    if proposals < 1:
+        raise ValueError("proposals must be at least 1")
     rng = np.random.Generator(np.random.Philox(seed))
     budget = proposals
     while budget > 0:

@@ -8,11 +8,20 @@ ways to pick an incident tree pair and endpoint.  A nonzero coefficient in
 the signed product (x_a - y_b factors) certifies choosability with one more
 color than each head degree; the two products agree up to a sign determined
 by the total head degree on side B.
+
+One iterative transfer count computes every coefficient.  It visits the
+vertices one at a time and keeps, per set of open edges that already have a
+head, the weighted number of partial head choices; the number of such live
+terms is capped by TERM_GUARD.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import combinations
+from math import prod
 
 from .core import (
     Bipartition,
@@ -24,7 +33,7 @@ from .core import (
 )
 from .errors import GuardExceededError, PreconditionError
 
-EXPAND_EDGE_GUARD = 12
+TERM_GUARD = 10**6
 
 
 @dataclass(frozen=True)
@@ -52,13 +61,6 @@ def crossing_tree(edge: tuple[int, ...], bip: Bipartition) -> CrossingTree:
     return CrossingTree(tuple(pairs))
 
 
-@dataclass(frozen=True)
-class MonomialTarget:
-    """Per-vertex exponents; for an orientation these are the head degrees."""
-
-    exponent: tuple[int, ...]
-
-
 def _tree_multiplicity(tree: CrossingTree) -> dict[int, int]:
     mult: dict[int, int] = {}
     for a, b in tree.pairs:
@@ -74,126 +76,100 @@ def coefficient_count(
 
     Equals the number of weighted ways to pick one tree-pair endpoint per edge
     so that every vertex is picked exactly its head-degree many times, the
-    weight of a pick being the number of incident tree pairs.  Counted by DFS
-    over edges with remaining-demand pruning; exact (arbitrary precision).
+    weight of a pick being the number of incident tree pairs.  Counted by the
+    transfer count over vertices; exact (arbitrary precision).  Raises
+    GuardExceededError past TERM_GUARD live terms.
     """
-    _check_inputs(hg, bip, phi)
-    return _count_target(hg, bip, phi.degrees(hg.n))
-
-
-def monomial_coefficient(
-    hg: Hypergraph, bip: Bipartition, target: MonomialTarget
-) -> int:
-    """Unsigned-product coefficient of an arbitrary exponent vector."""
-    if len(target.exponent) != hg.n:
-        raise PreconditionError("exponent vector size differs from vertex count")
-    if sum(target.exponent) != len(hg.edges):
-        return 0  # each edge contributes total degree one
-    return _count_target(hg, bip, list(target.exponent))
-
-
-def _count_target(hg: Hypergraph, bip: Bipartition, remaining: list[int]) -> int:
-    m = len(hg.edges)
-    mults = [
-        _tree_multiplicity(crossing_tree(e, bip)) for e in hg.edges
-    ]
-    # availability[i][v]: how many of the edges i.. could still pick v.
-    availability = [dict() for _ in range(m + 1)]  # type: list[dict[int, int]]
-    for i in range(m - 1, -1, -1):
-        avail = dict(availability[i + 1])
-        for v in mults[i]:
-            avail[v] = avail.get(v, 0) + 1
-        availability[i] = avail
-
-    def rec(i: int) -> int:
-        if i == m:
-            return 1
-        avail = availability[i]
-        for v, need in enumerate(remaining):
-            if need > avail.get(v, 0):
-                return 0
-        total = 0
-        for v in sorted(mults[i]):
-            if remaining[v] > 0:
-                remaining[v] -= 1
-                total += mults[i][v] * rec(i + 1)
-                remaining[v] += 1
-        return total
-
-    return rec(0)
-
-
-def _check_inputs(hg: Hypergraph, bip: Bipartition, phi: Orientation):
     if not bipartition_is_valid(hg, bip):
         raise PreconditionError("bipartition is not valid for the hypergraph")
     if not orientation_is_valid(hg, phi):
         raise PreconditionError("orientation is not valid for the hypergraph")
+    return _transfer_count(hg, bip, phi.degrees(hg.n))
 
 
-@dataclass(frozen=True)
-class ExpandCheck:
-    coef_fstar: int
-    coef_f: int
-    sign_ok: bool
-    count_ok: bool
+def monomial_coefficient(
+    hg: Hypergraph, bip: Bipartition, exponent: Sequence[int]
+) -> int:
+    """Unsigned-product coefficient of an arbitrary exponent vector."""
+    if len(exponent) != hg.n:
+        raise PreconditionError("exponent vector size differs from vertex count")
+    return _transfer_count(hg, bip, exponent)
 
 
-def _expand_product(
-    hg: Hypergraph, bip: Bipartition, signed: bool
-) -> dict[tuple[int, ...], int]:
-    """Dense expansion of the edge-factor product as exponent-vector -> coefficient."""
-    poly: dict[tuple[int, ...], int] = {tuple([0] * hg.n): 1}
-    for e in hg.edges:
-        tree = crossing_tree(e, bip)
-        factor: dict[int, int] = {}
-        for a, b in tree.pairs:
-            factor[a] = factor.get(a, 0) + 1
-            factor[b] = factor.get(b, 0) + (-1 if signed else 1)
-        factor = {v: c for v, c in factor.items() if c}
-        nxt: dict[tuple[int, ...], int] = {}
-        for expo, coef in poly.items():
-            for v, fc in factor.items():
-                key = list(expo)
-                key[v] += 1
-                key = tuple(key)
-                nxt[key] = nxt.get(key, 0) + coef * fc
-        poly = {k: c for k, c in nxt.items() if c}
-    return poly
+def _vertex_order(hg: Hypergraph, incident: list[list[int]]) -> list[int]:
+    """Greedy order: next is the vertex opening the fewest edges net of those it closes.
 
-
-def expand_check(hg: Hypergraph, bip: Bipartition, phi: Orientation) -> ExpandCheck:
-    """Fully expand both products and verify count and sign relations.
-
-    The signed coefficient must equal the unsigned one times (-1) raised to
-    the total head degree on side B (substituting y -> -y flips exactly the
-    B-exponent parity), and the unsigned coefficient must match the DFS count.
+    A vertex opens an edge none of whose vertices came before it and closes
+    an edge whose other vertices all came before it.  Ties go to the lower
+    index.  Scores only fall, so a heap whose stale entries are skipped on
+    pop keeps the order near-linear.
     """
-    _check_inputs(hg, bip, phi)
-    if len(hg.edges) > EXPAND_EDGE_GUARD:
-        raise GuardExceededError(
-            f"{len(hg.edges)} edges exceeds the expansion guard {EXPAND_EDGE_GUARD}"
-        )
-    target = tuple(phi.degrees(hg.n))
-    coef_fstar = _expand_product(hg, bip, signed=False).get(target, 0)
-    coef_f = _expand_product(hg, bip, signed=True).get(target, 0)
-    b_heads = sum(1 for h in phi.head if bip.side[h] != SIDE_A)
-    sign = -1 if b_heads % 2 else 1
-    return ExpandCheck(
-        coef_fstar=coef_fstar,
-        coef_f=coef_f,
-        sign_ok=coef_f == sign * coef_fstar,
-        count_ok=coef_fstar == coefficient_count(hg, bip, phi),
-    )
+    left = [len(e) for e in hg.edges]  # vertices of each edge not yet ordered
+    score = [len(inc) for inc in incident]  # at first every edge is one to open
+    heap = [(s, v) for v, s in enumerate(score)]
+    heapq.heapify(heap)
+    done = [False] * hg.n
+    order: list[int] = []
+    while heap:
+        s, v = heapq.heappop(heap)
+        if done[v] or s != score[v]:
+            continue
+        done[v] = True
+        order.append(v)
+        for j in incident[v]:
+            e = hg.edges[j]
+            left[j] -= 1
+            # v opened j for all the others, and a single vertex left closes j.
+            drop = (left[j] == len(e) - 1) + (left[j] == 1)
+            if drop:
+                for w in e:
+                    if not done[w]:
+                        score[w] -= drop
+                        heapq.heappush(heap, (score[w], w))
+    return order
 
 
-def fstar_coefficients(
-    hg: Hypergraph, bip: Bipartition
-) -> dict[tuple[int, ...], int]:
-    """All coefficients of the unsigned product (guarded); none is negative."""
-    if len(hg.edges) > EXPAND_EDGE_GUARD:
-        raise GuardExceededError(
-            f"{len(hg.edges)} edges exceeds the expansion guard {EXPAND_EDGE_GUARD}"
-        )
-    if not bipartition_is_valid(hg, bip):
-        raise PreconditionError("bipartition is not valid for the hypergraph")
-    return _expand_product(hg, bip, signed=False)
+def _transfer_count(
+    hg: Hypergraph, bip: Bipartition, target: Sequence[int]
+) -> int:
+    """Weighted number of head choices whose head-degree vector equals target.
+
+    A term is the set of open edges that already have a head, one bit per
+    edge index; terms map to summed weights.  Vertex v heads exactly
+    target[v] of its still-unheaded edges, and an edge that v closes must
+    have a head once v is done, when it leaves the term.
+    """
+    mults = [_tree_multiplicity(crossing_tree(e, bip)) for e in hg.edges]
+    incident: list[list[int]] = [[] for _ in range(hg.n)]
+    for j, e in enumerate(hg.edges):
+        for v in e:
+            incident[v].append(j)
+    order = _vertex_order(hg, incident)
+    position = {v: i for i, v in enumerate(order)}
+    closer = [max(e, key=position.__getitem__) for e in hg.edges]
+    terms = {0: 1}
+    for v in order:
+        closing = [j for j in incident[v] if closer[j] == v]
+        staying = [j for j in incident[v] if closer[j] != v]
+        keep_mask = ~sum(1 << j for j in closing)
+        nxt: dict[int, int] = {}
+        for term, w in terms.items():
+            # v must head every unheaded edge it closes; the rest is a choice.
+            forced = [j for j in closing if not term >> j & 1]
+            free = [j for j in staying if not term >> j & 1]
+            k = target[v] - len(forced)
+            if not 0 <= k <= len(free):
+                continue
+            base = w * prod(mults[j][v] for j in forced)
+            kept = term & keep_mask
+            for pick in combinations(free, k):
+                key = kept | sum(1 << j for j in pick)
+                nxt[key] = nxt.get(key, 0) + base * prod(mults[j][v] for j in pick)
+                if len(nxt) > TERM_GUARD:
+                    raise GuardExceededError(
+                        f"more than {TERM_GUARD} live terms in the coefficient count"
+                    )
+        if not nxt:
+            return 0
+        terms = nxt
+    return terms.get(0, 0)

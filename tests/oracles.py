@@ -117,6 +117,11 @@ def sympy_coefficients(hg: Hypergraph, bip: Bipartition, signed: bool):
     return sympy.Poly(sympy.expand(expr), *zs), zs
 
 
+def b_side_sign(bip: Bipartition, head) -> int:
+    """(-1) to the number of heads on side B: y -> -y flips exactly that parity."""
+    return -1 if sum(bip.side[h] == "B" for h in head) % 2 else 1
+
+
 def sympy_target_coefficient(
     hg: Hypergraph, bip: Bipartition, exponents: tuple[int, ...], signed: bool
 ) -> int:

@@ -11,7 +11,13 @@ from fractions import Fraction
 import numpy as np
 
 import hyperchoose as hc
-from oracles import brute_min_orientation, random_hypergraph, random_two_colorable
+from oracles import (
+    b_side_sign,
+    brute_min_orientation,
+    random_hypergraph,
+    random_two_colorable,
+    sympy_target_coefficient,
+)
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -135,17 +141,27 @@ def test_criterion_5_gk_constructive_on_fano():
 
 
 def test_criterion_6_polynomial_certificates():
+    def coefficients(hg, bip, phi):
+        """Count, sympy's unsigned and signed coefficients, and the B-side sign."""
+        target = tuple(phi.degrees(hg.n))
+        return (
+            hc.coefficient_count(hg, bip, phi),
+            sympy_target_coefficient(hg, bip, target, signed=False),
+            sympy_target_coefficient(hg, bip, target, signed=True),
+            b_side_sign(bip, phi.head),
+        )
+
     # Fixtures: single edge (both orientations) and the 4-cycle.
     single = hc.Hypergraph(2, ((0, 1),))
     sbip = hc.Bipartition(("A", "B"))
     for head, expected_sign in ((0, 1), (1, -1)):
-        res = hc.expand_check(single, sbip, hc.Orientation((head,)))
-        assert res.sign_ok and res.count_ok
-        assert res.coef_fstar == 1 and res.coef_f == expected_sign
+        assert coefficients(single, sbip, hc.Orientation((head,))) == (
+            1, 1, expected_sign, expected_sign
+        )
 
     cyc, cbip = hc.gen_complete(2, 2, 2)
-    res = hc.expand_check(cyc, cbip, hc.Orientation((0, 3, 2, 1)))
-    assert res.coef_fstar == 2 and res.sign_ok and res.count_ok
+    count, fstar, f, sign = coefficients(cyc, cbip, hc.Orientation((0, 3, 2, 1)))
+    assert count == fstar == 2 and f == sign * fstar
 
     rnd = random.Random(606)
     for _ in range(50):
@@ -153,14 +169,15 @@ def test_criterion_6_polynomial_certificates():
             rnd, rnd.randint(1, 3), rnd.randint(1, 3), rnd.randint(1, 6)
         )
         _, phi = hc.min_orientation(hg)
-        res = hc.expand_check(hg, bip, phi)
-        assert res.count_ok, "DFS count disagrees with full expansion"
-        assert res.sign_ok, "sign relation violated"
-        assert res.coef_fstar >= 1
+        count, fstar, f, sign = coefficients(hg, bip, phi)
+        assert count == fstar, "transfer count disagrees with the sympy expansion"
+        assert f == sign * fstar, "sign relation violated"
+        assert count >= 1
     _report(
         6,
         True,
-        "52 instances: expansion = DFS count, sign relation holds, coefficient >= 1",
+        "52 instances: sympy expansion = transfer count, sign relation holds, "
+        "coefficient >= 1",
     )
 
 

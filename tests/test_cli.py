@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +9,10 @@ import pytest
 
 import hyperchoose
 from hyperchoose import gen_complete, gen_fano, is_proper, parse_hypergraph, serialize_hypergraph, Coloring
-from hyperchoose import degree_constrained, density, orientation
+from hyperchoose import degree_constrained, density, find_bipartition, nullstellensatz, orientation
 from hyperchoose.cli import main
 from hyperchoose.errors import TheoremContradictionError
+from oracles import random_two_colorable, sympy_target_coefficient
 
 K33 = gen_complete(2, 3, 3)[0]
 GOLDEN = Path(__file__).parent / "golden"  # stdout every release reproduces byte for byte
@@ -233,6 +235,55 @@ def test_coefficient_requires_two_colorable(capsys, fano_path):
     assert code == 4
 
 
+def coefficient_doc(capsys, tmp_path, hg):
+    path = tmp_path / "h.hgr"
+    path.write_text(serialize_hypergraph(hg))
+    code, out = run(capsys, "coefficient", str(path))
+    assert code == 0
+    return json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "seed, edges, coef, sign, bound",
+    [
+        (0, 22, 455184, -1, 4),
+        (1, 18, 256544, 1, 4),
+        (2, 16, 1462684, -1, 4),
+        (5, 20, 405571, -1, 4),
+        (10, 16, 9898, -1, 3),
+        (11, 23, 325170, 1, 3),
+    ],
+)
+def test_coefficient_pinned_values(capsys, tmp_path, seed, edges, coef, sign, bound):
+    # Pinned from an edge-by-edge enumeration of the head choices.
+    rnd = random.Random(seed)
+    m = rnd.randint(16, 24)
+    hg, _ = random_two_colorable(rnd, rnd.randint(3, 6), rnd.randint(3, 6), m)
+    assert len(hg.edges) == edges
+    doc = coefficient_doc(capsys, tmp_path, hg)
+    assert (doc["coef"], doc["sign"], doc["choosable_bound"]) == (coef, sign, bound)
+
+
+def test_coefficient_sign_matches_sympy(capsys, tmp_path):
+    rnd = random.Random(31)
+    instances = [K33] + [random_two_colorable(rnd, 3, 3, rnd.randint(2, 6))[0] for _ in range(6)]
+    signs = set()
+    for hg in instances:
+        doc = coefficient_doc(capsys, tmp_path, hg)
+        bip = find_bipartition(hg)
+        _, phi = orientation.min_orientation(hg)
+        target = tuple(phi.degrees(hg.n))
+        assert doc["sign"] * doc["coef"] == sympy_target_coefficient(hg, bip, target, signed=True)
+        signs.add(doc["sign"])
+    assert signs == {-1, 1}
+
+
+def test_coefficient_guard_exits_3(capsys, monkeypatch, k33_path):
+    monkeypatch.setattr(nullstellensatz, "TERM_GUARD", 1)
+    code, out = run(capsys, "coefficient", k33_path)
+    assert code == 3 and out == ""
+
+
 def test_dense_thresholds(capsys):
     code, out = run(capsys, "dense", "thresholds", "--s", "16", "--l", "2", "--t", "6")
     doc = json.loads(out)
@@ -330,6 +381,19 @@ def test_generate_regular(capsys, tmp_path):
 def test_generate_regular_infeasible_exits_2(capsys):
     code, _ = run(capsys, "generate", "regular", "--k", "4", "--n", "3", "--seed", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("proposals", ["0", "-5"])
+def test_generate_regular_nonpositive_proposals_exit_2(capsys, proposals):
+    code, _ = run(capsys, "generate", "regular", "--k", "3", "--n", "6", "--seed", "1",
+                  "--proposals", proposals)
+    assert code == 2
+
+
+def test_generate_regular_one_proposal_is_accepted(capsys):
+    code, _ = run(capsys, "generate", "regular", "--k", "3", "--n", "6", "--seed", "1",
+                  "--proposals", "1")
+    assert code in (0, 3)  # a valid budget: the search, not the parser, decides
 
 
 def test_color_gk_writes_selection(capsys, monkeypatch, tmp_path, fano_path):

@@ -4,18 +4,31 @@ import pytest
 
 from hyperchoose import (
     Bipartition,
-    GuardExceededError,
     Hypergraph,
     Orientation,
     PreconditionError,
     coefficient_count,
     crossing_tree,
-    expand_check,
-    fstar_coefficients,
     gen_complete,
     min_orientation,
+    monomial_coefficient,
 )
-from oracles import random_two_colorable, sympy_target_coefficient
+from oracles import (
+    b_side_sign,
+    random_two_colorable,
+    sympy_coefficients,
+    sympy_target_coefficient,
+)
+
+
+def check_against_sympy(hg, bip, phi) -> int:
+    """Count = sympy's unsigned coefficient, and the signed one carries the B-side sign."""
+    target = tuple(phi.degrees(hg.n))
+    count = coefficient_count(hg, bip, phi)
+    assert count == sympy_target_coefficient(hg, bip, target, signed=False)
+    signed = sympy_target_coefficient(hg, bip, target, signed=True)
+    assert signed == b_side_sign(bip, phi.head) * count
+    return count
 
 
 def test_crossing_tree_shapes():
@@ -47,22 +60,17 @@ def test_crossing_tree_rejects_one_sided_edge():
 def test_single_edge_coefficients():
     hg = Hypergraph(2, ((0, 1),))
     bip = Bipartition(("A", "B"))
-    assert coefficient_count(hg, bip, Orientation((0,))) == 1
-    res = expand_check(hg, bip, Orientation((0,)))
-    assert (res.coef_fstar, res.coef_f) == (1, 1)
-    assert res.sign_ok and res.count_ok
-    res = expand_check(hg, bip, Orientation((1,)))
-    assert (res.coef_fstar, res.coef_f) == (1, -1)
-    assert res.sign_ok and res.count_ok
+    for head, signed in ((0, 1), (1, -1)):
+        phi = Orientation((head,))
+        assert check_against_sympy(hg, bip, phi) == 1
+        assert sympy_target_coefficient(hg, bip, tuple(phi.degrees(2)), signed=True) == signed
 
 
 def test_four_cycle_coefficient_is_two():
     hg, bip = gen_complete(2, 2, 2)
     phi = Orientation((0, 3, 2, 1))  # every head degree 1
     assert phi.degrees(4) == [1, 1, 1, 1]
-    assert coefficient_count(hg, bip, phi) == 2
-    res = expand_check(hg, bip, phi)
-    assert res.coef_fstar == 2 and res.sign_ok and res.count_ok
+    assert check_against_sympy(hg, bip, phi) == 2
 
 
 def test_expand_matches_sympy_on_fixtures():
@@ -70,8 +78,7 @@ def test_expand_matches_sympy_on_fixtures():
     phi = Orientation((0, 3, 2, 1))
     target = tuple(phi.degrees(4))
     assert sympy_target_coefficient(hg, bip, target, signed=False) == 2
-    res = expand_check(hg, bip, phi)
-    assert res.coef_f == sympy_target_coefficient(hg, bip, target, signed=True)
+    assert sympy_target_coefficient(hg, bip, target, signed=True) == 2 * b_side_sign(bip, phi.head)
 
 
 def test_expand_check_random_two_colorable():
@@ -79,9 +86,7 @@ def test_expand_check_random_two_colorable():
     for _ in range(50):
         hg, bip = random_two_colorable(rnd, rnd.randint(1, 3), rnd.randint(1, 3), rnd.randint(1, 6))
         _, phi = min_orientation(hg)
-        res = expand_check(hg, bip, phi)
-        assert res.sign_ok and res.count_ok
-        assert res.coef_fstar >= 1  # the orientation realizes a summand
+        assert check_against_sympy(hg, bip, phi) >= 1  # the orientation realizes a summand
 
 
 def test_expand_check_against_sympy_random():
@@ -89,17 +94,16 @@ def test_expand_check_against_sympy_random():
     for _ in range(10):
         hg, bip = random_two_colorable(rnd, 2, 2, rnd.randint(1, 4), max_size=4)
         _, phi = min_orientation(hg)
-        target = tuple(phi.degrees(hg.n))
-        res = expand_check(hg, bip, phi)
-        assert res.coef_fstar == sympy_target_coefficient(hg, bip, target, signed=False)
-        assert res.coef_f == sympy_target_coefficient(hg, bip, target, signed=True)
+        check_against_sympy(hg, bip, phi)
 
 
 def test_fstar_has_no_negative_coefficient():
     rnd = random.Random(23)
     for _ in range(20):
         hg, bip = random_two_colorable(rnd, 2, 2, rnd.randint(1, 5))
-        assert all(c > 0 for c in fstar_coefficients(hg, bip).values())
+        poly, _ = sympy_coefficients(hg, bip, signed=False)
+        for exponent, coef in poly.terms():
+            assert monomial_coefficient(hg, bip, exponent) == coef > 0
 
 
 def test_degree_conservation():
@@ -133,24 +137,17 @@ def test_coefficient_links_to_choosability():
             assert verdict.choosable
 
 
-def test_expand_check_guard():
-    rnd = random.Random(27)
-    hg, bip = random_two_colorable(rnd, 4, 4, 13)
-    _, phi = min_orientation(hg)
-    with pytest.raises(GuardExceededError):
-        expand_check(hg, bip, phi)
-
-
 def test_monomial_coefficient_arbitrary_queries():
-    from hyperchoose import MonomialTarget, monomial_coefficient
-
     hg, bip = gen_complete(2, 2, 2)
     phi = Orientation((0, 3, 2, 1))
-    target = MonomialTarget(tuple(phi.degrees(4)))
-    assert monomial_coefficient(hg, bip, target) == coefficient_count(hg, bip, phi)
-    # Wrong total degree vanishes without search.
-    assert monomial_coefficient(hg, bip, MonomialTarget((4, 1, 1, 1))) == 0
+    assert monomial_coefficient(hg, bip, phi.degrees(4)) == coefficient_count(hg, bip, phi)
+    # A wrong total degree or a negative exponent vanishes.
+    assert monomial_coefficient(hg, bip, (4, 1, 1, 1)) == 0
+    assert monomial_coefficient(hg, bip, (2, -1, 1, 2)) == 0
     # An exponent vector no orientation realizes can still be queried.
-    full = fstar_coefficients(hg, bip)
-    probe = MonomialTarget((2, 0, 1, 1))
-    assert monomial_coefficient(hg, bip, probe) == full.get(probe.exponent, 0)
+    probe = (2, 0, 1, 1)
+    assert monomial_coefficient(hg, bip, probe) == sympy_target_coefficient(
+        hg, bip, probe, signed=False
+    )
+    with pytest.raises(PreconditionError):
+        monomial_coefficient(hg, bip, (1, 1, 1))

@@ -115,6 +115,13 @@ def test_cli_orient_chain(capsys, tmp_path):
     assert orientation_is_valid(instance("chain"), Orientation(doc["head"]))
 
 
+def test_cli_coefficient_chain(capsys, tmp_path):
+    # The two copies of (0, 1) take heads 0 and 1 in either order, and every
+    # other head is forced.
+    doc = run_cli(capsys, tmp_path, "chain", "coefficient")
+    assert doc["coef"] == 2
+
+
 def check_coloring(capsys, tmp_path, family, method, size):
     rnd = random.Random(2)
     lists = [sorted(rnd.sample(range(2 * size), size)) for _ in range(N)]

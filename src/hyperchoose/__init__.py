@@ -40,7 +40,6 @@ from .dense import (
     expected_counts,
     feasibility_margin,
     lower_bound_experiment,
-    random_split_color,
     random_split_color_report,
     split_experiment,
     split_probability,
@@ -59,13 +58,11 @@ from .errors import (
     TheoremContradictionError,
 )
 from .nullstellensatz import (
-    CrossingTree,
     coefficient_count,
     crossing_tree,
     monomial_coefficient,
 )
 from .orientation import (
-    PairGraph,
     hall_orientation,
     list_color_sparse,
     min_orientation,

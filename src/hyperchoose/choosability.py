@@ -172,27 +172,18 @@ def chromatic_number(
     raise TheoremContradictionError("rainbow coloring rejected")  # pragma: no cover
 
 
-def choice_number(
-    hg: Hypergraph,
-    *,
-    max_vertices: int = MAX_VERTICES,
-    max_universe: Optional[int] = None,
-) -> int:
+def choice_number(hg: Hypergraph, *, max_vertices: int = MAX_VERTICES) -> int:
     """Smallest k such that every system of k-lists is colorable.
 
-    Iterates k upward from the chromatic number.  The universe guard defaults
-    to the full n*k (no truncation); pass ``max_universe`` to bound the search
-    explicitly, in which case larger instances raise instead of running.
+    Iterates k upward from the chromatic number.  Each k is decided over the
+    full color universe n*k, so only ``max_vertices`` bounds the search.
     """
     chi = chromatic_number(hg, max_vertices=min(max_vertices, CHROMATIC_MAX_VERTICES))
     if not hg.edges:
         return chi
     for k in range(chi, bound_gk(hg) + 1):
         verdict = is_f_choosable(
-            hg,
-            [k] * hg.n,
-            max_vertices=max_vertices,
-            max_universe=max_universe if max_universe is not None else hg.n * k,
+            hg, [k] * hg.n, max_vertices=max_vertices, max_universe=hg.n * k
         )
         if verdict.choosable:
             return k

@@ -48,10 +48,6 @@ EXIT_INTERNAL = 6
 SCHEMA_VERSION = 1
 
 
-class _NoColoring(Exception):
-    pass
-
-
 def _emit(doc) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
@@ -146,10 +142,11 @@ def cmd_color(args) -> int:
                 json.dumps([list(p) for p in selection.chosen]) + "\n", "utf-8"
             )
     else:
-        maybe = choosability.color_from_lists(hg, lists)
-        if maybe is None:
-            raise _NoColoring("no proper coloring exists for the given lists")
-        coloring = maybe
+        coloring = choosability.color_from_lists(hg, lists)
+        if coloring is None:
+            msg = "error: no proper coloring exists for the given lists"
+            print(msg, file=sys.stderr)
+            return EXIT_NO_COLORING
     assert is_proper(hg, coloring) and coloring.respects(lists)
     doc = list(coloring.color)
     if args.output:
@@ -396,9 +393,6 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except _NoColoring as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_COLORING
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

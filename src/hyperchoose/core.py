@@ -78,14 +78,6 @@ class Bipartition:
         if bad:
             raise ValueError(f"side labels must be 'A' or 'B', got {bad[0]!r}")
 
-    @property
-    def part_a(self) -> frozenset[int]:
-        return frozenset(v for v, s in enumerate(self.side) if s == SIDE_A)
-
-    @property
-    def part_b(self) -> frozenset[int]:
-        return frozenset(v for v, s in enumerate(self.side) if s == SIDE_B)
-
 
 def bipartition_is_valid(hg: Hypergraph, bip: Bipartition) -> bool:
     """True iff every edge contains at least one vertex of each side."""
@@ -481,16 +473,14 @@ class _ListSearch:
             queue.append((v, c))
 
 
-def find_bipartition(
-    hg: Hypergraph, *, max_nodes: Optional[int] = SEARCH_NODE_GUARD
-) -> Optional[Bipartition]:
+def find_bipartition(hg: Hypergraph) -> Optional[Bipartition]:
     """First valid 2-coloring in lexicographic order (index order, A before B).
 
     Returns None iff the hypergraph admits no proper 2-coloring.  Raises
-    GuardExceededError once the search has made more than ``max_nodes``
-    branching decisions; pass None for no budget.
+    GuardExceededError once the search has made more than
+    ``SEARCH_NODE_GUARD`` branching decisions.
     """
-    side = _ListSearch(hg).solve([(SIDE_A, SIDE_B)] * hg.n, max_nodes=max_nodes)
+    side = _ListSearch(hg).solve([(SIDE_A, SIDE_B)] * hg.n, max_nodes=SEARCH_NODE_GUARD)
     return None if side is None else Bipartition(tuple(side))
 
 
@@ -514,9 +504,10 @@ def edge_vertex_flow(
     paths of any length never recurse.  Arcs live in flat lists (``to``,
     ``cap``) with the reverse of arc ``a`` at ``a ^ 1``.
 
-    Returns the flow value, the flow on each incidence arc (one tuple per
-    edge, aligned with ``hg.edges``), and the indices of the edges on the
-    source side of the residual network, which is the minimal minimum cut.
+    Returns the flow value, per edge the vertices whose incidence arc carries
+    flow (one tuple per edge, aligned with ``hg.edges``, vertices in the
+    edge's order), and the indices of the edges on the source side of the
+    residual network, which is the minimal minimum cut.
     """
     m, n = len(hg.edges), hg.n
     # Nodes: edges 0..m-1, vertices m..m+n-1, then the source and the sink.
@@ -594,11 +585,12 @@ def edge_vertex_flow(
                 u = to[path.pop() ^ 1]
                 it[u] += 1
 
-    flows = [
-        tuple(incidence_cap - cap[a] for a in range(f, f + 2 * len(e), 2))
+    # The reverse of incidence arc a holds the flow that a carries.
+    chosen = [
+        tuple(v for v, a in zip(e, range(f + 1, f + 2 * len(e), 2)) if cap[a])
         for f, e in zip(first, hg.edges)
     ]
-    return flow, flows, [j for j in range(m) if level[j] >= 0]
+    return flow, chosen, [j for j in range(m) if level[j] >= 0]
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +652,8 @@ def gen_k_regular_k_uniform(
         layers = [[int(x) for x in rng.permutation(n)] for _ in range(k)]
         budget -= 1
         stall = 0
-        while budget > 0 and stall < 50 * n:
+        while True:
+            # Scan before the budget check, so the last proposal is checked too.
             conflict = None
             for j in range(n):
                 column = [layers[i][j] for i in range(k)]
@@ -674,6 +667,8 @@ def gen_k_regular_k_uniform(
                 hg = Hypergraph(n, edges)
                 assert hg.degrees() == [k] * n
                 return hg
+            if budget == 0 or stall >= 50 * n:
+                break
             column = [layers[i][conflict] for i in range(k)]
             dup_layer = next(
                 i for i in range(1, k) if column[i] in column[:i]

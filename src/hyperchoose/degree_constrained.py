@@ -43,13 +43,10 @@ def build_selection(hg: Hypergraph, k: int) -> Optional[IncidenceSelection]:
     """
     if k < 1:
         raise ValueError("degree cap must be at least 1")
-    value, flows, _ = edge_vertex_flow(hg, 2, k, 1)
+    value, chosen, _ = edge_vertex_flow(hg, 2, k, 1)
     if value < 2 * len(hg.edges):
         return None
-    chosen = tuple(
-        tuple(v for v, units in zip(e, f) if units) for e, f in zip(hg.edges, flows)
-    )
-    return IncidenceSelection(chosen, k)
+    return IncidenceSelection(tuple(chosen), k)
 
 
 def gk_selection(hg: Hypergraph) -> IncidenceSelection:

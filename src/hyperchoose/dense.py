@@ -118,8 +118,10 @@ def feasibility_margin(s: int, l: int, t: int) -> float:
     """
     if s < 2 or l < 1 or t < 1:
         raise ValueError("requires s >= 2, l >= 1, t >= 1")
-    big_t = t / (2 * (1 + s ** (1.0 / l)) ** l)
-    return l * l * s * math.log(s * big_t) - s * big_t + s * l * l
+    # log T = log(t/2) - l*log(1 + s^(1/l)); (1 + s^(1/l))^l itself overflows
+    # a float for large l, while T only underflows harmlessly to 0.
+    log_t = math.log(t / 2) - l * math.log1p(s ** (1.0 / l))
+    return l * l * s * (math.log(s) + log_t) - s * math.exp(log_t) + s * l * l
 
 
 def expected_counts(lists: ListAssignment, p: float) -> tuple[float, float]:
@@ -302,36 +304,24 @@ def random_split_color_report(
     return None, report(max_iters)
 
 
-def random_split_color(
-    hg: Hypergraph,
-    bip: Bipartition,
-    lists: ListAssignment,
-    max_iters: int,
-    seed: int,
-) -> Optional[Coloring]:
-    """First coloring produced by the split sampler within the budget, or None."""
-    coloring, _ = random_split_color_report(hg, bip, lists, max_iters, seed)
-    return coloring
-
-
 def split_experiment(
-    lists: ListAssignment, s: int, trials: int, seed: int, p: Optional[float] = None
+    lists: ListAssignment, s: int, trials: int, seed: int
 ) -> DenseExperimentReport:
     """Sample many palette splits and tally monochromatic/dangerous lists.
 
-    Vectorized over trials; the empirical means estimate the closed forms and
-    the report carries their standard errors for tolerance checks.  The
-    dangerous tally is two-sided (missing blue plus missing red, matching the
-    closed form); the rejection categories use the plain dangerous count.
+    Every split uses the sampler's neutral probability, split_probability(s, l)
+    for the common list length l.  Vectorized over trials; the empirical means
+    estimate the closed forms and the report carries their standard errors for
+    tolerance checks.  The dangerous tally is two-sided (missing blue plus
+    missing red, matching the closed form); the rejection categories use the
+    plain dangerous count.
     """
     sizes = set(lists.sizes())
     if len(sizes) != 1:
         raise PreconditionError("split_experiment requires equal-length lists")
     if trials < 1:
         raise ValueError("trials must be positive")
-    l = sizes.pop()
-    if p is None:
-        p = split_probability(s, l)
+    p = split_probability(s, sizes.pop())
     closed_a, closed_b = expected_counts(lists, p)
     palette = lists.palette()
     draws = _rng(seed).random((trials, len(palette)))

@@ -19,14 +19,15 @@ from .errors import GuardExceededError, TheoremContradictionError
 EXACT_EDGE_GUARD = 24
 
 
-def density_exact(hg: Hypergraph, *, max_edges: int = EXACT_EDGE_GUARD) -> Fraction:
+def density_exact(hg: Hypergraph) -> Fraction:
     """Maximize |E'|/|union E'| by branch-and-bound over edge subsets."""
     m = len(hg.edges)
     if m == 0:
         raise ValueError("density undefined for an empty edge set")
-    if m > max_edges:
+    if m > EXACT_EDGE_GUARD:
         raise GuardExceededError(
-            f"{m} edges exceeds the enumeration guard {max_edges}; use density_flow"
+            f"{m} edges exceeds the enumeration guard {EXACT_EDGE_GUARD}; "
+            "use density_flow"
         )
     masks = [_edge_mask(e) for e in hg.edges]
 

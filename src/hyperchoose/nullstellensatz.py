@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import combinations
 from math import prod
 
@@ -36,19 +35,15 @@ from .errors import GuardExceededError, PreconditionError
 TERM_GUARD = 10**6
 
 
-@dataclass(frozen=True)
-class CrossingTree:
-    """Spanning tree of one edge's vertices; every tree pair crosses the sides."""
+def crossing_tree(
+    edge: tuple[int, ...], bip: Bipartition
+) -> tuple[tuple[int, int], ...]:
+    """The double-star spanning tree on an edge, as its (A, B) vertex pairs.
 
-    pairs: tuple[tuple[int, int], ...]
-
-
-def crossing_tree(edge: tuple[int, ...], bip: Bipartition) -> CrossingTree:
-    """The double-star tree on an edge: anchors are the least vertex per side.
-
-    Pairs are (a0, b0), then (a, b0) for the remaining A-vertices, then
-    (a0, b) for the remaining B-vertices; |pairs| = |edge| - 1 and every pair
-    crosses.  Deterministic so coefficient values are reproducible.
+    The anchors are the least vertex per side.  Pairs are (a0, b0), then
+    (a, b0) for the remaining A-vertices, then (a0, b) for the remaining
+    B-vertices; |pairs| = |edge| - 1 and every pair crosses the sides.
+    Deterministic so coefficient values are reproducible.
     """
     a_side = sorted(v for v in edge if bip.side[v] == SIDE_A)
     b_side = sorted(v for v in edge if bip.side[v] != SIDE_A)
@@ -58,12 +53,12 @@ def crossing_tree(edge: tuple[int, ...], bip: Bipartition) -> CrossingTree:
     pairs = [(a0, b0)]
     pairs.extend((a, b0) for a in a_side[1:])
     pairs.extend((a0, b) for b in b_side[1:])
-    return CrossingTree(tuple(pairs))
+    return tuple(pairs)
 
 
-def _tree_multiplicity(tree: CrossingTree) -> dict[int, int]:
+def _tree_multiplicity(tree: tuple[tuple[int, int], ...]) -> dict[int, int]:
     mult: dict[int, int] = {}
-    for a, b in tree.pairs:
+    for a, b in tree:
         mult[a] = mult.get(a, 0) + 1
         mult[b] = mult.get(b, 0) + 1
     return mult

@@ -13,7 +13,6 @@ whose list colorings always exist and pull back to the hypergraph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
@@ -32,14 +31,6 @@ from .core import (
 from .errors import PreconditionError, TheoremContradictionError
 
 
-@dataclass(frozen=True)
-class PairGraph:
-    """One crossing vertex pair per hypergraph edge, in edge order."""
-
-    n: int
-    pairs: tuple[tuple[int, int], ...]
-
-
 def hall_orientation(hg: Hypergraph, k: int) -> Optional[Orientation]:
     """An orientation with every vertex heading at most k edges, if one exists.
 
@@ -49,15 +40,10 @@ def hall_orientation(hg: Hypergraph, k: int) -> Optional[Orientation]:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    value, flows, _ = edge_vertex_flow(hg, 1, k, 1)
+    value, chosen, _ = edge_vertex_flow(hg, 1, k, 1)
     if value < len(hg.edges):
         return None
-    return _heads(hg, flows)
-
-
-def _heads(hg: Hypergraph, flows: list[tuple[int, ...]]) -> Orientation:
-    """The orientation read off a unit flow that saturates every edge."""
-    return Orientation(tuple(e[f.index(1)] for e, f in zip(hg.edges, flows)))
+    return Orientation(tuple(h for (h,) in chosen))
 
 
 def min_orientation(hg: Hypergraph) -> tuple[int, Orientation]:
@@ -77,7 +63,7 @@ def min_orientation(hg: Hypergraph) -> tuple[int, Orientation]:
         raise ValueError("min_orientation undefined for an empty edge set")
     k = -(-m // len({v for e in hg.edges for v in e}))
     while True:
-        value, flows, subset = edge_vertex_flow(hg, 1, k, 1)
+        value, chosen, subset = edge_vertex_flow(hg, 1, k, 1)
         if value == m:
             break
         union = {v for j in subset for v in hg.edges[j]}
@@ -86,7 +72,7 @@ def min_orientation(hg: Hypergraph) -> tuple[int, Orientation]:
                 f"cut at cap {k} exhibited no edge subset denser than {k}"
             )
         k = -(-len(subset) // len(union))
-    phi = _heads(hg, flows)
+    phi = Orientation(tuple(h for (h,) in chosen))
     if phi.max_degree(hg.n) != k:
         raise TheoremContradictionError(
             f"no orientation of max degree exactly ceil(L) = {k}"
@@ -96,11 +82,12 @@ def min_orientation(hg: Hypergraph) -> tuple[int, Orientation]:
 
 def reduce_to_pairgraph(
     hg: Hypergraph, bip: Bipartition, phi: Orientation
-) -> PairGraph:
+) -> tuple[tuple[int, int], ...]:
     """Pick per edge the pair (head, partner) with the partner on the other side.
 
-    The partner is the smallest-index vertex of the edge opposite the head;
-    one always exists because every edge meets both sides.
+    Returns one pair per edge, in edge order.  The partner is the
+    smallest-index vertex of the edge opposite the head; one always exists
+    because every edge meets both sides.
     """
     if not bipartition_is_valid(hg, bip):
         raise PreconditionError("bipartition is not valid for the hypergraph")
@@ -110,7 +97,7 @@ def reduce_to_pairgraph(
     for e, head in zip(hg.edges, phi.head):
         partner = next(v for v in e if bip.side[v] != bip.side[head])
         pairs.append((head, partner))
-    return PairGraph(hg.n, tuple(pairs))
+    return tuple(pairs)
 
 
 def list_color_sparse(
@@ -138,8 +125,8 @@ def list_color_sparse(
             f"vertex {v}: list of size {len(lists.lists[v])} is below the "
             f"required {deg[v] + 1} (head degree + 1)"
         )
-    pg = reduce_to_pairgraph(hg, bip, phi)
-    color = _ListSearch(Hypergraph(pg.n, pg.pairs)).solve(
+    pairs = reduce_to_pairgraph(hg, bip, phi)
+    color = _ListSearch(Hypergraph(hg.n, pairs)).solve(
         lists.lists, max_nodes=SEARCH_NODE_GUARD
     )
     if color is None:

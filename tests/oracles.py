@@ -111,7 +111,7 @@ def sympy_coefficients(hg: Hypergraph, bip: Bipartition, signed: bool):
     for e in hg.edges:
         tree = crossing_tree(e, bip)
         factor = sympy.Integer(0)
-        for a, b in tree.pairs:
+        for a, b in tree:
             factor += zs[a] - zs[b] if signed else zs[a] + zs[b]
         expr *= factor
     return sympy.Poly(sympy.expand(expr), *zs), zs

@@ -213,7 +213,7 @@ def test_criterion_8_split_coloring_mechanism():
     )
     successes = 0
     for seed in range(1000):
-        col = hc.random_split_color(hg, bip, lists, max_iters=1, seed=seed)
+        col = hc.random_split_color_report(hg, bip, lists, max_iters=1, seed=seed)[0]
         if col is not None:
             assert hc.is_proper(hg, col) and col.respects(lists)
             successes += 1

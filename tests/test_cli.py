@@ -1,4 +1,7 @@
+import importlib.util
+import inspect
 import json
+import math
 import os
 import random
 import subprocess
@@ -153,8 +156,10 @@ def test_color_gk_fano(capsys, tmp_path, fano_path):
 
 def test_color_exact_bad_lists_exits_5(capsys, tmp_path, k33_path):
     lists = lists_file(tmp_path, [[1, 2], [1, 3], [2, 3]] * 2)
-    code, _ = run(capsys, "color", k33_path, lists, "--method", "exact")
-    assert code == 5
+    code = main(["color", k33_path, lists, "--method", "exact"])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == ""
+    assert captured.err == "error: no proper coloring exists for the given lists\n"
 
 
 def test_color_lists_size_mismatch_exits_4(capsys, tmp_path, k33_path):
@@ -291,6 +296,13 @@ def test_dense_thresholds(capsys):
     assert doc["split_p"] == pytest.approx(0.6)
 
 
+@pytest.mark.parametrize("l", [1100, 2000])
+def test_dense_thresholds_large_l(capsys, l):
+    # (1 + s^(1/l))^l overflows a float here; the margin is taken in log space.
+    code, out = run(capsys, "dense", "thresholds", "--s", "3", "--l", str(l), "--t", "5")
+    assert code == 0 and math.isfinite(json.loads(out)["feasibility_margin"])
+
+
 def test_dense_lower_bound_json_and_csv(capsys):
     code, out = run(
         capsys, "dense", "lower-bound", "--s", "2", "--l", "2", "--t", "6",
@@ -391,9 +403,11 @@ def test_generate_regular_nonpositive_proposals_exit_2(capsys, proposals):
 
 
 def test_generate_regular_one_proposal_is_accepted(capsys):
-    code, _ = run(capsys, "generate", "regular", "--k", "3", "--n", "6", "--seed", "1",
-                  "--proposals", "1")
-    assert code in (0, 3)  # a valid budget: the search, not the parser, decides
+    # Seed 1 draws a conflict-free pair of layers at once, so the one proposal
+    # the budget allows must be checked and returned.
+    code, out = run(capsys, "generate", "regular", "--k", "2", "--n", "10", "--seed", "1",
+                    "--proposals", "1")
+    assert code == 0 and parse_hypergraph(out).degrees() == [2] * 10
 
 
 def test_color_gk_writes_selection(capsys, monkeypatch, tmp_path, fano_path):
@@ -451,3 +465,16 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     done = hyperchoose_m("orient", "f.hgr")
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["k_star"] == 1
+
+
+def test_benchmark_layers_resolve(monkeypatch):
+    """Every function the benchmark's traced pass wraps exists under its name."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, names in spans.LAYERS.items():
+        mod = importlib.import_module(f"hyperchoose.{module}")
+        for name in names:
+            assert inspect.isfunction(getattr(mod, name, None)), f"{module}.{name}"

@@ -10,6 +10,7 @@ from hyperchoose import (
     HgrFormatError,
     ListAssignment,
     bipartition_is_valid,
+    core,
     find_bipartition,
     gen_complete,
     gen_fano,
@@ -156,10 +157,10 @@ def test_find_bipartition_is_lex_first():
     assert uncolorable >= 20
 
 
-def test_find_bipartition_node_guard():
+def test_find_bipartition_node_guard(monkeypatch):
+    monkeypatch.setattr(core, "SEARCH_NODE_GUARD", 1)
     with pytest.raises(GuardExceededError):
-        find_bipartition(gen_fano(), max_nodes=1)
-    assert find_bipartition(gen_fano(), max_nodes=None) is None
+        find_bipartition(gen_fano())
 
 
 def test_gen_complete_counts():

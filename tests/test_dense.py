@@ -19,7 +19,6 @@ from hyperchoose import (
     gen_complete,
     is_proper,
     lower_bound_experiment,
-    random_split_color,
     random_split_color_report,
     split_experiment,
     split_probability,
@@ -61,6 +60,19 @@ def test_corollary_implies_main_threshold():
 
 def test_feasibility_margin_is_finite_diagnostic():
     assert math.isfinite(feasibility_margin(4, 2, 100))
+
+
+def test_feasibility_margin_matches_closed_form():
+    # The margin cancels terms of size s*l^2, so near its zero crossings the two
+    # roundings are compared on that scale rather than relative to the margin.
+    for s in (2, 3, 5, 7, 16):
+        for l in range(1, 5):
+            for t in range(1, 101):
+                big_t = t / (2 * (1 + s ** (1.0 / l)) ** l)
+                closed = l * l * s * math.log(s * big_t) - s * big_t + s * l * l
+                assert math.isclose(
+                    feasibility_margin(s, l, t), closed, rel_tol=1e-13, abs_tol=1e-13 * s * l * l
+                )
 
 
 def test_expected_counts_examples():
@@ -123,7 +135,7 @@ def test_tally_matches_set_scans():
 
 def test_random_split_color_k33():
     hg, bip = gen_complete(2, 3, 3)
-    col = random_split_color(hg, bip, DISJOINT_3LISTS, max_iters=1000, seed=7)
+    col = random_split_color_report(hg, bip, DISJOINT_3LISTS, max_iters=1000, seed=7)[0]
     assert col is not None
     assert is_proper(hg, col) and col.respects(DISJOINT_3LISTS)
 
@@ -131,7 +143,7 @@ def test_random_split_color_k33():
 def test_random_split_color_wide_lists():
     hg, bip = gen_complete(2, 3, 3)
     lists = ListAssignment(tuple(tuple(range(1, 9)) for _ in range(6)))
-    col = random_split_color(hg, bip, lists, max_iters=1000, seed=3)
+    col = random_split_color_report(hg, bip, lists, max_iters=1000, seed=3)[0]
     assert col is not None and is_proper(hg, col)
 
 
@@ -153,8 +165,8 @@ def test_random_split_color_single_color_palette_fails():
 
 def test_random_split_color_replay():
     hg, bip = gen_complete(2, 3, 3)
-    a = random_split_color(hg, bip, DISJOINT_3LISTS, 1000, seed=11)
-    b = random_split_color(hg, bip, DISJOINT_3LISTS, 1000, seed=11)
+    a = random_split_color_report(hg, bip, DISJOINT_3LISTS, 1000, seed=11)[0]
+    b = random_split_color_report(hg, bip, DISJOINT_3LISTS, 1000, seed=11)[0]
     assert a == b
 
 
@@ -163,7 +175,7 @@ def test_random_split_color_preconditions():
     bip = find_bipartition(hg)
     lists = ListAssignment(tuple((1, 2) for _ in range(4)))
     with pytest.raises(PreconditionError):
-        random_split_color(hg, bip, lists, 10, seed=0)
+        random_split_color_report(hg, bip, lists, 10, seed=0)
 
 
 def test_split_experiment_matches_closed_forms():

@@ -146,25 +146,25 @@ def test_reduce_to_pairgraph_single_edge():
     assert bip.side == ("A", "A", "B")
     from hyperchoose import Orientation
 
-    pg = reduce_to_pairgraph(hg, bip, Orientation((0,)))
-    assert pg.pairs == ((0, 2),)  # smallest opposite-side vertex
+    pairs = reduce_to_pairgraph(hg, bip, Orientation((0,)))
+    assert pairs == ((0, 2),)  # smallest opposite-side vertex
 
 
 def test_reduce_to_pairgraph_k33_identity():
     hg, bip = gen_complete(2, 3, 3)
     _, phi = min_orientation(hg)
-    pg = reduce_to_pairgraph(hg, bip, phi)
-    assert sorted(tuple(sorted(p)) for p in pg.pairs) == sorted(hg.edges)
+    pairs = reduce_to_pairgraph(hg, bip, phi)
+    assert sorted(tuple(sorted(p)) for p in pairs) == sorted(hg.edges)
 
 
 def test_reduce_to_pairgraph_complete_3_uniform():
     hg, bip = gen_complete(3, 2, 2)
     k_star, phi = min_orientation(hg)
-    pg = reduce_to_pairgraph(hg, bip, phi)
-    assert len(pg.pairs) == 4
-    assert all(bip.side[x] != bip.side[y] for x, y in pg.pairs)
+    pairs = reduce_to_pairgraph(hg, bip, phi)
+    assert len(pairs) == 4
+    assert all(bip.side[x] != bip.side[y] for x, y in pairs)
     heads = [0] * hg.n
-    for x, _ in pg.pairs:
+    for x, _ in pairs:
         heads[x] += 1
     assert heads == phi.degrees(hg.n)
 

@@ -115,7 +115,7 @@ def orientation_is_valid(hg: Hypergraph, phi: Orientation) -> bool:
     )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ListAssignment:
     """Per-vertex sorted color lists over a nonnegative integer palette."""
 
@@ -143,14 +143,6 @@ class ListAssignment:
 
     def palette(self) -> list[int]:
         return sorted({c for lv in self.lists for c in lv})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ListAssignment):
-            return NotImplemented
-        return self.lists == other.lists
-
-    def __hash__(self) -> int:
-        return hash(self.lists)
 
     def to_json(self) -> dict:
         return {"n": self.n, "lists": [list(lv) for lv in self.lists]}

@@ -257,28 +257,12 @@ def random_split_color_report(
     p = split_probability(s, l)
     palette = lists.palette()
     member = _member(lists, palette)
-    closed_a, closed_b = expected_counts(lists, p)
     rng = _rng(seed)
     counts = {"rejected_monochromatic": 0, "rejected_dangerous": 0, "colored": 0}
     mono_counts: list[int] = []
     dang_counts: list[int] = []
-
-    def report(ran: int) -> DenseExperimentReport:
-        mono = np.array(mono_counts, dtype=float)
-        dang = np.array(dang_counts, dtype=float)
-        return DenseExperimentReport(
-            trials=ran,
-            categories=dict(counts),
-            seed=seed,
-            empirical_a=float(mono.mean()),
-            empirical_b=float(dang.mean()),
-            empirical_a_stderr=float(mono.std() / math.sqrt(ran)),
-            empirical_b_stderr=float(dang.std() / math.sqrt(ran)),
-            closed_a=closed_a,
-            closed_b=closed_b,
-        )
-
-    for it in range(max_iters):
+    coloring = None
+    for _ in range(max_iters):
         draws = rng.random(len(palette))
         is_blue, is_red = _split(draws[None, :], p)
         mono, tally, dangerous = _tally(member, is_blue, is_red)
@@ -300,8 +284,10 @@ def random_split_color_report(
         if not is_proper(hg, coloring) or not coloring.respects(lists):
             raise TheoremContradictionError("split coloring failed verification")
         counts["colored"] += 1
-        return coloring, report(it + 1)
-    return None, report(max_iters)
+        break
+    return coloring, _split_report(
+        seed, counts, mono_counts, dang_counts, expected_counts(lists, p)
+    )
 
 
 def split_experiment(
@@ -322,7 +308,6 @@ def split_experiment(
     if trials < 1:
         raise ValueError("trials must be positive")
     p = split_probability(s, sizes.pop())
-    closed_a, closed_b = expected_counts(lists, p)
     palette = lists.palette()
     draws = _rng(seed).random((trials, len(palette)))
     mono_counts, dang_counts, dangerous = _tally(
@@ -332,20 +317,37 @@ def split_experiment(
 
     n_mono = int((mono_counts > 0).sum())
     n_over = int(((mono_counts == 0) & (dang_set_counts >= s)).sum())
+    categories = {
+        "rejected_monochromatic": n_mono,
+        "rejected_dangerous": n_over,
+        "colorable_split": trials - n_mono - n_over,
+    }
+    return _split_report(
+        seed, categories, mono_counts, dang_counts, expected_counts(lists, p)
+    )
+
+
+def _split_report(
+    seed: int,
+    categories: dict[str, int],
+    mono: list[int] | np.ndarray,
+    dang: list[int] | np.ndarray,
+    closed: tuple[float, float],
+) -> DenseExperimentReport:
+    """The report of a run of palette splits, one tally entry per split."""
+    mono = np.asarray(mono, dtype=float)
+    dang = np.asarray(dang, dtype=float)
+    trials = len(mono)
     return DenseExperimentReport(
         trials=trials,
-        categories={
-            "rejected_monochromatic": n_mono,
-            "rejected_dangerous": n_over,
-            "colorable_split": trials - n_mono - n_over,
-        },
+        categories=categories,
         seed=seed,
-        empirical_a=float(mono_counts.mean()),
-        empirical_b=float(dang_counts.mean()),
-        empirical_a_stderr=float(mono_counts.std() / math.sqrt(trials)),
-        empirical_b_stderr=float(dang_counts.std() / math.sqrt(trials)),
-        closed_a=closed_a,
-        closed_b=closed_b,
+        empirical_a=float(mono.mean()),
+        empirical_b=float(dang.mean()),
+        empirical_a_stderr=float(mono.std() / math.sqrt(trials)),
+        empirical_b_stderr=float(dang.std() / math.sqrt(trials)),
+        closed_a=closed[0],
+        closed_b=closed[1],
     )
 
 

@@ -3,8 +3,10 @@
 L(H) is the maximum of |E'| / |union of E'| over nonempty edge subsets.  The
 parametric min-cut search :func:`density_flow` is the route every report
 takes; subset enumeration with bitset unions, :func:`density_exact`, is an
-independent cross-check kept behind an edge guard.  All arithmetic is exact
-rational; ceilings at integer boundaries are never left to floating point.
+independent cross-check kept behind an edge guard.  The search's one cut loop
+also finds ceil(L) for the orientations, stepping through ceilings.  All
+arithmetic is exact rational; ceilings at integer boundaries are never left
+to floating point.
 """
 
 from __future__ import annotations
@@ -59,7 +61,16 @@ def _edge_mask(edge: tuple[int, ...]) -> int:
 
 
 def density_flow(hg: Hypergraph) -> Fraction:
-    """Same value as density_exact via parametric min-cut (Dinkelbach search).
+    """Same value as density_exact via parametric min-cut (Dinkelbach search)."""
+    if not hg.edges:
+        raise ValueError("density undefined for an empty edge set")
+    return _parametric_cut(hg, integral=False)[0]
+
+
+def _parametric_cut(
+    hg: Hypergraph, *, integral: bool
+) -> tuple[Fraction, list[tuple[int, ...]]]:
+    """L, or ceil(L) if ``integral``, with per edge the vertices its last flow used.
 
     For a candidate density a/b, the network  source -> edge nodes (cap b),
     edge -> incident vertices (cap b), vertex -> sink (cap a)  has min cut
@@ -67,23 +78,26 @@ def density_flow(hg: Hypergraph) -> Fraction:
     source side of the cut exhibits a strictly denser subset.  An edge node
     receives at most b, so incidence arcs of cap b act as uncapped ones: the
     residual source side contains every vertex of its edges.  Each round
-    replaces the candidate with the density of that subset; candidates are
-    achieved densities, so the loop finishes within |E| rounds.
+    replaces the candidate with the density of that subset, or its ceiling,
+    so integral candidates k run the unit network (1, k, 1).  Candidates rise
+    strictly and never pass L (or ceil(L)), so the loop ends within |E| rounds.
     """
     m = len(hg.edges)
-    if m == 0:
-        raise ValueError("density undefined for an empty edge set")
     lam = Fraction(m, len({v for e in hg.edges for v in e}))
+    if integral:
+        lam = Fraction(ceil(lam))
     for _ in range(m + 1):
         a, b = lam.numerator, lam.denominator
-        value, _, subset = edge_vertex_flow(hg, b, a, b)
+        value, chosen, subset = edge_vertex_flow(hg, b, a, b)
         if value >= b * m:
-            return lam
+            return lam, chosen
         union = {v for j in subset for v in hg.edges[j]}
         better = Fraction(len(subset), len(union))
         if better <= lam:
-            raise TheoremContradictionError("parametric search failed to improve")
-        lam = better
+            raise TheoremContradictionError(
+                f"cut at {lam} exhibited no edge subset denser than {lam}"
+            )
+        lam = Fraction(ceil(better)) if integral else better
     raise TheoremContradictionError("parametric search did not converge")
 
 

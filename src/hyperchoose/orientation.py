@@ -4,9 +4,9 @@ An orientation with max degree k exists iff the network source -> edge
 (cap 1) -> incident vertex (cap 1) -> sink (cap k) carries a flow that
 saturates every edge node (Hall's condition); the shared max-flow
 :func:`core.edge_vertex_flow` computes it.  The minimal cap is ceil(L)
-(Hakimi), and it is found by integer steps on this unit network alone: a flow
-that falls short cuts off an edge subset denser than the cap, whose density
-ceiling is the next cap.  No exact density is solved.  For a 2-colorable
+(Hakimi), and the cut loop of :mod:`density` finds it by integer steps on
+this unit network alone: a flow that falls short cuts off an edge subset
+denser than the cap, whose density ceiling is the next cap.  No exact density is solved.  For a 2-colorable
 hypergraph the orientation reduces list coloring to a bipartite pair graph
 whose list colorings always exist and pull back to the hypergraph.
 """
@@ -28,6 +28,7 @@ from .core import (
     is_proper,
     orientation_is_valid,
 )
+from .density import _parametric_cut
 from .errors import PreconditionError, TheoremContradictionError
 
 
@@ -51,27 +52,18 @@ def min_orientation(hg: Hypergraph) -> tuple[int, Orientation]:
 
     The minimum equals ceil(L) (Hakimi): any orientation concentrates each
     subset's edges on its own union, forcing max degree >= L, and the Hall
-    condition for cap ceil(L) holds on every subset.  The search starts at
-    k = ceil(|E| / |union E|) <= ceil(L) and runs the unit flow at cap k.  If
-    the flow saturates every edge, k is the minimum.  Otherwise the edges E'
-    on the residual source side span exactly the vertices on that side, so
-    the cut (|E| - |E'|) + k|union E'| < |E| gives |E'| > k|union E'|, and
-    the next cap is ceil(|E'| / |union E'|): at least k + 1, at most ceil(L).
+    condition for cap ceil(L) holds on every subset.  The cut loop of
+    :mod:`density` starts at k = ceil(|E| / |union E|) <= ceil(L) and runs
+    the unit flow at cap k.  If the flow saturates every edge, k is the
+    minimum.  Otherwise the edges E' on the residual source side span exactly
+    the vertices on that side, so the cut (|E| - |E'|) + k|union E'| < |E|
+    gives |E'| > k|union E'|, and the next cap is ceil(|E'| / |union E'|):
+    at least k + 1, at most ceil(L).
     """
-    m = len(hg.edges)
-    if m == 0:
+    if not hg.edges:
         raise ValueError("min_orientation undefined for an empty edge set")
-    k = -(-m // len({v for e in hg.edges for v in e}))
-    while True:
-        value, chosen, subset = edge_vertex_flow(hg, 1, k, 1)
-        if value == m:
-            break
-        union = {v for j in subset for v in hg.edges[j]}
-        if len(subset) <= k * len(union):
-            raise TheoremContradictionError(
-                f"cut at cap {k} exhibited no edge subset denser than {k}"
-            )
-        k = -(-len(subset) // len(union))
+    cap, chosen = _parametric_cut(hg, integral=True)
+    k = cap.numerator
     phi = Orientation(tuple(h for (h,) in chosen))
     if phi.max_degree(hg.n) != k:
         raise TheoremContradictionError(

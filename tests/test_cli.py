@@ -110,9 +110,9 @@ def test_orient_min(capsys, k33_path):
 
 def test_orient_runs_one_unit_flow_at_ceil_l(capsys, monkeypatch, tmp_path, k33_path):
     calls = []
-    flow = orientation.edge_vertex_flow
+    flow = density.edge_vertex_flow
     monkeypatch.setattr(
-        orientation,
+        density,
         "edge_vertex_flow",
         lambda hg, *caps: calls.append(caps) or flow(hg, *caps),
     )

@@ -8,6 +8,7 @@ from hyperchoose import (
     Hypergraph,
     bound_gk,
     bounds,
+    density,
     density_exact,
     density_flow,
     gen_complete,
@@ -53,6 +54,28 @@ def test_density_flow_matches_exact_on_random_instances():
         exact = density_exact(hg)
         assert density_flow(hg) == exact
         assert naive_density(hg) == exact
+
+
+def test_density_flow_rounds_run_exact_candidate_networks(monkeypatch):
+    calls = []
+    flow = density.edge_vertex_flow
+    monkeypatch.setattr(
+        density,
+        "edge_vertex_flow",
+        lambda hg, *caps: calls.append(caps) or flow(hg, *caps),
+    )
+    k6 = [(u, v) for u in range(6) for v in range(u + 1, 6)]
+    path = [(v, v + 1) for v in range(6, 36)]
+    cases = [
+        # 45 / 37 over the whole graph, then the K6 cut at 15 / 6 = 5 / 2.
+        (Hypergraph(37, tuple(k6 + path)), Fraction(5, 2), [(37, 45, 37), (2, 5, 2)]),
+        (gen_complete(2, 3, 3)[0], Fraction(3, 2), [(2, 3, 2)]),
+        (gen_fano(), Fraction(1), [(1, 1, 1)]),
+    ]
+    for hg, lam, caps in cases:
+        calls.clear()
+        assert density_flow(hg) == lam
+        assert calls == caps
 
 
 def test_density_guard():

@@ -7,6 +7,7 @@ from hyperchoose import (
     Hypergraph,
     ListAssignment,
     PreconditionError,
+    density,
     density_exact,
     density_flow,
     find_bipartition,
@@ -17,7 +18,6 @@ from hyperchoose import (
     is_proper,
     list_color_sparse,
     min_orientation,
-    orientation,
     orientation_is_valid,
     reduce_to_pairgraph,
 )
@@ -88,9 +88,9 @@ def dense_core_sparse_tail(rnd: random.Random) -> Hypergraph:
 
 def record_flow_caps(monkeypatch) -> list[int]:
     caps = []
-    flow = orientation.edge_vertex_flow
+    flow = density.edge_vertex_flow
     monkeypatch.setattr(
-        orientation,
+        density,
         "edge_vertex_flow",
         lambda hg, e, k, i: caps.append(k) or flow(hg, e, k, i),
     )

@@ -1,7 +1,8 @@
 """Ground-truth oracles: exact list coloring, choosability, and chromatic number.
 
-Everything here is exact within explicit guards; exceeding a guard raises
-instead of approximating, because these routines back every other module's
+Everything here is exact within constant vertex guards (only the color
+universe of ``is_f_choosable`` can be set); exceeding a guard raises instead
+of approximating, because these routines back every other module's
 verification.  The choosability decision enumerates adversarial list systems
 up to color permutation and up to a domination order that discards mergeable
 systems (see the lemma at ``is_f_choosable``), which keeps the search at desk
@@ -54,7 +55,6 @@ def is_f_choosable(
     hg: Hypergraph,
     f: Sequence[int],
     *,
-    max_vertices: int = MAX_VERTICES,
     max_universe: int = MAX_UNIVERSE,
 ) -> ChoosabilityVerdict:
     """Decide whether every list system with sizes f admits a proper coloring.
@@ -87,8 +87,8 @@ def is_f_choosable(
         raise ValueError("f must assign a list length to every vertex")
     if any(x < 1 for x in f):
         raise ValueError("list lengths must be positive")
-    if n > max_vertices:
-        raise GuardExceededError(f"{n} vertices exceeds the guard {max_vertices}")
+    if n > MAX_VERTICES:
+        raise GuardExceededError(f"{n} vertices exceeds the guard {MAX_VERTICES}")
     if sum(f) > max_universe:
         raise GuardExceededError(
             f"color universe {sum(f)} exceeds the guard {max_universe}"
@@ -157,34 +157,32 @@ def is_f_choosable(
     return ChoosabilityVerdict(False, witness, examined)
 
 
-def chromatic_number(
-    hg: Hypergraph, *, max_vertices: int = CHROMATIC_MAX_VERTICES
-) -> int:
+def chromatic_number(hg: Hypergraph) -> int:
     """Exact chromatic number by iterative deepening over the color count."""
-    if hg.n > max_vertices:
-        raise GuardExceededError(f"{hg.n} vertices exceeds the guard {max_vertices}")
+    if hg.n > CHROMATIC_MAX_VERTICES:
+        raise GuardExceededError(
+            f"{hg.n} vertices exceeds the guard {CHROMATIC_MAX_VERTICES}"
+        )
     if not hg.edges:
         return 1 if hg.n else 0
     search = _ListSearch(hg)
     for r in range(2, hg.n + 1):
-        if search.solve([range(r)] * hg.n, interchangeable=True) is not None:
+        if search.solve([range(r)] * hg.n) is not None:
             return r
     raise TheoremContradictionError("rainbow coloring rejected")  # pragma: no cover
 
 
-def choice_number(hg: Hypergraph, *, max_vertices: int = MAX_VERTICES) -> int:
+def choice_number(hg: Hypergraph) -> int:
     """Smallest k such that every system of k-lists is colorable.
 
     Iterates k upward from the chromatic number.  Each k is decided over the
-    full color universe n*k, so only ``max_vertices`` bounds the search.
+    full color universe n*k, so only ``MAX_VERTICES`` bounds the search.
     """
-    chi = chromatic_number(hg, max_vertices=min(max_vertices, CHROMATIC_MAX_VERTICES))
+    chi = chromatic_number(hg)
     if not hg.edges:
         return chi
     for k in range(chi, bound_gk(hg) + 1):
-        verdict = is_f_choosable(
-            hg, [k] * hg.n, max_vertices=max_vertices, max_universe=hg.n * k
-        )
+        verdict = is_f_choosable(hg, [k] * hg.n, max_universe=hg.n * k)
         if verdict.choosable:
             return k
     raise TheoremContradictionError("choice number exceeded its proven upper bound")

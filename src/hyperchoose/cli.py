@@ -158,10 +158,7 @@ def cmd_color(args) -> int:
 def cmd_choosability(args) -> int:
     hg, _ = _load_hypergraph(args.path)
     verdict = choosability.is_f_choosable(
-        hg,
-        [args.f] * hg.n,
-        max_vertices=args.max_vertices,
-        max_universe=args.max_universe,
+        hg, [args.f] * hg.n, max_universe=args.max_universe
     )
     _emit(
         {
@@ -179,7 +176,7 @@ def cmd_exact(args) -> int:
     if args.what == "chi":
         value = choosability.chromatic_number(hg)
     else:
-        value = choosability.choice_number(hg, max_vertices=args.max_vertices)
+        value = choosability.choice_number(hg)
     _emit({"what": args.what, "value": value})
     return EXIT_OK
 
@@ -315,14 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("choosability", help="exact uniform choosability verdict")
     p.add_argument("path")
     p.add_argument("--f", type=int, required=True, help="uniform list length")
-    p.add_argument("--max-vertices", type=int, default=choosability.MAX_VERTICES)
     p.add_argument("--max-universe", type=int, default=choosability.MAX_UNIVERSE)
     p.set_defaults(func=cmd_choosability)
 
     p = sub.add_parser("exact", help="exact chromatic or choice number")
     p.add_argument("path")
     p.add_argument("--what", choices=("ch", "chi"), required=True)
-    p.add_argument("--max-vertices", type=int, default=choosability.MAX_VERTICES)
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("coefficient", help="orientation coefficient certificate")

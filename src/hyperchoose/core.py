@@ -302,7 +302,8 @@ def serialize_hypergraph(hg: Hypergraph) -> str:
 # Branching decisions allowed to the searches behind polynomial pipelines
 # (find_bipartition and the sparse pair-graph coloring), so that an input on
 # which the search goes exponential raises instead of hanging.  The exact
-# oracles in choosability keep their size guards and have no node budget.
+# oracles in choosability have no node budget: their constant vertex guards
+# bound the search instead.
 SEARCH_NODE_GUARD = 1_000_000
 
 
@@ -318,9 +319,12 @@ class _ListSearch:
     Propagation: when every assigned vertex of an edge has value c and exactly
     one vertex is free, c leaves that vertex's domain; an empty domain is a
     conflict and a single remaining value is assigned at once.  Only values
-    that no proper extension uses are removed, so the first coloring found is
-    the lexicographically first one (vertex 0 most significant, each list in
-    its own order).
+    that no proper extension uses are removed.  When every list is the same
+    sequence, a branching vertex tries only values up to one past the largest
+    assigned so far: swapping two values keeps a coloring proper, so the
+    lexicographically first coloring never skips a value, and survives.  The
+    first coloring found is therefore the lexicographically first one (vertex
+    0 most significant, each list in its own order).
 
     The incidence index is built once and reused by every :meth:`solve` call.
     """
@@ -340,14 +344,9 @@ class _ListSearch:
         lists: Sequence[Sequence],
         *,
         max_nodes: Optional[int] = None,
-        interchangeable: bool = False,
     ) -> Optional[list]:
         """First proper coloring taking each vertex's value from its list, or None.
 
-        ``interchangeable`` declares all values symmetric, as for uniform lists
-        ``range(r)``: a branching vertex then tries only values up to one past
-        the largest value assigned so far (in order of first appearance in the
-        lists).  Existence stays exact; the lexicographic guarantee does not.
         More than ``max_nodes`` branching decisions raise GuardExceededError.
         """
         n, edges, inc = self.n, self.edges, self.inc
@@ -371,6 +370,7 @@ class _ListSearch:
             options.append(opts)
             dom.append(d)
         values = list(index)
+        interchangeable = n > 0 and options.count(options[0]) == n
         color = [-1] * n
         free = self.sizes[:]  # unassigned vertices per edge
         trail: list[int] = []  # assigned vertices, in assignment order
@@ -417,7 +417,7 @@ class _ListSearch:
             if ok:
                 if v >= 0:
                     stack.append((v, pos, tmark, dmark, top))
-                if interchangeable:
+                if interchangeable and top < len(values) - 1:
                     top = max([top] + [color[u] for u in trail[tmark:]])
                 v += 1
                 while v < n and color[v] != -1:

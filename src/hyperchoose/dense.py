@@ -358,9 +358,10 @@ def complete_proper_exists(
 
     Exploits completeness instead of enumerating edges: a coloring is proper
     exactly when no color is used on both sides with at least s occurrences in
-    total, and those counts grow monotonically, so backtracking over vertices
-    with per-color side counts prunes exactly the improper prefixes.  Vertices
-    0..n_a-1 are side A.  Returns the first proper coloring or None.
+    total, and those counts grow monotonically, so an explicit-stack
+    backtracking over vertices with per-color side counts prunes exactly the
+    improper prefixes.  Vertices 0..n_a-1 are side A.  Returns the first proper
+    coloring (in the product order of the lists) or None.
     """
     if s < 2 or n_a < 1 or n_b < 1:
         raise ValueError("requires s >= 2 and nonempty sides")
@@ -368,27 +369,30 @@ def complete_proper_exists(
         raise PreconditionError("list assignment size differs from n_a + n_b")
     count_a: dict[int, int] = {}
     count_b: dict[int, int] = {}
-    color: list[int] = []
-
-    def rec(v: int) -> bool:
-        if v == lists.n:
-            return True
+    color: list[int] = []  # colors of vertices 0..v-1
+    resume: list[int] = []  # per colored vertex, the list position after its color
+    v = pos = 0  # the vertex to color next and the first list position to try
+    while v < n_a + n_b:
         side_counts = count_a if v < n_a else count_b
         other_counts = count_b if v < n_a else count_a
-        for c in lists.lists[v]:
+        options = lists.lists[v]
+        for pos in range(pos, len(options)):
+            c = options[pos]
             other = other_counts.get(c, 0)
             mine = side_counts.get(c, 0) + 1
-            if other >= 1 and mine + other >= s:
-                continue
-            side_counts[c] = mine
-            color.append(c)
-            if rec(v + 1):
-                return True
-            color.pop()
-            side_counts[c] = mine - 1
-        return False
-
-    return Coloring(tuple(color)) if rec(0) else None
+            if other == 0 or mine + other < s:
+                side_counts[c] = mine
+                color.append(c)
+                resume.append(pos + 1)
+                v, pos = v + 1, 0
+                break
+        else:
+            if not v:
+                return None
+            v -= 1
+            (count_a if v < n_a else count_b)[color.pop()] -= 1
+            pos = resume.pop()
+    return Coloring(tuple(color))
 
 
 def lower_bound_experiment(

@@ -7,6 +7,7 @@ from hyperchoose import (
     Hypergraph,
     ListAssignment,
     choice_number,
+    choosability,
     chromatic_number,
     color_from_lists,
     gen_complete,
@@ -86,12 +87,13 @@ def test_is_f_choosable_trivial_when_lists_beat_degrees():
     assert verdict.choosable and verdict.lists_examined == 0  # greedy shortcut
 
 
-def test_is_f_choosable_guards():
+def test_is_f_choosable_guards(monkeypatch):
     hg = gen_complete(2, 3, 3)[0]
     with pytest.raises(GuardExceededError):
         is_f_choosable(hg, [3] * 6)  # universe 18 over the default 12
-    with pytest.raises(GuardExceededError):
-        is_f_choosable(hg, [2] * 6, max_vertices=4)
+    monkeypatch.setattr(choosability, "MAX_VERTICES", 4)
+    with pytest.raises(GuardExceededError, match="6 vertices exceeds the guard 4"):
+        is_f_choosable(hg, [2] * 6)
 
 
 def test_is_f_choosable_monotone_in_f():
@@ -137,7 +139,7 @@ def test_chromatic_number_matches_brute_force():
 
 def test_chromatic_guard():
     with pytest.raises(GuardExceededError):
-        chromatic_number(Hypergraph(25, ((0, 1),)), max_vertices=20)
+        chromatic_number(Hypergraph(25, ((0, 1),)))
 
 
 def test_choice_number_k33():

@@ -1,9 +1,11 @@
+import argparse
 import importlib.util
 import inspect
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ import pytest
 import hyperchoose
 from hyperchoose import gen_complete, gen_fano, is_proper, parse_hypergraph, serialize_hypergraph, Coloring
 from hyperchoose import degree_constrained, density, find_bipartition, nullstellensatz, orientation
-from hyperchoose.cli import main
+from hyperchoose.cli import build_parser, main
 from hyperchoose.errors import TheoremContradictionError
 from oracles import random_two_colorable, sympy_target_coefficient
 
@@ -218,6 +220,65 @@ def test_choosability_verdicts(capsys, k33_path):
 def test_choosability_guard_exits_3(capsys, k33_path):
     code, _ = run(capsys, "choosability", k33_path, "--f", "3")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("choosability_k33_f2", ["choosability", "K33", "--f", "2"]),
+        (
+            "choosability_k33_f3_universe18",
+            ["choosability", "K33", "--f", "3", "--max-universe", "18"],
+        ),
+        ("analyze_exact_k33", ["analyze", "K33", "--exact", "--no-timing"]),
+        ("analyze_exact_fano", ["analyze", "FANO", "--exact", "--no-timing"]),
+    ],
+)
+def test_exact_oracles_match_golden_output(capsys, k33_path, fano_path, golden, argv):
+    paths = {"K33": k33_path, "FANO": fano_path}
+    code, out = run(capsys, *(paths.get(arg, arg) for arg in argv))
+    assert code == 0
+    assert out == (GOLDEN / f"{golden}.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv", [["choosability", "--f", "2"], ["exact", "--what", "ch"]]
+)
+def test_vertex_guard_is_not_an_option(capsys, k33_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], k33_path, *argv[1:], "--max-vertices", "5"])
+    assert exc.value.code == 2
+    assert "--max-vertices" in capsys.readouterr().err
+
+
+def _leaf_parsers(parser, path=()):
+    """(subcommand words, parser) for every subcommand that takes no further one."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+        return
+    for name, child in subs[0].choices.items():
+        yield from _leaf_parsers(child, path + (name,))
+
+
+def test_readme_synopsis_names_every_option():
+    readme = (Path(__file__).parent.parent / "README.md").read_text("utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    leaves = dict(_leaf_parsers(build_parser()))
+    seen = set()
+    for line in block.splitlines():
+        words = line.split()[1:]
+        path = next(p for p in leaves if tuple(words[: len(p)]) == p)
+        seen.add(path)
+        named = set(re.findall(r"(?<![\w-])(--?[a-z][\w-]*)", line))
+        aliases = [
+            set(a.option_strings)
+            for a in leaves[path]._actions
+            if a.option_strings and a.dest != "help"
+        ]
+        assert named <= set().union(*aliases), (path, named)
+        assert all(named & names for names in aliases), (path, named)
+    assert seen == set(leaves)
 
 
 def test_exact_values(capsys, k33_path):

@@ -21,7 +21,12 @@ from hyperchoose import (
     serialize_hypergraph,
     validate,
 )
-from oracles import exhaustive_two_colorable, first_bipartition, random_hypergraph
+from oracles import (
+    exhaustive_two_colorable,
+    first_bipartition,
+    first_list_coloring,
+    random_hypergraph,
+)
 
 K33_TEXT = "p hg 6 9\n" + "".join(f"e {a} {b}\n" for a in (0, 1, 2) for b in (3, 4, 5))
 
@@ -155,6 +160,36 @@ def test_find_bipartition_is_lex_first():
         else:
             assert found is not None and found.side == expected
     assert uncolorable >= 20
+
+
+def test_list_search_identical_lists_is_lex_first():
+    # Identical lists switch on the symmetry cut; the first coloring in list
+    # order must survive it, whatever the order of the shared list.
+    rnd = random.Random(99)
+    uncolorable = 0
+    for _ in range(400):
+        r = rnd.randint(1, 4)
+        n = rnd.randint(1, 8 if r < 4 else 7)
+        m = rnd.randint(0, 3 * n) if n > 1 else 0
+        hg = random_hypergraph(rnd, n, m, max_size=rnd.choice((2, 3)))
+        order = rnd.sample(range(10), r)
+        lists = [tuple(order) for _ in range(n)]
+        expected = first_list_coloring(hg, lists)
+        found = core._ListSearch(hg).solve(lists)
+        if expected is None:
+            uncolorable += 1
+            assert found is None
+        else:
+            assert found is not None and tuple(found) == expected
+    assert uncolorable >= 50
+
+
+def test_list_search_symmetry_cut_halves_fano_refutation():
+    # Without the cut, refuting a 2-coloring of the Fano plane takes 22
+    # decisions; fixing vertex 0 to the first value halves that.
+    search = core._ListSearch(gen_fano())
+    assert search.solve([("A", "B")] * 7) is None
+    assert search.nodes == 11
 
 
 def test_find_bipartition_node_guard(monkeypatch):

@@ -196,6 +196,14 @@ def test_complete_proper_exists_large_s_greedy():
     assert col is not None and col.color == (1, 1, 1, 1)
 
 
+def test_complete_proper_exists_deep_sides_do_not_recurse():
+    # One backtracking level per vertex: 1200 levels is past Python's
+    # default recursion limit.
+    lists = ListAssignment(tuple((i,) for i in range(1200)))
+    col = complete_proper_exists(3, 600, 600, lists)
+    assert col is not None and col.color == tuple(range(1200))
+
+
 def test_complete_proper_exists_agrees_with_edge_oracle():
     hg, _ = gen_complete(3, 4, 4)
     rnd = random.Random(19)

@@ -9,11 +9,9 @@ from .choosability import (
 )
 from .core import (
     Bipartition,
-    Coloring,
     Hypergraph,
     ListAssignment,
     Metrics,
-    Orientation,
     bipartition_is_valid,
     find_bipartition,
     gen_complete,
@@ -25,11 +23,10 @@ from .core import (
     parse_hypergraph,
     serialize_hypergraph,
     validate,
+    vertex_counts,
 )
 from .degree_constrained import (
-    IncidenceSelection,
     build_selection,
-    gk_selection,
     list_color_gk,
 )
 from .dense import (

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .core import Coloring, Hypergraph, ListAssignment, _ListSearch
+from .core import Hypergraph, ListAssignment, _ListSearch
 from .density import bound_gk
 from .errors import GuardExceededError, PreconditionError, TheoremContradictionError
 
@@ -25,12 +25,14 @@ MAX_UNIVERSE = 12
 CHROMATIC_MAX_VERTICES = 20
 
 
-def color_from_lists(hg: Hypergraph, lists: ListAssignment) -> Optional[Coloring]:
+def color_from_lists(
+    hg: Hypergraph, lists: ListAssignment
+) -> Optional[tuple[int, ...]]:
     """A proper coloring with every color drawn from its vertex list, or None."""
     if lists.n != hg.n:
         raise PreconditionError("list assignment size differs from vertex count")
     solved = _ListSearch(hg).solve(lists.lists)
-    return None if solved is None else Coloring(tuple(solved))
+    return None if solved is None else tuple(solved)
 
 
 @dataclass(frozen=True)
@@ -175,13 +177,14 @@ def chromatic_number(hg: Hypergraph) -> int:
 def choice_number(hg: Hypergraph) -> int:
     """Smallest k such that every system of k-lists is colorable.
 
-    Iterates k upward from the chromatic number.  Each k is decided over the
-    full color universe n*k, so only ``MAX_VERTICES`` bounds the search.
+    Iterates k upward from 2.  Each k is decided over the full color universe
+    n*k, so only ``MAX_VERTICES`` bounds the search.  Below the chromatic
+    number the first system enumerated, every list equal, is uncolorable, so
+    one search settles each such k.
     """
-    chi = chromatic_number(hg)
     if not hg.edges:
-        return chi
-    for k in range(chi, bound_gk(hg) + 1):
+        return 1 if hg.n else 0
+    for k in range(2, bound_gk(hg) + 1):
         verdict = is_f_choosable(hg, [k] * hg.n, max_universe=hg.n * k)
         if verdict.choosable:
             return k

@@ -31,6 +31,7 @@ from .core import (
     parse_hypergraph,
     serialize_hypergraph,
     validate,
+    vertex_counts,
 )
 from .errors import (
     GuardExceededError,
@@ -116,39 +117,40 @@ def cmd_orient(args) -> int:
             {
                 "k": args.k,
                 "feasible": phi is not None,
-                "head": None if phi is None else list(phi.head),
-                "degrees": None if phi is None else phi.degrees(hg.n),
+                "head": None if phi is None else list(phi),
+                "degrees": None if phi is None else vertex_counts(hg.n, phi),
             }
         )
         return EXIT_OK
     k_star, phi = orientation.min_orientation(hg)
-    _emit({"k_star": k_star, "head": list(phi.head), "degrees": phi.degrees(hg.n)})
+    _emit({"k_star": k_star, "head": list(phi), "degrees": vertex_counts(hg.n, phi)})
     return EXIT_OK
 
 
 def cmd_color(args) -> int:
+    if args.selection and args.method != "gk":
+        raise ValueError(f"--selection applies to --method gk, not {args.method}")
     hg, _ = _load_hypergraph(args.path)
     lists = _load_lists(args.lists)
     if args.method == "sparse":
         bip = find_bipartition(hg)
         if bip is None:
             raise PreconditionError("sparse method requires a 2-colorable hypergraph")
-        coloring = orientation.list_color_sparse(hg, bip, lists)
+        color = orientation.list_color_sparse(hg, bip, lists)
     elif args.method == "gk":
-        selection = degree_constrained.gk_selection(hg)
-        coloring = degree_constrained.list_color_gk(hg, lists, selection)
+        color, pairs = degree_constrained.list_color_gk(hg, lists)
         if args.selection:
             Path(args.selection).write_text(
-                json.dumps([list(p) for p in selection.chosen]) + "\n", "utf-8"
+                json.dumps([list(p) for p in pairs]) + "\n", "utf-8"
             )
     else:
-        coloring = choosability.color_from_lists(hg, lists)
-        if coloring is None:
+        color = choosability.color_from_lists(hg, lists)
+        if color is None:
             msg = "error: no proper coloring exists for the given lists"
             print(msg, file=sys.stderr)
             return EXIT_NO_COLORING
-    assert is_proper(hg, coloring) and coloring.respects(lists)
-    doc = list(coloring.color)
+    assert is_proper(hg, color) and lists.admits(color)
+    doc = list(color)
     if args.output:
         Path(args.output).write_text(json.dumps(doc) + "\n", "utf-8")
     _emit(doc)
@@ -188,16 +190,11 @@ def cmd_coefficient(args) -> int:
     bip = find_bipartition(hg)
     if bip is None:
         raise PreconditionError("coefficient requires a 2-colorable hypergraph")
-    _, phi = orientation.min_orientation(hg)
+    # min_orientation has checked that the max head degree equals k.
+    k, phi = orientation.min_orientation(hg)
     coef = coefficient_count(hg, bip, phi)
-    b_heads = sum(1 for h in phi.head if bip.side[h] == SIDE_B)
-    _emit(
-        {
-            "coef": coef,
-            "sign": -1 if b_heads % 2 else 1,
-            "choosable_bound": phi.max_degree(hg.n) + 1,
-        }
-    )
+    b_heads = sum(1 for h in phi if bip.side[h] == SIDE_B)
+    _emit({"coef": coef, "sign": -1 if b_heads % 2 else 1, "choosable_bound": k + 1})
     return EXIT_OK
 
 
@@ -228,7 +225,7 @@ def cmd_dense_split_color(args) -> int:
     _emit(
         {
             "success": coloring is not None,
-            "coloring": None if coloring is None else list(coloring.color),
+            "coloring": None if coloring is None else list(coloring),
             "report": report.to_json(),
         }
     )

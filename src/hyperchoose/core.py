@@ -5,6 +5,9 @@ Vertices are the integers 0..n-1.  Edges are stored as sorted vertex tuples
 in insertion order; duplicate edges are allowed (multigraph semantics: degree
 counts include multiplicity) and are reported by :func:`validate`.  All types
 are immutable after construction and safe to share across threads.
+
+Certificates are plain tuples aligned with the vertices or the edges: a
+coloring holds one color per vertex, an orientation one head per edge.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Optional, Sequence
+from itertools import chain, combinations
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -51,11 +54,7 @@ class Hypergraph:
 
     def degrees(self) -> list[int]:
         """Per-vertex degree, counting duplicate edges with multiplicity."""
-        d = [0] * self.n
-        for e in self.edges:
-            for v in e:
-                d[v] += 1
-        return d
+        return vertex_counts(self.n, chain.from_iterable(self.edges))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hypergraph):
@@ -89,30 +88,21 @@ def bipartition_is_valid(hg: Hypergraph, bip: Bipartition) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Orientation:
-    """One head vertex per edge; the degree function counts heads per vertex."""
+def vertex_counts(n: int, vertices: Iterable[int]) -> list[int]:
+    """How often each of the vertices 0..n-1 occurs in ``vertices``.
 
-    head: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "head", tuple(self.head))
-
-    def degrees(self, n: int) -> list[int]:
-        d = [0] * n
-        for v in self.head:
-            d[v] += 1
-        return d
-
-    def max_degree(self, n: int) -> int:
-        d = self.degrees(n)
-        return max(d) if d else 0
+    The degrees of a hypergraph, the head degrees of an orientation and the
+    degrees of a pair selection are all this count.
+    """
+    d = [0] * n
+    for v in vertices:
+        d[v] += 1
+    return d
 
 
-def orientation_is_valid(hg: Hypergraph, phi: Orientation) -> bool:
-    return len(phi.head) == len(hg.edges) and all(
-        h in e for h, e in zip(phi.head, hg.edges)
-    )
+def orientation_is_valid(hg: Hypergraph, phi: Sequence[int]) -> bool:
+    """True iff ``phi`` holds one head per edge, each a vertex of its edge."""
+    return len(phi) == len(hg.edges) and all(h in e for h, e in zip(phi, hg.edges))
 
 
 @dataclass(frozen=True)
@@ -144,6 +134,10 @@ class ListAssignment:
     def palette(self) -> list[int]:
         return sorted({c for lv in self.lists for c in lv})
 
+    def admits(self, color: Sequence[int]) -> bool:
+        """True iff ``color`` gives every vertex a color from its own list."""
+        return len(color) == self.n and all(c in lv for c, lv in zip(color, self.lists))
+
     def to_json(self) -> dict:
         return {"n": self.n, "lists": [list(lv) for lv in self.lists]}
 
@@ -174,21 +168,6 @@ def _is_int(value) -> bool:
 
 
 @dataclass(frozen=True)
-class Coloring:
-    """A chosen color per vertex."""
-
-    color: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "color", tuple(self.color))
-
-    def respects(self, lists: ListAssignment) -> bool:
-        return len(self.color) == lists.n and all(
-            c in lv for c, lv in zip(self.color, lists.lists)
-        )
-
-
-@dataclass(frozen=True)
 class Metrics:
     max_degree: int
     min_edge_size: int
@@ -209,12 +188,11 @@ def metrics(hg: Hypergraph) -> Metrics:
     )
 
 
-def is_proper(hg: Hypergraph, coloring: Coloring) -> bool:
+def is_proper(hg: Hypergraph, color: Sequence[int]) -> bool:
     """True iff no edge is monochromatic under the coloring."""
-    if len(coloring.color) != hg.n:
+    if len(color) != hg.n:
         raise ValueError("coloring must assign a color to every vertex")
-    col = coloring.color
-    return all(len({col[v] for v in e}) > 1 for e in hg.edges)
+    return all(len({color[v] for v in e}) > 1 for e in hg.edges)
 
 
 def validate(hg: Hypergraph) -> list[str]:
@@ -300,8 +278,9 @@ def serialize_hypergraph(hg: Hypergraph) -> str:
 # ---------------------------------------------------------------------------
 
 # Branching decisions allowed to the searches behind polynomial pipelines
-# (find_bipartition and the sparse pair-graph coloring), so that an input on
-# which the search goes exponential raises instead of hanging.  The exact
+# (find_bipartition and the sparse pair-graph coloring) on top of one per
+# vertex, so that an input on which the search goes exponential raises instead
+# of hanging, while a search that never backtracks passes at any size.  The exact
 # oracles in choosability have no node budget: their constant vertex guards
 # bound the search instead.
 SEARCH_NODE_GUARD = 1_000_000
@@ -347,7 +326,9 @@ class _ListSearch:
     ) -> Optional[list]:
         """First proper coloring taking each vertex's value from its list, or None.
 
-        More than ``max_nodes`` branching decisions raise GuardExceededError.
+        A search that never backtracks makes at most one branching decision
+        per vertex; more than ``max_nodes`` decisions beyond those raise
+        GuardExceededError.
         """
         n, edges, inc = self.n, self.edges, self.inc
         index: dict = {}  # value -> bit position, in order of first appearance
@@ -457,7 +438,7 @@ class _ListSearch:
                     continue
                 break
             nodes += 1
-            if max_nodes is not None and nodes > max_nodes:
+            if max_nodes is not None and nodes > max_nodes + n:
                 self.nodes = nodes
                 raise GuardExceededError(
                     f"coloring search exceeded the node guard {max_nodes}"
@@ -470,7 +451,7 @@ def find_bipartition(hg: Hypergraph) -> Optional[Bipartition]:
 
     Returns None iff the hypergraph admits no proper 2-coloring.  Raises
     GuardExceededError once the search has made more than
-    ``SEARCH_NODE_GUARD`` branching decisions.
+    ``SEARCH_NODE_GUARD`` branching decisions beyond one per vertex.
     """
     side = _ListSearch(hg).solve([(SIDE_A, SIDE_B)] * hg.n, max_nodes=SEARCH_NODE_GUARD)
     return None if side is None else Bipartition(tuple(side))

@@ -28,7 +28,6 @@ import numpy as np
 
 from .core import (
     Bipartition,
-    Coloring,
     Hypergraph,
     ListAssignment,
     SIDE_A,
@@ -230,7 +229,7 @@ def random_split_color_report(
     lists: ListAssignment,
     max_iters: int,
     seed: int,
-) -> tuple[Optional[Coloring], DenseExperimentReport]:
+) -> tuple[Optional[tuple[int, ...]], DenseExperimentReport]:
     """Las-Vegas split coloring with a per-iteration rejection trace.
 
     Each iteration draws a palette split at the tuned neutral probability and
@@ -280,8 +279,8 @@ def random_split_color_report(
         for v, lv in enumerate(lists.lists):
             want = 0 if dangerous[0, v] else 1 if bip.side[v] == SIDE_A else 2
             color.append(next(c for c in lv if label[c] == want))
-        coloring = Coloring(tuple(color))
-        if not is_proper(hg, coloring) or not coloring.respects(lists):
+        coloring = tuple(color)
+        if not is_proper(hg, coloring) or not lists.admits(coloring):
             raise TheoremContradictionError("split coloring failed verification")
         counts["colored"] += 1
         break
@@ -353,7 +352,7 @@ def _split_report(
 
 def complete_proper_exists(
     s: int, n_a: int, n_b: int, lists: ListAssignment
-) -> Optional[Coloring]:
+) -> Optional[tuple[int, ...]]:
     """List coloring of the complete 2-colorable s-uniform hypergraph on (n_a, n_b).
 
     Exploits completeness instead of enumerating edges: a coloring is proper
@@ -392,7 +391,7 @@ def complete_proper_exists(
             v -= 1
             (count_a if v < n_a else count_b)[color.pop()] -= 1
             pos = resume.pop()
-    return Coloring(tuple(color))
+    return tuple(color)
 
 
 def lower_bound_experiment(

@@ -25,10 +25,10 @@ from math import prod
 from .core import (
     Bipartition,
     Hypergraph,
-    Orientation,
     SIDE_A,
     bipartition_is_valid,
     orientation_is_valid,
+    vertex_counts,
 )
 from .errors import GuardExceededError, PreconditionError
 
@@ -65,7 +65,7 @@ def _tree_multiplicity(tree: tuple[tuple[int, int], ...]) -> dict[int, int]:
 
 
 def coefficient_count(
-    hg: Hypergraph, bip: Bipartition, phi: Orientation
+    hg: Hypergraph, bip: Bipartition, phi: tuple[int, ...]
 ) -> int:
     """Coefficient of the orientation's degree monomial in the unsigned product.
 
@@ -79,7 +79,7 @@ def coefficient_count(
         raise PreconditionError("bipartition is not valid for the hypergraph")
     if not orientation_is_valid(hg, phi):
         raise PreconditionError("orientation is not valid for the hypergraph")
-    return _transfer_count(hg, bip, phi.degrees(hg.n))
+    return _transfer_count(hg, bip, vertex_counts(hg.n, phi))
 
 
 def monomial_coefficient(

@@ -1,14 +1,17 @@
 """Flow-based orientations and the sparse constructive coloring pipeline.
 
-An orientation with max degree k exists iff the network source -> edge
-(cap 1) -> incident vertex (cap 1) -> sink (cap k) carries a flow that
-saturates every edge node (Hall's condition); the shared max-flow
-:func:`core.edge_vertex_flow` computes it.  The minimal cap is ceil(L)
-(Hakimi), and the cut loop of :mod:`density` finds it by integer steps on
-this unit network alone: a flow that falls short cuts off an edge subset
-denser than the cap, whose density ceiling is the next cap.  No exact density is solved.  For a 2-colorable
+An orientation is a tuple holding one head vertex per edge, in edge order;
+its head degrees are :func:`core.vertex_counts` of that tuple.  One with max
+head degree k exists iff the network source -> edge (cap 1) -> incident
+vertex (cap 1) -> sink (cap k) carries a flow that saturates every edge node
+(Hall's condition); the shared max-flow :func:`core.edge_vertex_flow`
+computes it.  The minimal cap is ceil(L) (Hakimi), and the cut loop of
+:mod:`density` finds it by integer steps on this unit network alone: a flow
+that falls short cuts off an edge subset denser than the cap, whose density
+ceiling is the next cap.  No exact density is solved.  For a 2-colorable
 hypergraph the orientation reduces list coloring to a bipartite pair graph
-whose list colorings always exist and pull back to the hypergraph.
+whose list colorings always exist and pull back to the hypergraph; the
+coloring is a tuple holding one color per vertex.
 """
 
 from __future__ import annotations
@@ -18,21 +21,20 @@ from typing import Optional
 from .core import (
     SEARCH_NODE_GUARD,
     Bipartition,
-    Coloring,
     Hypergraph,
     ListAssignment,
-    Orientation,
     _ListSearch,
     bipartition_is_valid,
     edge_vertex_flow,
     is_proper,
     orientation_is_valid,
+    vertex_counts,
 )
 from .density import _parametric_cut
 from .errors import PreconditionError, TheoremContradictionError
 
 
-def hall_orientation(hg: Hypergraph, k: int) -> Optional[Orientation]:
+def hall_orientation(hg: Hypergraph, k: int) -> Optional[tuple[int, ...]]:
     """An orientation with every vertex heading at most k edges, if one exists.
 
     Each edge sends one unit of flow to one of its vertices and each vertex
@@ -44,10 +46,10 @@ def hall_orientation(hg: Hypergraph, k: int) -> Optional[Orientation]:
     value, chosen, _ = edge_vertex_flow(hg, 1, k, 1)
     if value < len(hg.edges):
         return None
-    return Orientation(tuple(h for (h,) in chosen))
+    return tuple(h for (h,) in chosen)
 
 
-def min_orientation(hg: Hypergraph) -> tuple[int, Orientation]:
+def min_orientation(hg: Hypergraph) -> tuple[int, tuple[int, ...]]:
     """The smallest degree cap admitting an orientation, with a witness.
 
     The minimum equals ceil(L) (Hakimi): any orientation concentrates each
@@ -64,8 +66,8 @@ def min_orientation(hg: Hypergraph) -> tuple[int, Orientation]:
         raise ValueError("min_orientation undefined for an empty edge set")
     cap, chosen = _parametric_cut(hg, integral=True)
     k = cap.numerator
-    phi = Orientation(tuple(h for (h,) in chosen))
-    if phi.max_degree(hg.n) != k:
+    phi = tuple(h for (h,) in chosen)
+    if max(vertex_counts(hg.n, phi)) != k:
         raise TheoremContradictionError(
             f"no orientation of max degree exactly ceil(L) = {k}"
         )
@@ -73,7 +75,7 @@ def min_orientation(hg: Hypergraph) -> tuple[int, Orientation]:
 
 
 def reduce_to_pairgraph(
-    hg: Hypergraph, bip: Bipartition, phi: Orientation
+    hg: Hypergraph, bip: Bipartition, phi: tuple[int, ...]
 ) -> tuple[tuple[int, int], ...]:
     """Pick per edge the pair (head, partner) with the partner on the other side.
 
@@ -86,7 +88,7 @@ def reduce_to_pairgraph(
     if not orientation_is_valid(hg, phi):
         raise PreconditionError("orientation is not valid for the hypergraph")
     pairs = []
-    for e, head in zip(hg.edges, phi.head):
+    for e, head in zip(hg.edges, phi):
         partner = next(v for v in e if bip.side[v] != bip.side[head])
         pairs.append((head, partner))
     return tuple(pairs)
@@ -96,7 +98,7 @@ def list_color_sparse(
     hg: Hypergraph,
     bip: Bipartition,
     lists: ListAssignment,
-) -> Coloring:
+) -> tuple[int, ...]:
     """Proper list coloring of a 2-colorable hypergraph via its minimal orientation.
 
     Requires every list to exceed the head degree of its vertex under the
@@ -108,8 +110,8 @@ def list_color_sparse(
         raise PreconditionError("list assignment size differs from vertex count")
     if not bipartition_is_valid(hg, bip):
         raise PreconditionError("bipartition is not valid for the hypergraph")
-    k_star, phi = min_orientation(hg)
-    deg = phi.degrees(hg.n)
+    _, phi = min_orientation(hg)
+    deg = vertex_counts(hg.n, phi)
     short = [v for v in range(hg.n) if len(lists.lists[v]) < deg[v] + 1]
     if short:
         v = short[0]
@@ -125,7 +127,7 @@ def list_color_sparse(
         raise TheoremContradictionError(
             "pair graph admitted no list coloring despite sufficient lists"
         )
-    coloring = Coloring(tuple(color))
-    if not is_proper(hg, coloring) or not coloring.respects(lists):
+    color = tuple(color)
+    if not is_proper(hg, color) or not lists.admits(color):
         raise TheoremContradictionError("pair-graph coloring failed verification")
-    return coloring
+    return color

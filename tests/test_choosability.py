@@ -30,7 +30,7 @@ def test_color_from_lists_single_edge():
     hg = Hypergraph(2, ((0, 1),))
     assert color_from_lists(hg, ListAssignment(((1,), (1,)))) is None
     col = color_from_lists(hg, ListAssignment(((1,), (1, 2))))
-    assert col.color == (1, 2)
+    assert col == (1, 2)
 
 
 def test_color_from_lists_verifies_and_is_deterministic():
@@ -43,7 +43,7 @@ def test_color_from_lists_verifies_and_is_deterministic():
         first = color_from_lists(hg, lists)
         assert first == color_from_lists(hg, lists)
         if first is not None:
-            assert is_proper(hg, first) and first.respects(lists)
+            assert is_proper(hg, first) and lists.admits(first)
 
 
 def test_color_from_lists_is_lex_first():
@@ -61,7 +61,7 @@ def test_color_from_lists_is_lex_first():
             uncolorable += 1
             assert found is None
         else:
-            assert found is not None and found.color == expected
+            assert found is not None and found == expected
     assert uncolorable >= 10
 
 
@@ -144,6 +144,12 @@ def test_chromatic_guard():
 
 def test_choice_number_k33():
     assert choice_number(gen_complete(2, 3, 3)[0]) == 3
+
+
+def test_choice_number_guards():
+    assert choice_number(Hypergraph(25, ())) == 1  # no edges: nothing to search
+    with pytest.raises(GuardExceededError, match="25 vertices exceeds the guard 12"):
+        choice_number(Hypergraph(25, ((0, 1),)))
 
 
 def test_choice_number_triangle():

@@ -13,13 +13,15 @@ from pathlib import Path
 import pytest
 
 import hyperchoose
-from hyperchoose import gen_complete, gen_fano, is_proper, parse_hypergraph, serialize_hypergraph, Coloring
-from hyperchoose import degree_constrained, density, find_bipartition, nullstellensatz, orientation
+from hyperchoose import gen_complete, gen_fano, is_proper, parse_hypergraph, serialize_hypergraph, vertex_counts
+from hyperchoose import choosability, degree_constrained, density, find_bipartition, nullstellensatz, orientation
 from hyperchoose.cli import build_parser, main
 from hyperchoose.errors import TheoremContradictionError
 from oracles import random_two_colorable, sympy_target_coefficient
 
 K33 = gen_complete(2, 3, 3)[0]
+K33_LISTS = [[1, 2, 3], [2, 3, 4], [3, 4, 5]] * 2  # 3-lists: enough for sparse and exact
+K33_LISTS_GK = [[1, 2, 3, 4], [2, 3, 4, 5], [3, 4, 5, 6]] * 2  # gk needs ceil(2*3/2)+1
 GOLDEN = Path(__file__).parent / "golden"  # stdout every release reproduces byte for byte
 
 
@@ -146,14 +148,14 @@ def test_color_sparse(capsys, tmp_path, k33_path):
     assert code == 0
     coloring = json.loads(out_file.read_text())
     assert coloring == json.loads(out)
-    assert is_proper(K33, Coloring(tuple(coloring)))
+    assert is_proper(K33, tuple(coloring))
 
 
 def test_color_gk_fano(capsys, tmp_path, fano_path):
     lists = lists_file(tmp_path, [[1, 2, 3]] * 7)
     code, out = run(capsys, "color", fano_path, lists, "--method", "gk")
     assert code == 0
-    assert is_proper(gen_fano(), Coloring(tuple(json.loads(out))))
+    assert is_proper(gen_fano(), tuple(json.loads(out)))
 
 
 def test_color_exact_bad_lists_exits_5(capsys, tmp_path, k33_path):
@@ -239,6 +241,36 @@ def test_exact_oracles_match_golden_output(capsys, k33_path, fano_path, golden, 
     code, out = run(capsys, *(paths.get(arg, arg) for arg in argv))
     assert code == 0
     assert out == (GOLDEN / f"{golden}.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("orient_k33", ["orient", "K33"]),
+        ("orient_fano", ["orient", "FANO"]),
+        ("orient_k33_k2", ["orient", "K33", "--k", "2"]),
+        ("color_k33_sparse", ["color", "K33", "LISTS", "--method", "sparse"]),
+        ("color_k33_exact", ["color", "K33", "LISTS", "--method", "exact"]),
+        ("color_k33_gk", ["color", "K33", "LISTS_GK", "--method", "gk", "--selection", "SEL"]),
+        ("coefficient_k33", ["coefficient", "K33"]),
+    ],
+)
+def test_certificates_match_golden_output(
+    capsys, tmp_path, k33_path, fano_path, golden, argv
+):
+    sel = tmp_path / "selection.json"
+    paths = {
+        "K33": k33_path,
+        "FANO": fano_path,
+        "LISTS": lists_file(tmp_path, K33_LISTS),
+        "LISTS_GK": lists_file(tmp_path, K33_LISTS_GK, "lists_gk.json"),
+        "SEL": str(sel),
+    }
+    code, out = run(capsys, *(paths.get(arg, arg) for arg in argv))
+    assert code == 0
+    assert out == (GOLDEN / f"{golden}.json").read_text()
+    if "SEL" in argv:
+        assert sel.read_text() == (GOLDEN / "selection_k33_gk.json").read_text()
 
 
 @pytest.mark.parametrize(
@@ -338,7 +370,7 @@ def test_coefficient_sign_matches_sympy(capsys, tmp_path):
         doc = coefficient_doc(capsys, tmp_path, hg)
         bip = find_bipartition(hg)
         _, phi = orientation.min_orientation(hg)
-        target = tuple(phi.degrees(hg.n))
+        target = tuple(vertex_counts(hg.n, phi))
         assert doc["sign"] * doc["coef"] == sympy_target_coefficient(hg, bip, target, signed=True)
         signs.add(doc["sign"])
     assert signs == {-1, 1}
@@ -392,7 +424,7 @@ def test_dense_split_color(capsys, tmp_path, k33_path):
     code, out = run(capsys, "dense", "split-color", k33_path, lists, "--seed", "7")
     doc = json.loads(out)
     assert code == 0 and doc["success"]
-    assert is_proper(K33, Coloring(tuple(doc["coloring"])))
+    assert is_proper(K33, tuple(doc["coloring"]))
     assert sum(doc["report"]["categories"].values()) == doc["report"]["trials"]
 
 
@@ -487,6 +519,31 @@ def test_color_gk_writes_selection(capsys, monkeypatch, tmp_path, fano_path):
     fano = gen_fano()
     assert len(pairs) == 7
     assert all(u in e and v in e and u != v for (u, v), e in zip(pairs, fano.edges))
+
+
+@pytest.mark.parametrize("method", ["sparse", "exact"])
+def test_color_selection_without_gk_exits_2(capsys, tmp_path, k33_path, method):
+    lists = lists_file(tmp_path, K33_LISTS)
+    sel_file = tmp_path / "selection.json"
+    code = main(["color", k33_path, lists, "--method", method, "--selection", str(sel_file)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and captured.err.startswith("error: ")
+    assert not sel_file.exists()
+
+
+def test_exact_choice_number_runs_no_second_chromatic_search(capsys, monkeypatch, k33_path):
+    calls = []
+    chromatic = choosability.chromatic_number
+    monkeypatch.setattr(
+        choosability, "chromatic_number", lambda hg: calls.append(hg) or chromatic(hg)
+    )
+    code, out = run(capsys, "analyze", k33_path, "--exact", "--no-timing")
+    assert code == 0 and json.loads(out)["choice_number"] == 3
+    assert len(calls) == 1
+    calls.clear()
+    code, out = run(capsys, "exact", k33_path, "--what", "ch")
+    assert code == 0 and json.loads(out)["value"] == 3
+    assert calls == []
 
 
 def test_analyze_exact_guard_exits_3(capsys, tmp_path):

@@ -4,7 +4,6 @@ import pytest
 
 from hyperchoose import (
     Bipartition,
-    Coloring,
     GuardExceededError,
     Hypergraph,
     HgrFormatError,
@@ -106,8 +105,8 @@ def test_metrics_mixed_sizes_and_empty():
 
 def test_is_proper():
     edge = Hypergraph(2, ((0, 1),))
-    assert is_proper(edge, Coloring((1, 2)))
-    assert not is_proper(edge, Coloring((1, 1)))
+    assert is_proper(edge, (1, 2))
+    assert not is_proper(edge, (1, 1))
 
 
 def test_no_two_coloring_of_fano_is_proper():
@@ -115,7 +114,7 @@ def test_no_two_coloring_of_fano_is_proper():
     import itertools
 
     for cols in itertools.product((1, 2), repeat=7):
-        assert not is_proper(fano, Coloring(cols))
+        assert not is_proper(fano, cols)
 
 
 def test_find_bipartition_k33():
@@ -195,7 +194,15 @@ def test_list_search_symmetry_cut_halves_fano_refutation():
 def test_find_bipartition_node_guard(monkeypatch):
     monkeypatch.setattr(core, "SEARCH_NODE_GUARD", 1)
     with pytest.raises(GuardExceededError):
-        find_bipartition(gen_fano())
+        find_bipartition(gen_fano())  # 11 decisions, over 1 + 7 vertices
+
+
+def test_find_bipartition_node_guard_spares_one_decision_per_vertex(monkeypatch):
+    # 49 decisions and no backtracking: far over the guard, within guard + n.
+    monkeypatch.setattr(core, "SEARCH_NODE_GUARD", 10)
+    hg = Hypergraph(50, ((0, 1),))
+    bip = find_bipartition(hg)
+    assert bip is not None and bipartition_is_valid(hg, bip)
 
 
 def test_gen_complete_counts():

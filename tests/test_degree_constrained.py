@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import chain
 from math import ceil
 
 import pytest
@@ -14,6 +15,7 @@ from hyperchoose import (
     is_proper,
     list_color_gk,
     metrics,
+    vertex_counts,
 )
 from oracles import brute_selection_exists, random_hypergraph
 
@@ -22,25 +24,25 @@ def test_build_selection_fano_reaches_zero_potential():
     fano = gen_fano()
     sel = build_selection(fano, 2)  # cap = ceil(2*3/3)
     assert sel is not None
-    assert sel.degrees(7) == [2] * 7  # 14 incidences over 7 vertices
-    assert max(sel.degrees(7)) <= sel.k
-    for pair, edge in zip(sel.chosen, fano.edges):
+    assert vertex_counts(7, chain.from_iterable(sel)) == [2] * 7  # 14 incidences over 7 vertices
+    assert max(vertex_counts(7, chain.from_iterable(sel))) <= 2
+    for pair, edge in zip(sel, fano.edges):
         assert pair[0] in edge and pair[1] in edge and pair[0] != pair[1]
 
 
 def test_build_selection_single_edge():
     sel = build_selection(Hypergraph(3, ((0, 1, 2),)), 1)
     assert sel is not None
-    assert sel.chosen == ((0, 1),)
-    assert max(sel.degrees(3)) <= 1
+    assert sel == ((0, 1),)
+    assert max(vertex_counts(3, chain.from_iterable(sel))) <= 1
 
 
 def test_build_selection_two_uniform_forced():
     hg = gen_complete(2, 3, 3)[0]
     sel = build_selection(hg, 3)
     assert sel is not None
-    assert tuple(tuple(sorted(p)) for p in sel.chosen) == hg.edges
-    assert max(sel.degrees(6)) == 3
+    assert tuple(tuple(sorted(p)) for p in sel) == hg.edges
+    assert max(vertex_counts(6, chain.from_iterable(sel))) == 3
 
 
 def test_build_selection_absent_below_threshold():
@@ -58,10 +60,10 @@ def test_build_selection_never_absent_at_guaranteed_cap():
         k = ceil(Fraction(2 * met.max_degree, met.min_edge_size))
         sel = build_selection(hg, k)
         assert sel is not None
-        assert max(sel.degrees(hg.n)) <= sel.k
+        assert max(vertex_counts(hg.n, chain.from_iterable(sel))) <= k
         assert all(
             p[0] in e and p[1] in e and p[0] != p[1]
-            for p, e in zip(sel.chosen, hg.edges)
+            for p, e in zip(sel, hg.edges)
         )
 
 
@@ -75,10 +77,10 @@ def test_build_selection_matches_brute_force():
             assert (sel is None) == (not brute_selection_exists(hg, k))
             absent += sel is None
             if sel is not None:
-                assert max(sel.degrees(hg.n)) <= k
+                assert max(vertex_counts(hg.n, chain.from_iterable(sel))) <= k
                 assert all(
                     p[0] in e and p[1] in e and p[0] != p[1]
-                    for p, e in zip(sel.chosen, hg.edges)
+                    for p, e in zip(sel, hg.edges)
                 )
     assert absent >= 100
 
@@ -86,8 +88,8 @@ def test_build_selection_matches_brute_force():
 def test_list_color_gk_fano():
     fano = gen_fano()
     lists = ListAssignment(tuple((1, 2, 3) for _ in range(7)))
-    col = list_color_gk(fano, lists)
-    assert is_proper(fano, col) and col.respects(lists)
+    col, _ = list_color_gk(fano, lists)
+    assert is_proper(fano, col) and lists.admits(col)
 
 
 def test_list_color_gk_fano_random_lists():
@@ -97,15 +99,15 @@ def test_list_color_gk_fano_random_lists():
         lists = ListAssignment(
             tuple(tuple(rnd.sample(range(1, 10), 3)) for _ in range(7))
         )
-        col = list_color_gk(fano, lists)
-        assert is_proper(fano, col) and col.respects(lists)
+        col, _ = list_color_gk(fano, lists)
+        assert is_proper(fano, col) and lists.admits(col)
 
 
 def test_list_color_gk_triangle():
     hg = Hypergraph(3, ((0, 1), (1, 2), (0, 2)))
     lists = ListAssignment(tuple((1, 2, 3) for _ in range(3)))  # ceil(2*2/2)+1
-    col = list_color_gk(hg, lists)
-    assert is_proper(hg, col) and col.respects(lists)
+    col, _ = list_color_gk(hg, lists)
+    assert is_proper(hg, col) and lists.admits(col)
 
 
 def test_list_color_gk_rejects_short_lists():
@@ -124,5 +126,9 @@ def test_list_color_gk_random_instances():
         lists = ListAssignment(
             tuple(tuple(rnd.sample(range(1, 2 * k + 4), k + 1)) for _ in range(hg.n))
         )
-        col = list_color_gk(hg, lists)
-        assert is_proper(hg, col) and col.respects(lists)
+        col, pairs = list_color_gk(hg, lists)
+        assert is_proper(hg, col) and lists.admits(col)
+        assert max(vertex_counts(hg.n, chain.from_iterable(pairs))) <= k
+        assert len(pairs) == len(hg.edges) and all(
+            p[0] in e and p[1] in e and p[0] != p[1] for p, e in zip(pairs, hg.edges)
+        )

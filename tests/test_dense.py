@@ -137,7 +137,7 @@ def test_random_split_color_k33():
     hg, bip = gen_complete(2, 3, 3)
     col = random_split_color_report(hg, bip, DISJOINT_3LISTS, max_iters=1000, seed=7)[0]
     assert col is not None
-    assert is_proper(hg, col) and col.respects(DISJOINT_3LISTS)
+    assert is_proper(hg, col) and DISJOINT_3LISTS.admits(col)
 
 
 def test_random_split_color_wide_lists():
@@ -193,7 +193,7 @@ def test_complete_proper_exists_classic_bad_system():
 def test_complete_proper_exists_large_s_greedy():
     lists = ListAssignment(tuple((1,) for _ in range(4)))
     col = complete_proper_exists(9, 2, 2, lists)
-    assert col is not None and col.color == (1, 1, 1, 1)
+    assert col is not None and col == (1, 1, 1, 1)
 
 
 def test_complete_proper_exists_deep_sides_do_not_recurse():
@@ -201,7 +201,7 @@ def test_complete_proper_exists_deep_sides_do_not_recurse():
     # default recursion limit.
     lists = ListAssignment(tuple((i,) for i in range(1200)))
     col = complete_proper_exists(3, 600, 600, lists)
-    assert col is not None and col.color == tuple(range(1200))
+    assert col is not None and col == tuple(range(1200))
 
 
 def test_complete_proper_exists_agrees_with_edge_oracle():
@@ -214,7 +214,7 @@ def test_complete_proper_exists_agrees_with_edge_oracle():
         slow = color_from_lists(hg, lists)
         assert (fast is None) == (slow is None)
         if fast is not None:
-            assert is_proper(hg, fast) and fast.respects(lists)
+            assert is_proper(hg, fast) and lists.admits(fast)
 
 
 def test_lower_bound_experiment_finds_witnesses():

@@ -16,10 +16,8 @@ from math import ceil
 import pytest
 
 from hyperchoose import (
-    Coloring,
     Hypergraph,
     ListAssignment,
-    Orientation,
     bipartition_is_valid,
     find_bipartition,
     gen_k_regular_k_uniform,
@@ -112,7 +110,7 @@ def test_cli_analyze_chain(capsys, tmp_path):
 def test_cli_orient_chain(capsys, tmp_path):
     doc = run_cli(capsys, tmp_path, "chain", "orient")
     assert doc["k_star"] == 1 == max(doc["degrees"])
-    assert orientation_is_valid(instance("chain"), Orientation(doc["head"]))
+    assert orientation_is_valid(instance("chain"), tuple(doc["head"]))
 
 
 def test_cli_coefficient_chain(capsys, tmp_path):
@@ -126,9 +124,9 @@ def check_coloring(capsys, tmp_path, family, method, size):
     rnd = random.Random(2)
     lists = [sorted(rnd.sample(range(2 * size), size)) for _ in range(N)]
     color = run_cli(capsys, tmp_path, family, "color", "--method", method, lists=lists)
-    coloring = Coloring(tuple(color))
+    coloring = tuple(color)
     assert is_proper(instance(family), coloring)
-    assert coloring.respects(ListAssignment(lists))
+    assert ListAssignment(lists).admits(coloring)
 
 
 def test_cli_color_sparse_planted(capsys, tmp_path):

@@ -8,7 +8,6 @@ from .choosability import (
     is_f_choosable,
 )
 from .core import (
-    Bipartition,
     Hypergraph,
     ListAssignment,
     Metrics,

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .core import Hypergraph, ListAssignment, _ListSearch
+from .core import Hypergraph, ListAssignment, _ListSearch, is_proper
 from .density import bound_gk
 from .errors import GuardExceededError, PreconditionError, TheoremContradictionError
 
@@ -32,7 +32,12 @@ def color_from_lists(
     if lists.n != hg.n:
         raise PreconditionError("list assignment size differs from vertex count")
     solved = _ListSearch(hg).solve(lists.lists)
-    return None if solved is None else tuple(solved)
+    if solved is None:
+        return None
+    color = tuple(solved)
+    if not is_proper(hg, color) or not lists.admits(color):
+        raise TheoremContradictionError("list coloring failed verification")
+    return color
 
 
 @dataclass(frozen=True)

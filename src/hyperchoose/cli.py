@@ -26,7 +26,6 @@ from .core import (
     gen_complete,
     gen_fano,
     gen_k_regular_k_uniform,
-    is_proper,
     metrics,
     parse_hypergraph,
     serialize_hypergraph,
@@ -149,7 +148,6 @@ def cmd_color(args) -> int:
             msg = "error: no proper coloring exists for the given lists"
             print(msg, file=sys.stderr)
             return EXIT_NO_COLORING
-    assert is_proper(hg, color) and lists.admits(color)
     doc = list(color)
     if args.output:
         Path(args.output).write_text(json.dumps(doc) + "\n", "utf-8")
@@ -193,7 +191,7 @@ def cmd_coefficient(args) -> int:
     # min_orientation has checked that the max head degree equals k.
     k, phi = orientation.min_orientation(hg)
     coef = coefficient_count(hg, bip, phi)
-    b_heads = sum(1 for h in phi if bip.side[h] == SIDE_B)
+    b_heads = sum(1 for h in phi if bip[h] == SIDE_B)
     _emit({"coef": coef, "sign": -1 if b_heads % 2 else 1, "choosable_bound": k + 1})
     return EXIT_OK
 
@@ -265,7 +263,7 @@ def cmd_generate(args) -> int:
         hg, bip = gen_complete(args.s, args.n, args.m)
         _write_hgr(hg, args.output)
         if args.bipartition:
-            Path(args.bipartition).write_text(json.dumps(list(bip.side)) + "\n", "utf-8")
+            Path(args.bipartition).write_text(json.dumps(list(bip)) + "\n", "utf-8")
         return EXIT_OK
     if args.kind == "fano":
         _write_hgr(gen_fano(), args.output)

@@ -7,7 +7,9 @@ counts include multiplicity) and are reported by :func:`validate`.  All types
 are immutable after construction and safe to share across threads.
 
 Certificates are plain tuples aligned with the vertices or the edges: a
-coloring holds one color per vertex, an orientation one head per edge.
+coloring holds one color per vertex, a 2-coloring one ``"A"``/``"B"`` side
+label per vertex, an orientation one head per edge.  Every list coloring of a
+pair graph, sparse or gk, is one run of the list-coloring search.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import GuardExceededError, HgrFormatError
+from .errors import GuardExceededError, HgrFormatError, TheoremContradictionError
 
 SIDE_A = "A"
 SIDE_B = "B"
@@ -63,29 +65,6 @@ class Hypergraph:
 
     def __hash__(self) -> int:
         return hash((self.n, tuple(sorted(self.edges))))
-
-
-@dataclass(frozen=True)
-class Bipartition:
-    """Per-vertex side labels; a 2-coloring certificate when valid for a hypergraph."""
-
-    side: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "side", tuple(self.side))
-        bad = [s for s in self.side if s not in (SIDE_A, SIDE_B)]
-        if bad:
-            raise ValueError(f"side labels must be 'A' or 'B', got {bad[0]!r}")
-
-
-def bipartition_is_valid(hg: Hypergraph, bip: Bipartition) -> bool:
-    """True iff every edge contains at least one vertex of each side."""
-    if len(bip.side) != hg.n:
-        return False
-    return all(
-        any(bip.side[v] == SIDE_A for v in e) and any(bip.side[v] == SIDE_B for v in e)
-        for e in hg.edges
-    )
 
 
 def vertex_counts(n: int, vertices: Iterable[int]) -> list[int]:
@@ -195,6 +174,11 @@ def is_proper(hg: Hypergraph, color: Sequence[int]) -> bool:
     return all(len({color[v] for v in e}) > 1 for e in hg.edges)
 
 
+def bipartition_is_valid(hg: Hypergraph, bip: Sequence[str]) -> bool:
+    """True iff ``bip`` labels every vertex A or B and every edge meets both sides."""
+    return len(bip) == hg.n and set(bip) <= {SIDE_A, SIDE_B} and is_proper(hg, bip)
+
+
 def validate(hg: Hypergraph) -> list[str]:
     """Non-fatal warnings; hard invariants are enforced at construction."""
     warnings = []
@@ -278,7 +262,7 @@ def serialize_hypergraph(hg: Hypergraph) -> str:
 # ---------------------------------------------------------------------------
 
 # Branching decisions allowed to the searches behind polynomial pipelines
-# (find_bipartition and the sparse pair-graph coloring) on top of one per
+# (find_bipartition and the pair-graph coloring) on top of one per
 # vertex, so that an input on which the search goes exponential raises instead
 # of hanging, while a search that never backtracks passes at any size.  The exact
 # oracles in choosability have no node budget: their constant vertex guards
@@ -446,7 +430,7 @@ class _ListSearch:
             queue.append((v, c))
 
 
-def find_bipartition(hg: Hypergraph) -> Optional[Bipartition]:
+def find_bipartition(hg: Hypergraph) -> Optional[tuple[str, ...]]:
     """First valid 2-coloring in lexicographic order (index order, A before B).
 
     Returns None iff the hypergraph admits no proper 2-coloring.  Raises
@@ -454,7 +438,31 @@ def find_bipartition(hg: Hypergraph) -> Optional[Bipartition]:
     ``SEARCH_NODE_GUARD`` branching decisions beyond one per vertex.
     """
     side = _ListSearch(hg).solve([(SIDE_A, SIDE_B)] * hg.n, max_nodes=SEARCH_NODE_GUARD)
-    return None if side is None else Bipartition(tuple(side))
+    return None if side is None else tuple(side)
+
+
+def _color_pairs(
+    hg: Hypergraph, pairs: tuple[tuple[int, int], ...], lists: ListAssignment
+) -> tuple[int, ...]:
+    """List coloring of the graph of ``pairs``, verified proper for ``hg``.
+
+    The pairs hold one vertex pair per edge of ``hg``, so a coloring proper on
+    them is proper on ``hg``.  The search stops after ``SEARCH_NODE_GUARD``
+    branching decisions beyond one per vertex.  Callers first check that the
+    lists are long enough for a coloring to exist, so a missing or improper
+    one raises TheoremContradictionError.
+    """
+    color = _ListSearch(Hypergraph(hg.n, pairs)).solve(
+        lists.lists, max_nodes=SEARCH_NODE_GUARD
+    )
+    if color is None:
+        raise TheoremContradictionError(
+            "pair graph admitted no list coloring despite sufficient lists"
+        )
+    color = tuple(color)
+    if not is_proper(hg, color) or not lists.admits(color):
+        raise TheoremContradictionError("pair-graph coloring failed verification")
+    return color
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +579,7 @@ def edge_vertex_flow(
 # ---------------------------------------------------------------------------
 
 
-def gen_complete(s: int, n: int, m: int) -> tuple[Hypergraph, Bipartition]:
+def gen_complete(s: int, n: int, m: int) -> tuple[Hypergraph, tuple[str, ...]]:
     """Complete 2-colorable s-uniform hypergraph on parts of sizes n and m.
 
     Vertices 0..n-1 form side A, vertices n..n+m-1 side B; edges are all
@@ -584,8 +592,7 @@ def gen_complete(s: int, n: int, m: int) -> tuple[Hypergraph, Bipartition]:
     )
     expected = math.comb(n + m, s) - math.comb(n, s) - math.comb(m, s)
     assert len(edges) == expected
-    bip = Bipartition(tuple([SIDE_A] * n + [SIDE_B] * m))
-    return Hypergraph(n + m, edges), bip
+    return Hypergraph(n + m, edges), (SIDE_A,) * n + (SIDE_B,) * m
 
 
 def gen_fano() -> Hypergraph:

@@ -1,19 +1,19 @@
-"""Degree-capped incidence selection and the greedy coloring it enables.
+"""Degree-capped incidence selection and the list coloring it enables.
 
 A selection is a tuple of (v, u) pairs, one per edge in edge order: every
 edge keeps exactly two of its incidences and every vertex keeps at most k.
 It is a flow on source -> edge (cap 2) -> incident vertex (cap 1) -> sink
 (cap k), computed by the shared max-flow :func:`core.edge_vertex_flow`.  At
 the cap 2*max_degree/min_size (rounded up) such a selection always exists, and
-greedy coloring of the selected pairs with cap+1 list entries never runs out
-of colors.
+the list-coloring search colors the selected pairs with cap+1 list entries
+without ever backtracking.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .core import Hypergraph, ListAssignment, edge_vertex_flow, is_proper
+from .core import Hypergraph, ListAssignment, _color_pairs, edge_vertex_flow
 from .density import bound_gk
 from .errors import PreconditionError, TheoremContradictionError
 
@@ -40,9 +40,12 @@ def list_color_gk(
     """Proper list coloring of an arbitrary hypergraph with cap+1 list entries.
 
     Builds the selection at the guaranteed cap ceil(2*max_degree/min_size)
-    and colors its pairs greedily in vertex order; every vertex sees at most
-    cap colored neighbors, so cap+1 entries always leave a choice.  Returns
-    the coloring and the selection it colored.
+    and colors its pairs with the list-coloring search.  Every vertex has at
+    most cap pair neighbors and at least cap+1 entries, so a value is always
+    left and the search never backtracks: it returns the greedy coloring in
+    vertex order, each vertex taking the first list entry that no
+    lower-index neighbor holds.  Returns the coloring and the selection it
+    colored.
     """
     k = bound_gk(hg) - 1
     if lists.n != hg.n:
@@ -59,18 +62,4 @@ def list_color_gk(
         raise TheoremContradictionError(
             f"no degree-{k} selection found at the guaranteed cap"
         )
-    adj: list[list[int]] = [[] for _ in range(hg.n)]
-    for x, y in pairs:
-        adj[x].append(y)
-        adj[y].append(x)
-    color: list[Optional[int]] = [None] * hg.n
-    for v in range(hg.n):
-        taken = {color[u] for u in adj[v] if color[u] is not None}
-        free = next((c for c in lists.lists[v] if c not in taken), None)
-        if free is None:
-            raise TheoremContradictionError(f"greedy ran out of colors at vertex {v}")
-        color[v] = free
-    color = tuple(color)
-    if not is_proper(hg, color) or not lists.admits(color):
-        raise TheoremContradictionError("greedy pair coloring failed verification")
-    return color, pairs
+    return _color_pairs(hg, pairs, lists), pairs

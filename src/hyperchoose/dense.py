@@ -27,7 +27,6 @@ import mpmath
 import numpy as np
 
 from .core import (
-    Bipartition,
     Hypergraph,
     ListAssignment,
     SIDE_A,
@@ -225,7 +224,7 @@ class DenseExperimentReport:
 
 def random_split_color_report(
     hg: Hypergraph,
-    bip: Bipartition,
+    bip: tuple[str, ...],
     lists: ListAssignment,
     max_iters: int,
     seed: int,
@@ -277,7 +276,7 @@ def random_split_color_report(
         label = dict(zip(palette, (is_blue[0] + 2 * is_red[0]).tolist()))
         color = []
         for v, lv in enumerate(lists.lists):
-            want = 0 if dangerous[0, v] else 1 if bip.side[v] == SIDE_A else 2
+            want = 0 if dangerous[0, v] else 1 if bip[v] == SIDE_A else 2
             color.append(next(c for c in lv if label[c] == want))
         coloring = tuple(color)
         if not is_proper(hg, coloring) or not lists.admits(coloring):

@@ -23,7 +23,6 @@ from itertools import combinations
 from math import prod
 
 from .core import (
-    Bipartition,
     Hypergraph,
     SIDE_A,
     bipartition_is_valid,
@@ -36,7 +35,7 @@ TERM_GUARD = 10**6
 
 
 def crossing_tree(
-    edge: tuple[int, ...], bip: Bipartition
+    edge: tuple[int, ...], bip: tuple[str, ...]
 ) -> tuple[tuple[int, int], ...]:
     """The double-star spanning tree on an edge, as its (A, B) vertex pairs.
 
@@ -45,8 +44,8 @@ def crossing_tree(
     B-vertices; |pairs| = |edge| - 1 and every pair crosses the sides.
     Deterministic so coefficient values are reproducible.
     """
-    a_side = sorted(v for v in edge if bip.side[v] == SIDE_A)
-    b_side = sorted(v for v in edge if bip.side[v] != SIDE_A)
+    a_side = sorted(v for v in edge if bip[v] == SIDE_A)
+    b_side = sorted(v for v in edge if bip[v] != SIDE_A)
     if not a_side or not b_side:
         raise PreconditionError(f"edge {tuple(edge)} lies inside one side")
     a0, b0 = a_side[0], b_side[0]
@@ -65,7 +64,7 @@ def _tree_multiplicity(tree: tuple[tuple[int, int], ...]) -> dict[int, int]:
 
 
 def coefficient_count(
-    hg: Hypergraph, bip: Bipartition, phi: tuple[int, ...]
+    hg: Hypergraph, bip: tuple[str, ...], phi: tuple[int, ...]
 ) -> int:
     """Coefficient of the orientation's degree monomial in the unsigned product.
 
@@ -83,9 +82,11 @@ def coefficient_count(
 
 
 def monomial_coefficient(
-    hg: Hypergraph, bip: Bipartition, exponent: Sequence[int]
+    hg: Hypergraph, bip: tuple[str, ...], exponent: Sequence[int]
 ) -> int:
     """Unsigned-product coefficient of an arbitrary exponent vector."""
+    if not bipartition_is_valid(hg, bip):
+        raise PreconditionError("bipartition is not valid for the hypergraph")
     if len(exponent) != hg.n:
         raise PreconditionError("exponent vector size differs from vertex count")
     return _transfer_count(hg, bip, exponent)
@@ -125,7 +126,7 @@ def _vertex_order(hg: Hypergraph, incident: list[list[int]]) -> list[int]:
 
 
 def _transfer_count(
-    hg: Hypergraph, bip: Bipartition, target: Sequence[int]
+    hg: Hypergraph, bip: tuple[str, ...], target: Sequence[int]
 ) -> int:
     """Weighted number of head choices whose head-degree vector equals target.
 

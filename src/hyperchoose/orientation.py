@@ -19,14 +19,11 @@ from __future__ import annotations
 from typing import Optional
 
 from .core import (
-    SEARCH_NODE_GUARD,
-    Bipartition,
     Hypergraph,
     ListAssignment,
-    _ListSearch,
+    _color_pairs,
     bipartition_is_valid,
     edge_vertex_flow,
-    is_proper,
     orientation_is_valid,
     vertex_counts,
 )
@@ -75,7 +72,7 @@ def min_orientation(hg: Hypergraph) -> tuple[int, tuple[int, ...]]:
 
 
 def reduce_to_pairgraph(
-    hg: Hypergraph, bip: Bipartition, phi: tuple[int, ...]
+    hg: Hypergraph, bip: tuple[str, ...], phi: tuple[int, ...]
 ) -> tuple[tuple[int, int], ...]:
     """Pick per edge the pair (head, partner) with the partner on the other side.
 
@@ -89,14 +86,14 @@ def reduce_to_pairgraph(
         raise PreconditionError("orientation is not valid for the hypergraph")
     pairs = []
     for e, head in zip(hg.edges, phi):
-        partner = next(v for v in e if bip.side[v] != bip.side[head])
+        partner = next(v for v in e if bip[v] != bip[head])
         pairs.append((head, partner))
     return tuple(pairs)
 
 
 def list_color_sparse(
     hg: Hypergraph,
-    bip: Bipartition,
+    bip: tuple[str, ...],
     lists: ListAssignment,
 ) -> tuple[int, ...]:
     """Proper list coloring of a 2-colorable hypergraph via its minimal orientation.
@@ -119,15 +116,4 @@ def list_color_sparse(
             f"vertex {v}: list of size {len(lists.lists[v])} is below the "
             f"required {deg[v] + 1} (head degree + 1)"
         )
-    pairs = reduce_to_pairgraph(hg, bip, phi)
-    color = _ListSearch(Hypergraph(hg.n, pairs)).solve(
-        lists.lists, max_nodes=SEARCH_NODE_GUARD
-    )
-    if color is None:
-        raise TheoremContradictionError(
-            "pair graph admitted no list coloring despite sufficient lists"
-        )
-    color = tuple(color)
-    if not is_proper(hg, color) or not lists.admits(color):
-        raise TheoremContradictionError("pair-graph coloring failed verification")
-    return color
+    return _color_pairs(hg, reduce_to_pairgraph(hg, bip, phi), lists)

@@ -12,7 +12,7 @@ from itertools import combinations, product
 
 import sympy
 
-from hyperchoose import Bipartition, Hypergraph
+from hyperchoose import Hypergraph
 from hyperchoose.nullstellensatz import crossing_tree
 
 
@@ -35,6 +35,26 @@ def first_list_coloring(hg: Hypergraph, lists) -> tuple | None:
         if all(len({cols[v] for v in e}) > 1 for e in hg.edges):
             return cols
     return None
+
+
+def greedy_pair_coloring(n: int, pairs, lists) -> tuple:
+    """Greedy list coloring of a pair graph in vertex order.
+
+    Each vertex takes the first entry of its list that no already-colored
+    pair neighbor holds.  Returns None when some vertex has no entry left.
+    """
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for x, y in pairs:
+        adj[x].append(y)
+        adj[y].append(x)
+    color: list = [None] * n
+    for v in range(n):
+        taken = {color[u] for u in adj[v] if color[u] is not None}
+        free = next((c for c in lists[v] if c not in taken), None)
+        if free is None:
+            return None
+        color[v] = free
+    return tuple(color)
 
 
 def naive_density(hg: Hypergraph) -> Fraction:
@@ -104,7 +124,7 @@ def exhaustive_colorable(hg: Hypergraph, r: int) -> bool:
     return False
 
 
-def sympy_coefficients(hg: Hypergraph, bip: Bipartition, signed: bool):
+def sympy_coefficients(hg: Hypergraph, bip: tuple[str, ...], signed: bool):
     """Expand the tree-factor product symbolically; returns (poly, symbols)."""
     zs = sympy.symbols(f"z0:{hg.n}")
     expr = sympy.Integer(1)
@@ -117,13 +137,13 @@ def sympy_coefficients(hg: Hypergraph, bip: Bipartition, signed: bool):
     return sympy.Poly(sympy.expand(expr), *zs), zs
 
 
-def b_side_sign(bip: Bipartition, head) -> int:
+def b_side_sign(bip: tuple[str, ...], head) -> int:
     """(-1) to the number of heads on side B: y -> -y flips exactly that parity."""
-    return -1 if sum(bip.side[h] == "B" for h in head) % 2 else 1
+    return -1 if sum(bip[h] == "B" for h in head) % 2 else 1
 
 
 def sympy_target_coefficient(
-    hg: Hypergraph, bip: Bipartition, exponents: tuple[int, ...], signed: bool
+    hg: Hypergraph, bip: tuple[str, ...], exponents: tuple[int, ...], signed: bool
 ) -> int:
     poly, _ = sympy_coefficients(hg, bip, signed)
     return int(poly.coeff_monomial(tuple(exponents)) or 0)
@@ -141,7 +161,7 @@ def random_hypergraph(
 
 def random_two_colorable(
     rnd: random.Random, n_a: int, n_b: int, m: int, max_size: int = 4
-) -> tuple[Hypergraph, Bipartition]:
+) -> tuple[Hypergraph, tuple[str, ...]]:
     """Random hypergraph whose edges all cross a fixed bipartition."""
     edges = []
     for _ in range(m):
@@ -150,5 +170,4 @@ def random_two_colorable(
         part_a = rnd.sample(range(n_a), take_a)
         part_b = rnd.sample(range(n_a, n_a + n_b), size - take_a)
         edges.append(tuple(sorted(part_a + part_b)))
-    bip = Bipartition(tuple(["A"] * n_a + ["B"] * n_b))
-    return Hypergraph(n_a + n_b, tuple(edges)), bip
+    return Hypergraph(n_a + n_b, tuple(edges)), ("A",) * n_a + ("B",) * n_b

@@ -153,7 +153,7 @@ def test_criterion_6_polynomial_certificates():
 
     # Fixtures: single edge (both orientations) and the 4-cycle.
     single = hc.Hypergraph(2, ((0, 1),))
-    sbip = hc.Bipartition(("A", "B"))
+    sbip = ("A", "B")
     for head, expected_sign in ((0, 1), (1, -1)):
         assert coefficients(single, sbip, (head,)) == (
             1, 1, expected_sign, expected_sign

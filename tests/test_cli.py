@@ -166,6 +166,17 @@ def test_color_exact_bad_lists_exits_5(capsys, tmp_path, k33_path):
     assert captured.err == "error: no proper coloring exists for the given lists\n"
 
 
+def test_color_exact_unverified_coloring_exits_6(capsys, monkeypatch, tmp_path, k33_path):
+    # color_from_lists verifies what the search returns, so a wrong coloring
+    # is an internal error even when asserts are stripped.
+    monkeypatch.setattr(choosability._ListSearch, "solve", lambda self, lists: [1] * 6)
+    lists = lists_file(tmp_path, K33_LISTS)
+    code = main(["color", k33_path, lists, "--method", "exact"])
+    captured = capsys.readouterr()
+    assert code == 6 and captured.out == ""
+    assert "TheoremContradictionError" in captured.err
+
+
 def test_color_lists_size_mismatch_exits_4(capsys, tmp_path, k33_path):
     lists = lists_file(tmp_path, [[1, 2, 3]] * 5)
     for method in ("exact", "sparse", "gk"):
@@ -466,6 +477,16 @@ def test_generate_complete_roundtrip(capsys, tmp_path):
     hg = parse_hypergraph(out_file.read_text())
     assert hg == gen_complete(3, 2, 2)[0]
     assert json.loads(bip_file.read_text()) == ["A", "A", "B", "B"]
+
+
+def test_generate_complete_bipartition_matches_golden(capsys, tmp_path):
+    bip_file = tmp_path / "bip.json"
+    code, _ = run(
+        capsys, "generate", "complete", "--s", "2", "--n", "3", "--m", "3",
+        "-o", str(tmp_path / "k33.hgr"), "--bipartition", str(bip_file),
+    )
+    assert code == 0
+    assert bip_file.read_text() == (GOLDEN / "bipartition_k33.json").read_text()
 
 
 def test_generate_fano_stdout(capsys):

@@ -3,20 +3,24 @@ import random
 import pytest
 
 from hyperchoose import (
-    Bipartition,
     GuardExceededError,
     Hypergraph,
     HgrFormatError,
     ListAssignment,
+    PreconditionError,
     bipartition_is_valid,
+    coefficient_count,
     core,
     find_bipartition,
     gen_complete,
     gen_fano,
     gen_k_regular_k_uniform,
     is_proper,
+    list_color_sparse,
     metrics,
     parse_hypergraph,
+    random_split_color_report,
+    reduce_to_pairgraph,
     serialize_hypergraph,
     validate,
 )
@@ -131,7 +135,7 @@ def test_find_bipartition_fano_absent():
 def test_find_bipartition_single_edge():
     found = find_bipartition(Hypergraph(3, ((0, 1, 2),)))
     assert found is not None
-    assert found.side == ("A", "A", "B")  # lexicographic first
+    assert found == ("A", "A", "B")  # lexicographic first
 
 
 def test_find_bipartition_agrees_with_exhaustive():
@@ -157,7 +161,7 @@ def test_find_bipartition_is_lex_first():
             uncolorable += 1
             assert found is None
         else:
-            assert found is not None and found.side == expected
+            assert found is not None and found == expected
     assert uncolorable >= 20
 
 
@@ -277,6 +281,14 @@ def test_validate_flags_duplicates():
     assert validate(gen_fano()) == []
 
 
+# Two 3-edges and an isolated vertex 4, with a valid siding and three bad
+# ones: a label C on the isolated vertex, a short tuple, and edge (0, 1, 2)
+# inside side A.
+LOOSE = Hypergraph(5, ((0, 1, 2), (1, 2, 3)))
+LOOSE_SIDES = ("A", "A", "B", "A", "A")
+BAD_SIDES = [("A", "A", "B", "A", "C"), ("A", "A", "B", "A"), ("A", "A", "A", "B", "A")]
+
+
 def test_constructor_invariants():
     with pytest.raises(ValueError):
         Hypergraph(3, ((0,),))
@@ -288,8 +300,30 @@ def test_constructor_invariants():
         ListAssignment(((1, 1),))
     with pytest.raises(ValueError):
         ListAssignment(((),))
-    with pytest.raises(ValueError):
-        Bipartition(("A", "C"))
+    # A 2-coloring is a plain tuple, so bipartition_is_valid makes the checks
+    # a constructor would: labels, length, and every edge meeting both sides.
+    assert bipartition_is_valid(LOOSE, LOOSE_SIDES)
+    for bad in BAD_SIDES:
+        assert not bipartition_is_valid(LOOSE, bad)
+    assert is_proper(LOOSE, BAD_SIDES[0])  # the label check is not properness
+
+
+@pytest.mark.parametrize("bad", BAD_SIDES)
+@pytest.mark.parametrize(
+    "step",
+    [
+        lambda bip: list_color_sparse(LOOSE, bip, ListAssignment(((1, 2, 3),) * 5)),
+        lambda bip: reduce_to_pairgraph(LOOSE, bip, (0, 3)),
+        lambda bip: coefficient_count(LOOSE, bip, (0, 3)),
+        lambda bip: random_split_color_report(
+            LOOSE, bip, ListAssignment(((1, 2, 3),) * 5), 1, 0
+        ),
+    ],
+    ids=["list_color_sparse", "reduce_to_pairgraph", "coefficient_count", "split_color"],
+)
+def test_invalid_bipartition_is_a_precondition_error(step, bad):
+    with pytest.raises(PreconditionError):
+        step(bad)
 
 
 def test_list_assignment_json_roundtrip():

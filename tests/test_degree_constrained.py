@@ -17,7 +17,7 @@ from hyperchoose import (
     metrics,
     vertex_counts,
 )
-from oracles import brute_selection_exists, random_hypergraph
+from oracles import brute_selection_exists, greedy_pair_coloring, random_hypergraph
 
 
 def test_build_selection_fano_reaches_zero_potential():
@@ -132,3 +132,22 @@ def test_list_color_gk_random_instances():
         assert len(pairs) == len(hg.edges) and all(
             p[0] in e and p[1] in e and p[0] != p[1] for p, e in zip(pairs, hg.edges)
         )
+
+
+def test_list_color_gk_is_the_vertex_order_greedy():
+    # At cap k every vertex has at most k pair neighbors and k+1 or more
+    # entries, so the search never backtracks and must return the greedy
+    # coloring of the pairs it colored.
+    rnd = random.Random(61)
+    for _ in range(1000):
+        hg = random_hypergraph(rnd, rnd.randint(2, 9), rnd.randint(1, 9))
+        met = metrics(hg)
+        k = ceil(Fraction(2 * met.max_degree, met.min_edge_size))
+        lists = ListAssignment(
+            tuple(
+                tuple(sorted(rnd.sample(range(1, 2 * k + 7), rnd.randint(k + 1, k + 3))))
+                for _ in range(hg.n)
+            )
+        )
+        col, pairs = list_color_gk(hg, lists)
+        assert col == greedy_pair_coloring(hg.n, pairs, lists.lists)

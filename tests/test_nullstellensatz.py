@@ -3,7 +3,6 @@ import random
 import pytest
 
 from hyperchoose import (
-    Bipartition,
     Hypergraph,
     PreconditionError,
     coefficient_count,
@@ -32,12 +31,12 @@ def check_against_sympy(hg, bip, phi) -> int:
 
 
 def test_crossing_tree_shapes():
-    assert crossing_tree((0, 1), Bipartition(("A", "B"))) == ((0, 1),)
-    assert crossing_tree((0, 1, 2), Bipartition(("A", "B", "B"))) == (
+    assert crossing_tree((0, 1), ("A", "B")) == ((0, 1),)
+    assert crossing_tree((0, 1, 2), ("A", "B", "B")) == (
         (0, 1),
         (0, 2),
     )
-    tree = crossing_tree((0, 1, 2, 3), Bipartition(("A", "A", "B", "B")))
+    tree = crossing_tree((0, 1, 2, 3), ("A", "A", "B", "B"))
     assert tree == ((0, 2), (1, 2), (0, 3))
 
 
@@ -49,17 +48,17 @@ def test_crossing_tree_spans_and_crosses():
         tree = crossing_tree(edge, bip)
         assert len(tree) == len(edge) - 1
         assert {v for p in tree for v in p} == set(edge)
-        assert all(bip.side[a] == "A" and bip.side[b] == "B" for a, b in tree)
+        assert all(bip[a] == "A" and bip[b] == "B" for a, b in tree)
 
 
 def test_crossing_tree_rejects_one_sided_edge():
     with pytest.raises(PreconditionError):
-        crossing_tree((0, 1), Bipartition(("A", "A")))
+        crossing_tree((0, 1), ("A", "A"))
 
 
 def test_single_edge_coefficients():
     hg = Hypergraph(2, ((0, 1),))
-    bip = Bipartition(("A", "B"))
+    bip = ("A", "B")
     for head, signed in ((0, 1), (1, -1)):
         phi = (head,)
         assert check_against_sympy(hg, bip, phi) == 1
@@ -151,3 +150,5 @@ def test_monomial_coefficient_arbitrary_queries():
     )
     with pytest.raises(PreconditionError):
         monomial_coefficient(hg, bip, (1, 1, 1))
+    with pytest.raises(PreconditionError):
+        monomial_coefficient(hg, ("A",), (1, 1, 1, 1))

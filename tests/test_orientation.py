@@ -144,7 +144,7 @@ def test_hall_orientation_matches_brute_force():
 def test_reduce_to_pairgraph_single_edge():
     hg = Hypergraph(3, ((0, 1, 2),))
     bip = find_bipartition(hg)
-    assert bip.side == ("A", "A", "B")
+    assert bip == ("A", "A", "B")
     pairs = reduce_to_pairgraph(hg, bip, (0,))
     assert pairs == ((0, 2),)  # smallest opposite-side vertex
 
@@ -161,7 +161,7 @@ def test_reduce_to_pairgraph_complete_3_uniform():
     k_star, phi = min_orientation(hg)
     pairs = reduce_to_pairgraph(hg, bip, phi)
     assert len(pairs) == 4
-    assert all(bip.side[x] != bip.side[y] for x, y in pairs)
+    assert all(bip[x] != bip[y] for x, y in pairs)
     heads = [0] * hg.n
     for x, _ in pairs:
         heads[x] += 1
@@ -192,9 +192,7 @@ def test_list_color_sparse_rejects_short_lists():
 
 def test_list_color_sparse_rejects_bad_bipartition():
     hg, _ = gen_complete(2, 3, 3)
-    from hyperchoose import Bipartition
-
-    wrong = Bipartition(tuple("A" for _ in range(6)))
+    wrong = ("A",) * 6
     lists = ListAssignment(tuple((1, 2, 3) for _ in range(6)))
     with pytest.raises(PreconditionError):
         list_color_sparse(hg, wrong, lists)

@@ -17,6 +17,7 @@ import pytest
 
 from hyperchoose import (
     Hypergraph,
+    core,
     ListAssignment,
     bipartition_is_valid,
     find_bipartition,
@@ -138,5 +139,8 @@ def test_cli_color_sparse_chain(capsys, tmp_path):
     check_coloring(capsys, tmp_path, "chain", "sparse", 2)  # head degree 1, plus 1
 
 
-def test_cli_color_gk_regular(capsys, tmp_path):
+def test_cli_color_gk_regular(capsys, monkeypatch, tmp_path):
+    # The pair coloring at the guaranteed cap never backtracks, so it needs
+    # no branching decision beyond one per vertex.
+    monkeypatch.setattr(core, "SEARCH_NODE_GUARD", 0)
     check_coloring(capsys, tmp_path, "regular", "gk", 3)  # ceil(2 * 3 / 3) + 1

@@ -6,7 +6,12 @@ of approximating, because these routines back every other module's
 verification.  The choosability decision enumerates adversarial list systems
 up to color permutation and up to a domination order that discards mergeable
 systems (see the lemma at ``is_f_choosable``), which keeps the search at desk
-scale despite the doubly-exponential raw space.
+scale despite the doubly-exponential raw space.  The color pairs the partial
+system covers are one int bitmask, so the domination cut is a popcount per
+candidate list; and each system that survives it is first tried with the
+previous colorable system's coloring, repaired greedily, which counts only
+after ``is_proper`` and ``ListAssignment.admits`` accept it.  The list search
+decides the rest.
 """
 
 from __future__ import annotations
@@ -48,13 +53,24 @@ class ChoosabilityVerdict:
 
 
 @lru_cache(maxsize=None)
-def _candidates(used: int, size: int) -> tuple[tuple[int, ...], ...]:
-    """size-subsets of {1..used+size} whose fresh colors form a prefix, lex order."""
+def _candidates(
+    used: int, size: int
+) -> tuple[tuple[tuple[int, ...], int, int, int], ...]:
+    """size-subsets of {1..used+size} whose fresh colors form a prefix, lex order.
+
+    Each comes as (list, pair mask, used, pairs): the bitmask of its color
+    pairs (the pair a < b is bit (b-1)(b-2)/2 + a-1), and the colors in use
+    once it is added with the number of pairs among them.
+    """
     out = []
     for comb in combinations(range(1, used + size + 1), size):
         fresh = [c for c in comb if c > used]
         if fresh == list(range(used + 1, used + 1 + len(fresh))):
-            out.append(comb)
+            mask = 0
+            for a, b in combinations(comb, 2):
+                mask |= 1 << ((b - 1) * (b - 2) // 2 + a - 1)
+            new_used = max(used, comb[-1])
+            out.append((comb, mask, new_used, new_used * (new_used - 1) // 2))
     return tuple(out)
 
 
@@ -85,8 +101,18 @@ def is_f_choosable(
     vertex-incidence sets, which determines a partial system up to color
     permutation because vertices are distinguishable.
 
+    The covered color pairs are one int bitmask with its popcount, and each
+    candidate list carries its precomputed pair mask, so the capacity cut
+    costs a popcount per candidate.  A dominant system is first tried with
+    the coloring of the previous colorable system: each vertex keeps its
+    color while its list still holds it, and every other vertex takes, in
+    index order, the first color of its list that leaves no edge
+    monochromatic.  That coloring counts only once ``is_proper`` and
+    ``admits`` accept it; otherwise the list search decides the system.
+
     The verdict is deterministic; a negative one carries the first failing
-    system in enumeration order, re-verified uncolorable before returning.
+    system in enumeration order, re-verified uncolorable by a fresh search
+    before returning.
     """
     n = hg.n
     f = tuple(f)
@@ -108,59 +134,75 @@ def is_f_choosable(
         return ChoosabilityVerdict(True, None, 0)
 
     search = _ListSearch(hg)
+    incident = [[e for e in hg.edges if v in e] for v in range(n)]
     suffix_capacity = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix_capacity[i] = suffix_capacity[i + 1] + f[i] * (f[i] - 1) // 2
 
     lists_acc: list[tuple[int, ...]] = []
-    masks: dict[int, int] = {}
-    covered: set[tuple[int, int]] = set()
+    masks = [0] * (sum(f) + 1)  # per color, the vertices whose list holds it
     memo_true: set[tuple[int, tuple[int, ...]]] = set()
     examined = 0
     witness: Optional[ListAssignment] = None
+    last: Optional[list[int]] = None  # coloring of the last colorable system
 
-    def rec(i: int, used: int) -> bool:
-        nonlocal examined, witness
+    def reuse() -> Optional[list[int]]:
+        """The last coloring, repaired greedily for the current system."""
+        color = [c if c in lv else None for c, lv in zip(last, lists_acc)]
+        for v in range(n):
+            if color[v] is None:
+                for c in lists_acc[v]:
+                    if not any(
+                        all(color[u] == c for u in e if u != v) for e in incident[v]
+                    ):
+                        color[v] = c
+                        break
+                else:
+                    return None
+        return color
+
+    def rec(i: int, used: int, covered: int, count: int) -> bool:
+        nonlocal examined, witness, last
         if i == n:
-            if used * (used - 1) // 2 > len(covered):
+            if used * (used - 1) // 2 > count:
                 return True  # a color pair never co-occurs: dominated, skip
             examined += 1
-            if search.solve(lists_acc) is None:
-                witness = ListAssignment(tuple(lists_acc))
-                return False
+            system = ListAssignment(tuple(lists_acc))
+            color = None if last is None else reuse()
+            if color is None or not is_proper(hg, color) or not system.admits(color):
+                color = search.solve(lists_acc)
+                if color is None:
+                    witness = system
+                    return False
+            last = color
             return True
-        key = (i, tuple(sorted(masks.values())))
+        # Colors 1..used all occur, so these are exactly the nonzero masks.
+        key = (i, tuple(sorted(masks[1 : used + 1])))
         if key in memo_true:
             return True
         bit = 1 << i
-        for cand in _candidates(used, f[i]):
-            new_used = max(used, cand[-1])
-            newly = [
-                p for p in combinations(cand, 2) if p not in covered
-            ]
-            if new_used * (new_used - 1) // 2 - len(covered) - len(newly) > (
-                suffix_capacity[i + 1]
-            ):
+        budget = count + suffix_capacity[i + 1]
+        uncovered = ~covered
+        for cand, mask, new_used, pairs in _candidates(used, f[i]):
+            newly = (mask & uncovered).bit_count()
+            if pairs - newly > budget:
                 continue
-            covered.update(newly)
             for c in cand:
-                masks[c] = masks.get(c, 0) | bit
+                masks[c] |= bit
             lists_acc.append(cand)
-            ok = rec(i + 1, new_used)
+            ok = rec(i + 1, new_used, covered | mask, count + newly)
             lists_acc.pop()
             for c in cand:
-                masks[c] &= ~bit
-                if not masks[c]:
-                    del masks[c]
-            covered.difference_update(newly)
+                masks[c] ^= bit
             if not ok:
                 return False
         memo_true.add(key)
         return True
 
-    if rec(0, 0):
+    if rec(0, 0, 0, 0):
         return ChoosabilityVerdict(True, None, examined)
-    assert witness is not None and search.solve(witness.lists) is None
+    if search.solve(witness.lists) is not None:
+        raise TheoremContradictionError("witness list system admits a coloring")
     return ChoosabilityVerdict(False, witness, examined)
 
 

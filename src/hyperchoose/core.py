@@ -171,7 +171,14 @@ def is_proper(hg: Hypergraph, color: Sequence[int]) -> bool:
     """True iff no edge is monochromatic under the coloring."""
     if len(color) != hg.n:
         raise ValueError("coloring must assign a color to every vertex")
-    return all(len({color[v] for v in e}) > 1 for e in hg.edges)
+    for e in hg.edges:
+        first = color[e[0]]
+        for v in e:
+            if color[v] != first:
+                break
+        else:
+            return False
+    return True
 
 
 def bipartition_is_valid(hg: Hypergraph, bip: Sequence[str]) -> bool:

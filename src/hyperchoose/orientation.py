@@ -100,13 +100,12 @@ def list_color_sparse(
 
     Requires every list to exceed the head degree of its vertex under the
     minimal orientation; uniform lists of size ceil(L) + 1 always qualify.
+    The bipartition is checked once, by :func:`reduce_to_pairgraph`.
     The pair graph is colored by the list-coloring search, which raises
     GuardExceededError after more than ``SEARCH_NODE_GUARD`` branching decisions.
     """
     if lists.n != hg.n:
         raise PreconditionError("list assignment size differs from vertex count")
-    if not bipartition_is_valid(hg, bip):
-        raise PreconditionError("bipartition is not valid for the hypergraph")
     _, phi = min_orientation(hg)
     deg = vertex_counts(hg.n, phi)
     short = [v for v in range(hg.n) if len(lists.lists[v]) < deg[v] + 1]

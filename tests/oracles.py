@@ -8,11 +8,16 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
+from typing import Optional, Sequence
 
 import sympy
 
-from hyperchoose import Hypergraph
+from hyperchoose import Hypergraph, ListAssignment
+from hyperchoose.choosability import MAX_UNIVERSE, MAX_VERTICES, ChoosabilityVerdict
+from hyperchoose.core import _ListSearch
+from hyperchoose.errors import GuardExceededError
 from hyperchoose.nullstellensatz import crossing_tree
 
 
@@ -171,3 +176,98 @@ def random_two_colorable(
         part_b = rnd.sample(range(n_a, n_a + n_b), size - take_a)
         edges.append(tuple(sorted(part_a + part_b)))
     return Hypergraph(n_a + n_b, tuple(edges)), ("A",) * n_a + ("B",) * n_b
+
+
+@lru_cache(maxsize=None)
+def _reference_candidates(used: int, size: int) -> tuple[tuple[int, ...], ...]:
+    """size-subsets of {1..used+size} whose fresh colors form a prefix, lex order."""
+    out = []
+    for comb in combinations(range(1, used + size + 1), size):
+        fresh = [c for c in comb if c > used]
+        if fresh == list(range(used + 1, used + 1 + len(fresh))):
+            out.append(comb)
+    return tuple(out)
+
+
+def reference_is_f_choosable(
+    hg: Hypergraph,
+    f: Sequence[int],
+    *,
+    max_universe: int = MAX_UNIVERSE,
+) -> ChoosabilityVerdict:
+    """``choosability.is_f_choosable`` before the pair bitmask and the reused
+    coloring: covered pairs in a set of tuples, a search at every dominant leaf."""
+    n = hg.n
+    f = tuple(f)
+    if len(f) != n:
+        raise ValueError("f must assign a list length to every vertex")
+    if any(x < 1 for x in f):
+        raise ValueError("list lengths must be positive")
+    if n > MAX_VERTICES:
+        raise GuardExceededError(f"{n} vertices exceeds the guard {MAX_VERTICES}")
+    if sum(f) > max_universe:
+        raise GuardExceededError(
+            f"color universe {sum(f)} exceeds the guard {max_universe}"
+        )
+
+    degs = hg.degrees()
+    if all(f[v] >= degs[v] + 1 for v in range(n)):
+        # Greedy repair always succeeds: coloring vertices in any order, at
+        # most deg(v) colors are excluded when v is reached.
+        return ChoosabilityVerdict(True, None, 0)
+
+    search = _ListSearch(hg)
+    suffix_capacity = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        suffix_capacity[i] = suffix_capacity[i + 1] + f[i] * (f[i] - 1) // 2
+
+    lists_acc: list[tuple[int, ...]] = []
+    masks: dict[int, int] = {}
+    covered: set[tuple[int, int]] = set()
+    memo_true: set[tuple[int, tuple[int, ...]]] = set()
+    examined = 0
+    witness: Optional[ListAssignment] = None
+
+    def rec(i: int, used: int) -> bool:
+        nonlocal examined, witness
+        if i == n:
+            if used * (used - 1) // 2 > len(covered):
+                return True  # a color pair never co-occurs: dominated, skip
+            examined += 1
+            if search.solve(lists_acc) is None:
+                witness = ListAssignment(tuple(lists_acc))
+                return False
+            return True
+        key = (i, tuple(sorted(masks.values())))
+        if key in memo_true:
+            return True
+        bit = 1 << i
+        for cand in _reference_candidates(used, f[i]):
+            new_used = max(used, cand[-1])
+            newly = [
+                p for p in combinations(cand, 2) if p not in covered
+            ]
+            if new_used * (new_used - 1) // 2 - len(covered) - len(newly) > (
+                suffix_capacity[i + 1]
+            ):
+                continue
+            covered.update(newly)
+            for c in cand:
+                masks[c] = masks.get(c, 0) | bit
+            lists_acc.append(cand)
+            ok = rec(i + 1, new_used)
+            lists_acc.pop()
+            for c in cand:
+                masks[c] &= ~bit
+                if not masks[c]:
+                    del masks[c]
+            covered.difference_update(newly)
+            if not ok:
+                return False
+        memo_true.add(key)
+        return True
+
+    if rec(0, 0):
+        return ChoosabilityVerdict(True, None, examined)
+    assert witness is not None and search.solve(witness.lists) is None
+    return ChoosabilityVerdict(False, witness, examined)

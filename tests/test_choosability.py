@@ -16,7 +16,13 @@ from hyperchoose import (
     is_f_choosable,
     is_proper,
 )
-from oracles import exhaustive_colorable, first_list_coloring, random_hypergraph
+from hyperchoose.core import _ListSearch
+from oracles import (
+    exhaustive_colorable,
+    first_list_coloring,
+    random_hypergraph,
+    reference_is_f_choosable,
+)
 
 CLASSIC_BAD = ListAssignment(((1, 2), (1, 3), (2, 3), (1, 2), (1, 3), (2, 3)))
 
@@ -214,3 +220,51 @@ def test_is_f_choosable_matches_definition_brute_force():
     k4 = Hypergraph(4, tuple(combinations(range(4), 2)))
     assert not is_f_choosable(k4, [2] * 4).choosable
     assert not brute_f_choosable(k4, [2] * 4)
+
+
+def test_is_f_choosable_matches_reference_on_random_hypergraphs():
+    # The whole verdict, lists_examined and witness included, must equal the
+    # set-of-pairs enumeration with a search at every leaf that it replaced.
+    rnd = random.Random(20261018)
+    not_choosable = 0
+    for _ in range(300):
+        n = rnd.randint(2, 7)
+        hg = random_hypergraph(rnd, n, rnd.randint(1, 2 * n), max_size=3)
+        f = [rnd.randint(1, 3) for _ in range(n)]
+        verdict = is_f_choosable(hg, f, max_universe=24)
+        assert verdict == reference_is_f_choosable(hg, f, max_universe=24), (hg, f)
+        not_choosable += not verdict.choosable
+    assert not_choosable >= 20
+
+
+@pytest.mark.parametrize(
+    "hg, k",
+    [
+        (gen_complete(2, 3, 3)[0], 2),
+        (gen_complete(2, 3, 3)[0], 3),
+        (gen_fano(), 2),
+        (gen_fano(), 3),
+        (gen_complete(3, 2, 2)[0], 2),
+    ],
+    ids=["k33-f2", "k33-f3", "fano-f2", "fano-f3", "k322-f2"],
+)
+def test_is_f_choosable_matches_reference_on_named_instances(hg, k):
+    f = [k] * hg.n
+    verdict = is_f_choosable(hg, f, max_universe=k * hg.n)
+    assert verdict == reference_is_f_choosable(hg, f, max_universe=k * hg.n)
+
+
+def test_is_f_choosable_reuses_colorings(monkeypatch):
+    # Almost every dominant system on the Fano plane is colored by repairing
+    # the previous system's coloring, not by a fresh search.
+    calls = []
+    solve = _ListSearch.solve
+
+    def counted(self, lists, **kwargs):
+        calls.append(lists)
+        return solve(self, lists, **kwargs)
+
+    monkeypatch.setattr(_ListSearch, "solve", counted)
+    verdict = is_f_choosable(gen_fano(), [3] * 7, max_universe=21)
+    assert verdict.choosable and verdict.lists_examined == 49483
+    assert len(calls) < verdict.lists_examined / 100

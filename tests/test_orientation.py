@@ -18,6 +18,7 @@ from hyperchoose import (
     is_proper,
     list_color_sparse,
     min_orientation,
+    orientation,
     orientation_is_valid,
     reduce_to_pairgraph,
     vertex_counts,
@@ -196,6 +197,22 @@ def test_list_color_sparse_rejects_bad_bipartition():
     lists = ListAssignment(tuple((1, 2, 3) for _ in range(6)))
     with pytest.raises(PreconditionError):
         list_color_sparse(hg, wrong, lists)
+
+
+def test_list_color_sparse_checks_the_bipartition_once(monkeypatch):
+    calls = []
+    check = orientation.bipartition_is_valid
+
+    def counted(hg, bip):
+        calls.append(bip)
+        return check(hg, bip)
+
+    monkeypatch.setattr(orientation, "bipartition_is_valid", counted)
+    hg, bip = gen_complete(2, 3, 3)
+    lists = ListAssignment(tuple((1, 2, 3) for _ in range(6)))
+    for expected in (1, 2):
+        list_color_sparse(hg, bip, lists)
+        assert len(calls) == expected
 
 
 def test_list_color_sparse_on_regular_instance_random_lists():

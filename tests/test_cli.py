@@ -243,12 +243,12 @@ def test_choosability_guard_exits_3(capsys, k33_path):
             "choosability_k33_f3_universe18",
             ["choosability", "K33", "--f", "3", "--max-universe", "18"],
         ),
+        ("analyze_exact_k33", ["analyze", "K33", "--exact", "--no-timing"]),
+        ("analyze_exact_fano", ["analyze", "FANO", "--exact", "--no-timing"]),
         (
             "choosability_fano_f3_universe21",
             ["choosability", "FANO", "--f", "3", "--max-universe", "21"],
         ),
-        ("analyze_exact_k33", ["analyze", "K33", "--exact", "--no-timing"]),
-        ("analyze_exact_fano", ["analyze", "FANO", "--exact", "--no-timing"]),
     ],
 )
 def test_exact_oracles_match_golden_output(capsys, k33_path, fano_path, golden, argv):

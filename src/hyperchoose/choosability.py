@@ -199,7 +199,11 @@ def is_f_choosable(
         memo_true.add(key)
         return True
 
-    if rec(0, 0, 0, 0):
+    ok = rec(0, 0, 0, 0)
+    # rec refers to itself through its closure cell; emptying the cell breaks
+    # that cycle, so the memo is freed on return, not at the next collection.
+    del rec
+    if ok:
         return ChoosabilityVerdict(True, None, examined)
     if search.solve(witness.lists) is not None:
         raise TheoremContradictionError("witness list system admits a coloring")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -487,98 +487,173 @@ def edge_vertex_flow(
     ``vertex_cap`` to the sink.  Density, orientations and degree-capped
     selections are this one network with different capacities.
 
-    Dinic's algorithm: a BFS level graph per phase, then blocking flow by a
+    The network is implicit; no arc is stored.  Each edge owns a contiguous
+    run of incidence slots, ``base[j]`` up to ``base[j + 1]``, in edge order,
+    and each slot holds the residual of its incidence arc, so the reverse arc
+    holds ``incidence_cap`` minus that.  Each vertex lists its slots in the
+    order they were created.  The source arcs are the edges' residual
+    ``supply`` and the sink arcs the vertices' ``spare`` capacity.
+
+    Dinic's algorithm: a BFS level graph per phase, then a blocking flow by a
     depth-first walk with current-arc pointers and an explicit path stack, so
-    paths of any length never recurse.  Arcs live in flat lists (``to``,
-    ``cap``) with the reverse of arc ``a`` at ``a ^ 1``.
+    paths of any length never recurse.  In the first phase every edge sits at
+    level 1, every vertex at level 2 and the sink at level 3, and no reverse
+    arc carries anything; a vertex tries the sink first, and once its spare
+    capacity is spent it is a dead end.  So the first blocking flow is a
+    greedy loop: each edge in order sends to each of its vertices in edge
+    order as much as its supply, the incidence and the vertex's spare
+    capacity allow.
+
+    The flow found, and with it every witness built from ``chosen``, depends
+    on the order in which the walk tries arcs; that order is fixed as
+    follows.  Level-1 edges start walks in edge order.  An edge tries its
+    vertices in edge order; a vertex tries the sink, then its slots in
+    creation order, each leading back to the slot's edge.  The BFS stops
+    after the first vertex level that holds a vertex with spare capacity,
+    since nodes past it lie on no shortest path; so only vertices on that
+    top level can use the sink, and their slots lead nowhere.  A walk that
+    reaches the sink augments and restarts at its level-1 edge with the
+    pointers kept, which retraces the path up to its first saturated arc.
 
     Returns the flow value, per edge the vertices whose incidence arc carries
     flow (one tuple per edge, aligned with ``hg.edges``, vertices in the
     edge's order), and the indices of the edges on the source side of the
     residual network, which is the minimal minimum cut.
     """
-    m, n = len(hg.edges), hg.n
-    # Nodes: edges 0..m-1, vertices m..m+n-1, then the source and the sink.
-    s, t = m + n, m + n + 1
-    to: list[int] = []
-    cap: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(m + n + 2)]
+    edges = hg.edges
+    m, n = len(edges), hg.n
+    vert = list(chain.from_iterable(edges))  # the vertex of each slot
+    owner = [j for j, e in enumerate(edges) for _ in e]  # the edge of each slot
+    base = list(accumulate(map(len, edges), initial=0))
+    vslots: list[list[int]] = [[] for _ in range(n)]
+    for k, v in enumerate(vert):
+        vslots[v].append(k)
+    res = [incidence_cap] * len(vert)
+    supply = [edge_cap] * m
+    spare = [vertex_cap] * n
 
-    def arc(u: int, v: int, c: int) -> None:
-        adj[u].append(len(to))
-        to.append(v)
-        cap.append(c)
-        adj[v].append(len(to))
-        to.append(u)
-        cap.append(0)
+    # The first phase's blocking flow.
+    for j, e in enumerate(edges):
+        left = edge_cap
+        for k, v in enumerate(e, base[j]):
+            d = spare[v]
+            if d > 0:
+                if d > left:
+                    d = left
+                if d > incidence_cap:
+                    d = incidence_cap
+                res[k] -= d
+                spare[v] -= d
+                left -= d
+                if not left:
+                    break
+        supply[j] = left
 
-    # Sink arcs first, so each vertex tries the sink before any edge.
-    for v in range(n):
-        arc(m + v, t, vertex_cap)
-    first: list[int] = []  # arc index of each edge's first incidence arc
-    for j, e in enumerate(hg.edges):
-        arc(s, j, edge_cap)
-        first.append(len(to))
-        for v in e:
-            arc(j, m + v, incidence_cap)
-
-    flow = 0
     while True:
-        level = [-1] * (m + n + 2)
-        level[s] = 0
-        queue = [s]
-        for u in queue:
-            if u == t:
-                break  # nodes one level past the sink lie on no shortest path
-            lv = level[u] + 1
-            for a in adj[u]:
-                if cap[a]:
-                    v = to[a]
-                    if level[v] < 0:
-                        level[v] = lv
-                        queue.append(v)
-        if level[t] < 0:
+        # Levels: edges odd, vertices even, 0 for unreached or dead.
+        lev_e = [0] * m
+        lev_v = [0] * n
+        frontier = [j for j in range(m) if supply[j] > 0]
+        for j in frontier:
+            lev_e[j] = 1
+        top = 0  # level of the vertices next to the sink, 0 if it is unreached
+        depth = 1
+        while frontier:
+            depth += 1
+            reached = []
+            for j in frontier:
+                for k in range(base[j], base[j + 1]):
+                    if res[k] > 0:
+                        v = vert[k]
+                        if not lev_v[v]:
+                            lev_v[v] = depth
+                            reached.append(v)
+            if any(spare[v] > 0 for v in reached):
+                top = depth
+                break
+            depth += 1
+            frontier = []
+            for v in reached:
+                for k in vslots[v]:
+                    if res[k] < incidence_cap:
+                        j = owner[k]
+                        if not lev_e[j]:
+                            lev_e[j] = depth
+                            frontier.append(j)
+        if not top:
             break
-        it = [0] * (m + n + 2)
-        path: list[int] = []
-        u = s
-        while True:
-            if u == t:
-                pushed = min([cap[a] for a in path])
-                cut = -1
-                for i, a in enumerate(path):
-                    cap[a] -= pushed
-                    cap[a ^ 1] += pushed
-                    if cut < 0 and not cap[a]:
-                        cut = i
-                flow += pushed
-                # Resume at the tail of the first saturated arc.
-                u = to[path[cut] ^ 1]
-                del path[cut:]
+        it_e = base[:m]  # current slot of each edge
+        it_v = [0] * n  # current position in each vertex's slot list
+        for j0 in range(m):
+            if lev_e[j0] != 1:
                 continue
-            arcs = adj[u]
-            lv = level[u] + 1
-            for i in range(it[u], len(arcs)):
-                a = arcs[i]
-                if cap[a] and level[to[a]] == lv:
-                    it[u] = i
-                    path.append(a)
-                    u = to[a]
-                    break
-            else:
-                if not path:
-                    break
-                # Dead end: no arc leads here again this phase; retreat.
-                level[u] = -1
-                u = to[path.pop() ^ 1]
-                it[u] += 1
+            path: list[int] = []  # slots: forward at even, reverse at odd positions
+            j = j0
+            while True:
+                # At edge j: advance to a vertex, or retreat from j.
+                lv = lev_e[j] + 1
+                end = base[j + 1]
+                k = it_e[j]
+                while k < end and not (res[k] > 0 and lev_v[vert[k]] == lv):
+                    k += 1
+                it_e[j] = k
+                if k < end:
+                    path.append(k)
+                    v = vert[k]
+                else:
+                    # Dead end: no arc leads here again this phase; retreat.
+                    lev_e[j] = 0
+                    if not path:
+                        break
+                    v = vert[path.pop()]
+                    it_v[v] += 1
+                # At vertex v: augment, advance to an edge, or retreat from v.
+                lv = lev_v[v]
+                if lv == top:
+                    if spare[v] > 0:
+                        fwd, rev = path[0::2], path[1::2]
+                        pushed = min(
+                            supply[j0],
+                            spare[v],
+                            *[res[k] for k in fwd],
+                            *[incidence_cap - res[k] for k in rev],
+                        )
+                        for k in fwd:
+                            res[k] -= pushed
+                        for k in rev:
+                            res[k] += pushed
+                        supply[j0] -= pushed
+                        spare[v] -= pushed
+                        if not supply[j0]:
+                            break
+                        path.clear()
+                        j = j0
+                        continue
+                else:
+                    slots = vslots[v]
+                    lv += 1
+                    i = it_v[v]
+                    end = len(slots)
+                    while i < end:
+                        k = slots[i]
+                        if res[k] < incidence_cap and lev_e[owner[k]] == lv:
+                            break
+                        i += 1
+                    it_v[v] = i
+                    if i < end:
+                        path.append(k)
+                        j = owner[k]
+                        continue
+                lev_v[v] = 0
+                j = owner[path.pop()]
+                it_e[j] += 1
 
-    # The reverse of incidence arc a holds the flow that a carries.
     chosen = [
-        tuple(v for v, a in zip(e, range(f + 1, f + 2 * len(e), 2)) if cap[a])
-        for f, e in zip(first, hg.edges)
+        tuple(v for k, v in enumerate(e, base[j]) if res[k] < incidence_cap)
+        for j, e in enumerate(edges)
     ]
-    return flow, chosen, [j for j in range(m) if level[j] >= 0]
+    value = edge_cap * m - sum(supply)
+    return value, chosen, [j for j in range(m) if lev_e[j]]
 
 
 # ---------------------------------------------------------------------------

@@ -271,3 +271,110 @@ def reference_is_f_choosable(
         return ChoosabilityVerdict(True, None, examined)
     assert witness is not None and search.solve(witness.lists) is None
     return ChoosabilityVerdict(False, witness, examined)
+
+
+def reference_edge_vertex_flow(
+    hg: Hypergraph, edge_cap: int, vertex_cap: int, incidence_cap: int
+) -> tuple[int, list[tuple[int, ...]], list[int]]:
+    """``core.edge_vertex_flow`` before the implicit network: explicit arc
+    arrays with source, sink and reverse arcs, and a DFS for every phase.
+
+    Maximum flow on the network source -> edge -> vertex -> sink.
+
+    Every edge node gets ``edge_cap`` from the source, every incidence arc
+    carries up to ``incidence_cap``, and every vertex passes at most
+    ``vertex_cap`` to the sink.  Density, orientations and degree-capped
+    selections are this one network with different capacities.
+
+    Dinic's algorithm: a BFS level graph per phase, then blocking flow by a
+    depth-first walk with current-arc pointers and an explicit path stack, so
+    paths of any length never recurse.  Arcs live in flat lists (``to``,
+    ``cap``) with the reverse of arc ``a`` at ``a ^ 1``.
+
+    Returns the flow value, per edge the vertices whose incidence arc carries
+    flow (one tuple per edge, aligned with ``hg.edges``, vertices in the
+    edge's order), and the indices of the edges on the source side of the
+    residual network, which is the minimal minimum cut.
+    """
+    m, n = len(hg.edges), hg.n
+    # Nodes: edges 0..m-1, vertices m..m+n-1, then the source and the sink.
+    s, t = m + n, m + n + 1
+    to: list[int] = []
+    cap: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(m + n + 2)]
+
+    def arc(u: int, v: int, c: int) -> None:
+        adj[u].append(len(to))
+        to.append(v)
+        cap.append(c)
+        adj[v].append(len(to))
+        to.append(u)
+        cap.append(0)
+
+    # Sink arcs first, so each vertex tries the sink before any edge.
+    for v in range(n):
+        arc(m + v, t, vertex_cap)
+    first: list[int] = []  # arc index of each edge's first incidence arc
+    for j, e in enumerate(hg.edges):
+        arc(s, j, edge_cap)
+        first.append(len(to))
+        for v in e:
+            arc(j, m + v, incidence_cap)
+
+    flow = 0
+    while True:
+        level = [-1] * (m + n + 2)
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            if u == t:
+                break  # nodes one level past the sink lie on no shortest path
+            lv = level[u] + 1
+            for a in adj[u]:
+                if cap[a]:
+                    v = to[a]
+                    if level[v] < 0:
+                        level[v] = lv
+                        queue.append(v)
+        if level[t] < 0:
+            break
+        it = [0] * (m + n + 2)
+        path: list[int] = []
+        u = s
+        while True:
+            if u == t:
+                pushed = min([cap[a] for a in path])
+                cut = -1
+                for i, a in enumerate(path):
+                    cap[a] -= pushed
+                    cap[a ^ 1] += pushed
+                    if cut < 0 and not cap[a]:
+                        cut = i
+                flow += pushed
+                # Resume at the tail of the first saturated arc.
+                u = to[path[cut] ^ 1]
+                del path[cut:]
+                continue
+            arcs = adj[u]
+            lv = level[u] + 1
+            for i in range(it[u], len(arcs)):
+                a = arcs[i]
+                if cap[a] and level[to[a]] == lv:
+                    it[u] = i
+                    path.append(a)
+                    u = to[a]
+                    break
+            else:
+                if not path:
+                    break
+                # Dead end: no arc leads here again this phase; retreat.
+                level[u] = -1
+                u = to[path.pop() ^ 1]
+                it[u] += 1
+
+    # The reverse of incidence arc a holds the flow that a carries.
+    chosen = [
+        tuple(v for v, a in zip(e, range(f + 1, f + 2 * len(e), 2)) if cap[a])
+        for f, e in zip(first, hg.edges)
+    ]
+    return flow, chosen, [j for j in range(m) if level[j] >= 0]

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -268,3 +270,18 @@ def test_is_f_choosable_reuses_colorings(monkeypatch):
     verdict = is_f_choosable(gen_fano(), [3] * 7, max_universe=21)
     assert verdict.choosable and verdict.lists_examined == 49483
     assert len(calls) < verdict.lists_examined / 100
+
+
+def test_is_f_choosable_frees_its_memo_on_return():
+    # With the cyclic collector off, memory still held after the call returns
+    # is what reference counting alone cannot free.
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert choice_number(gen_fano()) == 3
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert retained < 1_000_000

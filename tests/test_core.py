@@ -29,6 +29,7 @@ from oracles import (
     first_bipartition,
     first_list_coloring,
     random_hypergraph,
+    reference_edge_vertex_flow,
 )
 
 K33_TEXT = "p hg 6 9\n" + "".join(f"e {a} {b}\n" for a in (0, 1, 2) for b in (3, 4, 5))
@@ -207,6 +208,35 @@ def test_find_bipartition_node_guard_spares_one_decision_per_vertex(monkeypatch)
     hg = Hypergraph(50, ((0, 1),))
     bip = find_bipartition(hg)
     assert bip is not None and bipartition_is_valid(hg, bip)
+
+
+def test_edge_vertex_flow_matches_reference_on_random_hypergraphs():
+    # The whole triple, flow value, per-edge chosen vertices and cut side,
+    # must equal the explicit-arc Dinic's on every capacity shape in use:
+    # (b, a, b) below and above density 1, (1, k, 1) and (2, k, 1).
+    rnd = random.Random(13)
+    seen = {"empty": 0, "duplicate": 0, "isolated": 0}
+    for _ in range(2000):
+        n = rnd.randint(2, 12)
+        m = 0 if rnd.random() < 0.05 else rnd.randint(1, 3 * n)
+        edges = list(random_hypergraph(rnd, n, m).edges)
+        if edges and rnd.random() < 0.3:
+            edges += rnd.choices(edges, k=rnd.randint(1, 3))
+        hg = Hypergraph(n, tuple(edges))
+        seen["empty"] += not edges
+        seen["duplicate"] += len(set(edges)) < len(edges)
+        seen["isolated"] += len({v for e in edges for v in e}) < n
+        b = rnd.randint(2, 6)
+        k = rnd.randint(1, 4)
+        for caps in (
+            (b, rnd.randint(1, b - 1), b),
+            (b, rnd.randint(b + 1, 3 * b), b),
+            (1, k, 1),
+            (2, k, 1),
+        ):
+            got = core.edge_vertex_flow(hg, *caps)
+            assert got == reference_edge_vertex_flow(hg, *caps), (hg, caps)
+    assert min(seen.values()) >= 50, seen
 
 
 def test_gen_complete_counts():

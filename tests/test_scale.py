@@ -18,16 +18,20 @@ import pytest
 from hyperchoose import (
     Hypergraph,
     core,
+    degree_constrained,
+    density,
     ListAssignment,
     bipartition_is_valid,
     find_bipartition,
     gen_k_regular_k_uniform,
     is_proper,
+    orientation,
     orientation_is_valid,
     serialize_hypergraph,
 )
 from hyperchoose.cli import main
 from hyperchoose.core import _ListSearch
+from oracles import reference_edge_vertex_flow
 
 N = 3000
 DEADLINE_S = 60
@@ -88,6 +92,28 @@ def test_find_bipartition_at_scale(family):
     hg = instance(family)
     bip = find_bipartition(hg)
     assert bip is not None and bipartition_is_valid(hg, bip)
+
+
+@pytest.mark.parametrize("family", ["planted", "regular", "chain"])
+def test_edge_vertex_flow_matches_reference_at_scale(family, monkeypatch):
+    # Every capacity triple the density, orientation and selection steps run
+    # on this instance, checked against the explicit-arc Dinic's.
+    hg = instance(family)
+    flow = core.edge_vertex_flow
+    caps = []
+
+    def record(graph, *capacities):
+        caps.append(capacities)
+        return flow(graph, *capacities)
+
+    for module in (density, orientation, degree_constrained):
+        monkeypatch.setattr(module, "edge_vertex_flow", record)
+    density.density_flow(hg)
+    orientation.min_orientation(hg)
+    orientation.hall_orientation(hg, 1)
+    degree_constrained.build_selection(hg, density.bound_gk(hg) - 1)
+    for capacities in dict.fromkeys(caps):
+        assert flow(hg, *capacities) == reference_edge_vertex_flow(hg, *capacities)
 
 
 def test_chain_is_solved_by_propagation():

@@ -36,7 +36,7 @@ def color_from_lists(
     """A proper coloring with every color drawn from its vertex list, or None."""
     if lists.n != hg.n:
         raise PreconditionError("list assignment size differs from vertex count")
-    solved = _ListSearch(hg).solve(lists.lists)
+    solved = _ListSearch(hg.n, hg.edges).solve(lists.lists)
     if solved is None:
         return None
     color = tuple(solved)
@@ -133,7 +133,7 @@ def is_f_choosable(
         # most deg(v) colors are excluded when v is reached.
         return ChoosabilityVerdict(True, None, 0)
 
-    search = _ListSearch(hg)
+    search = _ListSearch(hg.n, hg.edges)
     incident = [[e for e in hg.edges if v in e] for v in range(n)]
     suffix_capacity = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -218,7 +218,7 @@ def chromatic_number(hg: Hypergraph) -> int:
         )
     if not hg.edges:
         return 1 if hg.n else 0
-    search = _ListSearch(hg)
+    search = _ListSearch(hg.n, hg.edges)
     for r in range(2, hg.n + 1):
         if search.solve([range(r)] * hg.n) is not None:
             return r

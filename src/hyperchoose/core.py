@@ -296,15 +296,17 @@ class _ListSearch:
     first coloring found is therefore the lexicographically first one (vertex
     0 most significant, each list in its own order).
 
-    The incidence index is built once and reused by every :meth:`solve` call.
+    The edges on vertices 0..n-1 are taken as given, unsorted and unchecked;
+    propagation does not depend on the order of an edge's vertices.  The
+    incidence index is built once and reused by every :meth:`solve` call.
     """
 
-    def __init__(self, hg: Hypergraph):
-        self.n = hg.n
-        self.edges = hg.edges
-        self.sizes = [len(e) for e in hg.edges]
-        self.inc: list[list[int]] = [[] for _ in range(hg.n)]
-        for j, e in enumerate(hg.edges):
+    def __init__(self, n: int, edges: Sequence[Sequence[int]]):
+        self.n = n
+        self.edges = edges
+        self.sizes = [len(e) for e in edges]
+        self.inc: list[list[int]] = [[] for _ in range(n)]
+        for j, e in enumerate(edges):
             for v in e:
                 self.inc[v].append(j)
         self.nodes = 0  # branching decisions made by the last solve
@@ -444,7 +446,8 @@ def find_bipartition(hg: Hypergraph) -> Optional[tuple[str, ...]]:
     GuardExceededError once the search has made more than
     ``SEARCH_NODE_GUARD`` branching decisions beyond one per vertex.
     """
-    side = _ListSearch(hg).solve([(SIDE_A, SIDE_B)] * hg.n, max_nodes=SEARCH_NODE_GUARD)
+    search = _ListSearch(hg.n, hg.edges)
+    side = search.solve([(SIDE_A, SIDE_B)] * hg.n, max_nodes=SEARCH_NODE_GUARD)
     return None if side is None else tuple(side)
 
 
@@ -454,14 +457,13 @@ def _color_pairs(
     """List coloring of the graph of ``pairs``, verified proper for ``hg``.
 
     The pairs hold one vertex pair per edge of ``hg``, so a coloring proper on
-    them is proper on ``hg``.  The search stops after ``SEARCH_NODE_GUARD``
+    them is proper on ``hg``; they go to the search as they are, with no
+    second validation.  The search stops after ``SEARCH_NODE_GUARD``
     branching decisions beyond one per vertex.  Callers first check that the
     lists are long enough for a coloring to exist, so a missing or improper
     one raises TheoremContradictionError.
     """
-    color = _ListSearch(Hypergraph(hg.n, pairs)).solve(
-        lists.lists, max_nodes=SEARCH_NODE_GUARD
-    )
+    color = _ListSearch(hg.n, pairs).solve(lists.lists, max_nodes=SEARCH_NODE_GUARD)
     if color is None:
         raise TheoremContradictionError(
             "pair graph admitted no list coloring despite sufficient lists"

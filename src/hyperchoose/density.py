@@ -1,10 +1,14 @@
 """Exact edge density L and the closed-form choosability upper bounds.
 
-L(H) is the maximum of |E'| / |union of E'| over nonempty edge subsets.  The
-parametric min-cut search :func:`density_flow` is the route every report
-takes; subset enumeration with bitset unions, :func:`density_exact`, is an
-independent cross-check kept behind an edge guard.  The search's one cut loop
-also finds ceil(L) for the orientations, stepping through ceilings.  All
+L(H) is the maximum of |E'| / |union of E'| over nonempty edge subsets.
+:func:`density_flow` is the route every report takes: a min-degree peel in
+O(sum of |e|) gives the density of one edge subset, a lower bound on L that
+is often L itself.  When it meets the upper bound max_degree / s, it is L;
+otherwise a parametric min-cut loop starts there, and one flow that
+saturates proves it, while a flow that falls short moves to a denser subset.
+Subset enumeration with bitset unions, :func:`density_exact`, is an
+independent cross-check kept behind an edge guard.  The one cut loop also
+finds ceil(L) for the orientations, stepping through ceilings.  All
 arithmetic is exact rational; ceilings at integer boundaries are never left
 to floating point.
 """
@@ -61,31 +65,95 @@ def _edge_mask(edge: tuple[int, ...]) -> int:
 
 
 def density_flow(hg: Hypergraph) -> Fraction:
-    """Same value as density_exact via parametric min-cut (Dinkelbach search)."""
+    """Same value as density_exact: a peel, then at most the cut loop's flows.
+
+    The peel's value is the density of an edge subset, so it is at most L,
+    and L is at most max_degree / s (see :func:`bounds`).  A peel that meets
+    that ratio is L with no flow run.  Otherwise the cut loop starts at the
+    peel's value; one flow that saturates every edge node there proves it is
+    L, and a flow that falls short moves on to a strictly denser subset.
+    """
     if not hg.edges:
         raise ValueError("density undefined for an empty edge set")
-    return _parametric_cut(hg, integral=False)[0]
+    lam = _peel_density(hg)
+    met = metrics(hg)
+    if lam == Fraction(met.max_degree, met.min_edge_size):
+        return lam
+    return _parametric_cut(hg, lam, integral=False)[0]
+
+
+def _peel_density(hg: Hypergraph) -> Fraction:
+    """The densest |E'| / |union E'| met while peeling min-degree vertices.
+
+    Greedy peeling (Charikar): repeatedly remove a vertex of least degree
+    among the remaining ones, with every edge that still contains it.  A
+    vertex whose last edge is gone has degree 0, so it leaves first, and
+    whenever a vertex of positive degree is about to go, the remaining
+    vertices are exactly the union of the remaining edges: each recorded
+    value is the density of an edge subset, at most L.  A bucket queue keyed
+    by degree holds every (degree, vertex) entry ever made; an entry whose
+    degree is out of date is skipped.  The best ratio is kept as an integer
+    pair and compared by cross-multiplication.
+    """
+    edges = hg.edges
+    deg = hg.degrees()
+    inc: list[list[int]] = [[] for _ in range(hg.n)]
+    for j, e in enumerate(edges):
+        for v in e:
+            inc[v].append(j)
+    buckets: list[list[int]] = [[] for _ in range(max(deg) + 1)]
+    for v, d in enumerate(deg):
+        buckets[d].append(v)
+    alive = [True] * len(edges)
+    live_e, live_v = len(edges), hg.n
+    best_num, best_den = 0, 1
+    d = 0
+    while live_e:
+        while not buckets[d]:
+            d += 1
+        v = buckets[d].pop()
+        if deg[v] != d:
+            continue
+        deg[v] = -1
+        if d:
+            if live_e * best_den > best_num * live_v:
+                best_num, best_den = live_e, live_v
+            for j in inc[v]:
+                if alive[j]:
+                    alive[j] = False
+                    live_e -= 1
+                    for u in edges[j]:
+                        if u != v:
+                            x = deg[u] - 1
+                            deg[u] = x
+                            buckets[x].append(u)
+                            if x < d:
+                                d = x
+        live_v -= 1
+    return Fraction(best_num, best_den)
 
 
 def _parametric_cut(
-    hg: Hypergraph, *, integral: bool
+    hg: Hypergraph, lam: Fraction, *, integral: bool
 ) -> tuple[Fraction, list[tuple[int, ...]]]:
     """L, or ceil(L) if ``integral``, with per edge the vertices its last flow used.
 
-    For a candidate density a/b, the network  source -> edge nodes (cap b),
+    ``lam`` is the first candidate: the density of some edge subset, or its
+    ceiling if ``integral``, so it is at most L (or ceil(L)).  For a
+    candidate density a/b, the network  source -> edge nodes (cap b),
     edge -> incident vertices (cap b), vertex -> sink (cap a)  has min cut
     below b*|E| iff some subset E' satisfies b|E'| - a|union E'| > 0, and the
-    source side of the cut exhibits a strictly denser subset.  An edge node
-    receives at most b, so incidence arcs of cap b act as uncapped ones: the
-    residual source side contains every vertex of its edges.  Each round
-    replaces the candidate with the density of that subset, or its ceiling,
-    so integral candidates k run the unit network (1, k, 1).  Candidates rise
-    strictly and never pass L (or ceil(L)), so the loop ends within |E| rounds.
+    source side of the cut exhibits a strictly denser subset.  A flow that
+    saturates every edge node splits each edge's b units among its vertices
+    with no vertex above a, so b|E'| <= a|union E'| for every E' and the
+    candidate is L (Goldberg).  An edge node receives at most b, so incidence
+    arcs of cap b act as uncapped ones: the residual source side contains
+    every vertex of its edges.  Each round replaces the candidate with the
+    density of that subset, or its ceiling, so integral candidates k run the
+    unit network (1, k, 1).  Candidates rise strictly and never pass L (or
+    ceil(L)), so the loop ends within |E| rounds.
     """
     m = len(hg.edges)
-    lam = Fraction(m, len({v for e in hg.edges for v in e}))
-    if integral:
-        lam = Fraction(ceil(lam))
     for _ in range(m + 1):
         a, b = lam.numerator, lam.denominator
         value, chosen, subset = edge_vertex_flow(hg, b, a, b)

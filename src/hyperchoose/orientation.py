@@ -16,6 +16,7 @@ coloring is a tuple holding one color per vertex.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional
 
 from .core import (
@@ -51,9 +52,9 @@ def min_orientation(hg: Hypergraph) -> tuple[int, tuple[int, ...]]:
 
     The minimum equals ceil(L) (Hakimi): any orientation concentrates each
     subset's edges on its own union, forcing max degree >= L, and the Hall
-    condition for cap ceil(L) holds on every subset.  The cut loop of
-    :mod:`density` starts at k = ceil(|E| / |union E|) <= ceil(L) and runs
-    the unit flow at cap k.  If the flow saturates every edge, k is the
+    condition for cap ceil(L) holds on every subset.  This starts the cut
+    loop of :mod:`density` at k = ceil(|E| / |union E|) <= ceil(L), which
+    runs the unit flow at cap k.  If the flow saturates every edge, k is the
     minimum.  Otherwise the edges E' on the residual source side span exactly
     the vertices on that side, so the cut (|E| - |E'|) + k|union E'| < |E|
     gives |E'| > k|union E'|, and the next cap is ceil(|E'| / |union E'|):
@@ -61,7 +62,9 @@ def min_orientation(hg: Hypergraph) -> tuple[int, tuple[int, ...]]:
     """
     if not hg.edges:
         raise ValueError("min_orientation undefined for an empty edge set")
-    cap, chosen = _parametric_cut(hg, integral=True)
+    union = len({v for e in hg.edges for v in e})
+    start = Fraction(-(-len(hg.edges) // union))
+    cap, chosen = _parametric_cut(hg, start, integral=True)
     k = cap.numerator
     phi = tuple(h for (h,) in chosen)
     if max(vertex_counts(hg.n, phi)) != k:

@@ -216,7 +216,7 @@ def reference_is_f_choosable(
         # most deg(v) colors are excluded when v is reached.
         return ChoosabilityVerdict(True, None, 0)
 
-    search = _ListSearch(hg)
+    search = _ListSearch(hg.n, hg.edges)
     suffix_capacity = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix_capacity[i] = suffix_capacity[i + 1] + f[i] * (f[i] - 1) // 2

@@ -190,13 +190,17 @@ def test_witness_is_reverified():
 
 
 def brute_f_choosable(hg, f):
-    """Definition-level check over every system from {1..sum f}; tiny inputs only."""
+    """Definition-level check over every system from {1..sum f}; tiny inputs only.
+
+    Each system is colored by the product-order oracle, so this check shares
+    no search with ``is_f_choosable``.
+    """
     from itertools import combinations, product
 
     universe = list(range(1, sum(f) + 1))
     per_vertex = [list(combinations(universe, fv)) for fv in f]
     for system in product(*per_vertex):
-        if color_from_lists(hg, ListAssignment(system)) is None:
+        if first_list_coloring(hg, system) is None:
             return False
     return True
 

@@ -179,7 +179,7 @@ def test_list_search_identical_lists_is_lex_first():
         order = rnd.sample(range(10), r)
         lists = [tuple(order) for _ in range(n)]
         expected = first_list_coloring(hg, lists)
-        found = core._ListSearch(hg).solve(lists)
+        found = core._ListSearch(hg.n, hg.edges).solve(lists)
         if expected is None:
             uncolorable += 1
             assert found is None
@@ -191,7 +191,7 @@ def test_list_search_identical_lists_is_lex_first():
 def test_list_search_symmetry_cut_halves_fano_refutation():
     # Without the cut, refuting a 2-coloring of the Fano plane takes 22
     # decisions; fixing vertex 0 to the first value halves that.
-    search = core._ListSearch(gen_fano())
+    search = core._ListSearch(7, gen_fano().edges)
     assert search.solve([("A", "B")] * 7) is None
     assert search.nodes == 11
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,8 +16,11 @@ from hyperchoose import (
     gen_fano,
     gen_k_regular_k_uniform,
     metrics,
+    parse_hypergraph,
 )
 from oracles import naive_density, random_hypergraph
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_density_k33():
@@ -66,16 +70,52 @@ def test_density_flow_rounds_run_exact_candidate_networks(monkeypatch):
     )
     k6 = [(u, v) for u in range(6) for v in range(u + 1, 6)]
     path = [(v, v + 1) for v in range(6, 36)]
+    k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
     cases = [
-        # 45 / 37 over the whole graph, then the K6 cut at 15 / 6 = 5 / 2.
-        (Hypergraph(37, tuple(k6 + path)), Fraction(5, 2), [(37, 45, 37), (2, 5, 2)]),
-        (gen_complete(2, 3, 3)[0], Fraction(3, 2), [(2, 3, 2)]),
-        (gen_fano(), Fraction(1), [(1, 1, 1)]),
+        # The peel reaches K6 at 15 / 6 = 5 / 2 = D / s: no flow.
+        (Hypergraph(37, tuple(k6 + path)), Fraction(5, 2), []),
+        (gen_complete(2, 3, 3)[0], Fraction(3, 2), []),
+        (gen_fano(), Fraction(1), []),
+        # K4 plus a pendant edge: the peel finds L = 6 / 4 below D / s = 2,
+        # and one flow at 3 / 2 certifies it.
+        (Hypergraph(5, tuple(k4 + [(3, 4)])), Fraction(3, 2), [(2, 3, 2)]),
+        # The peel stops at 4 / 5; the flow there cuts off the 5 / 6 part.
+        (
+            random_hypergraph(random.Random(27), 8, 6),
+            Fraction(5, 6),
+            [(5, 4, 5), (6, 5, 6)],
+        ),
+        # The golden input that keeps the flows in the CLI's golden tests.
+        (
+            parse_hypergraph((GOLDEN / "peel_miss.hgr").read_text()),
+            Fraction(3, 2),
+            [(3, 4, 3), (2, 3, 2)],
+        ),
     ]
     for hg, lam, caps in cases:
         calls.clear()
         assert density_flow(hg) == lam
         assert calls == caps
+
+
+def test_peel_bounds_density_and_flow_matches_exact():
+    # The peel's value is the density of an edge subset, so never above L;
+    # every route out of density_flow must occur.
+    rnd = random.Random(2026)
+    below = degree_exit = one_flow = 0
+    for _ in range(2000):
+        hg = random_hypergraph(rnd, rnd.randint(2, 10), rnd.randint(1, 12))
+        peel = density._peel_density(hg)
+        exact = density_exact(hg)
+        assert peel <= exact == density_flow(hg), hg
+        met = metrics(hg)
+        if peel < exact:
+            below += 1
+        elif peel == Fraction(met.max_degree, met.min_edge_size):
+            degree_exit += 1
+        else:
+            one_flow += 1
+    assert below >= 40 and degree_exit >= 300 and one_flow >= 1000
 
 
 def test_density_guard():

@@ -116,8 +116,22 @@ def test_edge_vertex_flow_matches_reference_at_scale(family, monkeypatch):
         assert flow(hg, *capacities) == reference_edge_vertex_flow(hg, *capacities)
 
 
+@pytest.mark.parametrize("family, flows", [("planted", 1), ("regular", 0)])
+def test_density_flow_runs_at_most_one_flow(family, flows, monkeypatch):
+    # The peel finds L on both; on the regular instance it meets D / s = 1,
+    # and on the planted one a single flow certifies it.
+    hg = instance(family)
+    flow = core.edge_vertex_flow
+    caps = []
+    monkeypatch.setattr(
+        density, "edge_vertex_flow", lambda g, *c: caps.append(c) or flow(g, *c)
+    )
+    density.density_flow(hg)
+    assert len(caps) == flows
+
+
 def test_chain_is_solved_by_propagation():
-    search = _ListSearch(instance("chain"))
+    search = _ListSearch(N, instance("chain").edges)
     assert search.solve([("A", "B")] * N) is not None
     assert search.nodes == 1  # vertex 0 is a decision; propagation sets the rest
 

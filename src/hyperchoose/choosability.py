@@ -10,7 +10,7 @@ scale despite the doubly-exponential raw space.  The color pairs the partial
 system covers are one int bitmask, so the domination cut is a popcount per
 candidate list; and each system that survives it is first tried with the
 previous colorable system's coloring, repaired greedily, which counts only
-after ``is_proper`` and ``ListAssignment.admits`` accept it.  The list search
+after ``is_proper`` accepts it and its lists admit it.  The list search
 decides the rest.
 """
 
@@ -107,8 +107,10 @@ def is_f_choosable(
     the coloring of the previous colorable system: each vertex keeps its
     color while its list still holds it, and every other vertex takes, in
     index order, the first color of its list that leaves no edge
-    monochromatic.  That coloring counts only once ``is_proper`` and
-    ``admits`` accept it; otherwise the list search decides the system.
+    monochromatic.  That coloring counts only once ``is_proper`` accepts it
+    and every vertex's color is in its list; otherwise the list search
+    decides the system.  The systems are plain tuples of sorted lists, and a
+    ``ListAssignment`` is built only for the witness.
 
     The verdict is deterministic; a negative one carries the first failing
     system in enumeration order, re-verified uncolorable by a fresh search
@@ -167,12 +169,15 @@ def is_f_choosable(
             if used * (used - 1) // 2 > count:
                 return True  # a color pair never co-occurs: dominated, skip
             examined += 1
-            system = ListAssignment(tuple(lists_acc))
             color = None if last is None else reuse()
-            if color is None or not is_proper(hg, color) or not system.admits(color):
+            if (
+                color is None
+                or not is_proper(hg, color)
+                or not all(c in lv for c, lv in zip(color, lists_acc))
+            ):
                 color = search.solve(lists_acc)
                 if color is None:
-                    witness = system
+                    witness = ListAssignment(tuple(lists_acc))
                     return False
             last = color
             return True

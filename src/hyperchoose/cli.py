@@ -10,6 +10,7 @@ byte-identical JSON once timing is suppressed with --no-timing.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -26,7 +27,6 @@ from .core import (
     gen_complete,
     gen_fano,
     gen_k_regular_k_uniform,
-    metrics,
     parse_hypergraph,
     serialize_hypergraph,
     validate,
@@ -79,8 +79,8 @@ def cmd_analyze(args) -> int:
     hg, raw = _load_hypergraph(args.path)
     if not hg.edges:
         raise HgrFormatError("hypergraph has no edges; nothing to analyze")
-    met = metrics(hg)
     bounds = density.bounds(hg)
+    met = bounds.metrics
     report = {
         "schema_version": SCHEMA_VERSION,
         "digest": hashlib.sha256(raw).hexdigest(),
@@ -370,8 +370,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every main() call in this process shares, built on first use.
+
+    Parsing leaves the parser unchanged and returns a fresh namespace, so one
+    parser serves any number of calls.  Its defaults bind each subcommand to
+    its ``cmd_*`` function when it is built.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except GuardExceededError as exc:

@@ -54,6 +54,19 @@ class Hypergraph:
             norm.append(e)
         object.__setattr__(self, "edges", tuple(norm))
 
+    @classmethod
+    def _checked(cls, n: int, edges: tuple[tuple[int, ...], ...]) -> "Hypergraph":
+        """A hypergraph over edges the caller has already normalized and checked.
+
+        Each edge must be a sorted tuple of at least two distinct vertices in
+        0..n-1, and n nonnegative: the invariants ``__post_init__`` enforces,
+        which this constructor does not check again.
+        """
+        hg = object.__new__(cls)
+        object.__setattr__(hg, "n", n)
+        object.__setattr__(hg, "edges", edges)
+        return hg
+
     def degrees(self) -> list[int]:
         """Per-vertex degree, counting duplicate edges with multiplicity."""
         return vertex_counts(self.n, chain.from_iterable(self.edges))
@@ -211,50 +224,60 @@ def validate(hg: Hypergraph) -> list[str]:
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
-    """Parse an HGR document, rejecting malformed input with a line number."""
+    """Parse an HGR document, rejecting malformed input with a line number.
+
+    Each line is split once.  Each edge is sorted and checked once, here,
+    and the hypergraph is built from the checked edges without a second
+    check.  An edge with several vertices out of range reports the first of
+    them in line order.
+    """
     n = None
     declared = None
     edges: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
-        if tokens[0] == "p":
-            if n is not None:
-                raise HgrFormatError("duplicate header line", lineno)
-            if len(tokens) != 4 or tokens[1] != "hg":
-                raise HgrFormatError(f"malformed header {line!r}", lineno)
-            try:
-                n, declared = int(tokens[2]), int(tokens[3])
-            except ValueError:
-                raise HgrFormatError(f"non-integer header field in {line!r}", lineno)
-            if n < 0 or declared < 0:
-                raise HgrFormatError("negative count in header", lineno)
-        elif tokens[0] == "e":
+        kind = tokens[0]
+        if kind == "e":
             if n is None:
                 raise HgrFormatError("edge line before header", lineno)
             try:
-                verts = [int(t) for t in tokens[1:]]
+                e = tuple(sorted(map(int, tokens[1:])))
             except ValueError:
-                raise HgrFormatError(f"non-integer vertex in {line!r}", lineno)
-            if len(verts) < 2:
+                raise HgrFormatError(f"non-integer vertex in {raw.strip()!r}", lineno)
+            if len(e) < 2:
                 raise HgrFormatError("edge of size < 2", lineno)
-            if len(set(verts)) != len(verts):
+            if len(set(e)) != len(e):
                 raise HgrFormatError("duplicate vertex in edge", lineno)
-            for v in verts:
-                if v < 0 or v >= n:
-                    raise HgrFormatError(f"vertex index {v} outside 0..{n - 1}", lineno)
-            edges.append(tuple(sorted(verts)))
+            if e[0] < 0 or e[-1] >= n:
+                v = next(v for v in map(int, tokens[1:]) if v < 0 or v >= n)
+                raise HgrFormatError(f"vertex index {v} outside 0..{n - 1}", lineno)
+            edges.append(e)
+        elif kind.startswith("c"):
+            continue
+        elif kind == "p":
+            if n is not None:
+                raise HgrFormatError("duplicate header line", lineno)
+            if len(tokens) != 4 or tokens[1] != "hg":
+                raise HgrFormatError(f"malformed header {raw.strip()!r}", lineno)
+            try:
+                n, declared = int(tokens[2]), int(tokens[3])
+            except ValueError:
+                raise HgrFormatError(
+                    f"non-integer header field in {raw.strip()!r}", lineno
+                )
+            if n < 0 or declared < 0:
+                raise HgrFormatError("negative count in header", lineno)
         else:
-            raise HgrFormatError(f"unknown line type {tokens[0]!r}", lineno)
+            raise HgrFormatError(f"unknown line type {kind!r}", lineno)
     if n is None:
         raise HgrFormatError("missing header line")
     if len(edges) != declared:
         raise HgrFormatError(
             f"header declares {declared} edges but document has {len(edges)}"
         )
-    return Hypergraph(n, tuple(edges))
+    return Hypergraph._checked(n, tuple(edges))
 
 
 def serialize_hypergraph(hg: Hypergraph) -> str:

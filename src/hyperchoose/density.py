@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from .core import Hypergraph, edge_vertex_flow, find_bipartition, metrics
+from .core import Hypergraph, Metrics, edge_vertex_flow, find_bipartition, metrics
 from .errors import GuardExceededError, TheoremContradictionError
 
 EXACT_EDGE_GUARD = 24
@@ -69,20 +69,21 @@ def density_flow(hg: Hypergraph) -> Fraction:
 
     The peel's value is the density of an edge subset, so it is at most L,
     and L is at most max_degree / s (see :func:`bounds`).  A peel that meets
-    that ratio is L with no flow run.  Otherwise the cut loop starts at the
-    peel's value; one flow that saturates every edge node there proves it is
-    L, and a flow that falls short moves on to a strictly denser subset.
+    that ratio is L with no flow run; the peel counts the degrees, so the
+    ratio costs one more pass over the edge sizes only.  Otherwise the cut
+    loop starts at the peel's value; one flow that saturates every edge node
+    there proves it is L, and a flow that falls short moves on to a strictly
+    denser subset.
     """
     if not hg.edges:
         raise ValueError("density undefined for an empty edge set")
-    lam = _peel_density(hg)
-    met = metrics(hg)
-    if lam == Fraction(met.max_degree, met.min_edge_size):
+    lam, max_degree = _peel_density(hg)
+    if lam == Fraction(max_degree, min(map(len, hg.edges))):
         return lam
     return _parametric_cut(hg, lam, integral=False)[0]
 
 
-def _peel_density(hg: Hypergraph) -> Fraction:
+def _peel_density(hg: Hypergraph) -> tuple[Fraction, int]:
     """The densest |E'| / |union E'| met while peeling min-degree vertices.
 
     Greedy peeling (Charikar): repeatedly remove a vertex of least degree
@@ -93,15 +94,17 @@ def _peel_density(hg: Hypergraph) -> Fraction:
     value is the density of an edge subset, at most L.  A bucket queue keyed
     by degree holds every (degree, vertex) entry ever made; an entry whose
     degree is out of date is skipped.  The best ratio is kept as an integer
-    pair and compared by cross-multiplication.
+    pair and compared by cross-multiplication.  Returns it with the max
+    degree.
     """
     edges = hg.edges
     deg = hg.degrees()
+    max_degree = max(deg)
     inc: list[list[int]] = [[] for _ in range(hg.n)]
     for j, e in enumerate(edges):
         for v in e:
             inc[v].append(j)
-    buckets: list[list[int]] = [[] for _ in range(max(deg) + 1)]
+    buckets: list[list[int]] = [[] for _ in range(max_degree + 1)]
     for v, d in enumerate(deg):
         buckets[d].append(v)
     alive = [True] * len(edges)
@@ -130,7 +133,7 @@ def _peel_density(hg: Hypergraph) -> Fraction:
                             if x < d:
                                 d = x
         live_v -= 1
-    return Fraction(best_num, best_den)
+    return Fraction(best_num, best_den), max_degree
 
 
 def _parametric_cut(
@@ -176,6 +179,7 @@ class Bounds:
     ``sparse`` = ceil(L) + 1 and ``degree`` = ceil(max_degree / min_size) + 1
     bound the choice number only when ``two_colorable``; ``gk`` =
     ceil(2 * max_degree / min_size) + 1 holds for every hypergraph.
+    ``metrics`` are the ones every bound was computed from.
     """
 
     density: Fraction
@@ -183,10 +187,11 @@ class Bounds:
     sparse: int
     degree: int
     gk: int
+    metrics: Metrics
 
 
 def bounds(hg: Hypergraph) -> Bounds:
-    """Solve L once (min-cut search) and 2-colorability once, then every bound.
+    """Solve L, 2-colorability and the metrics once each, then every bound.
 
     ``degree`` is never below ``sparse`` because L <= max_degree / s:
     counting incidences, |E'| * s <= sum of |e| <= |union E'| * max_degree.
@@ -201,11 +206,15 @@ def bounds(hg: Hypergraph) -> Bounds:
         two_colorable=find_bipartition(hg) is not None,
         sparse=ceil(lam) + 1,
         degree=ratio + 1,
-        gk=bound_gk(hg),
+        gk=_gk(met),
+        metrics=met,
     )
 
 
 def bound_gk(hg: Hypergraph) -> int:
     """ceil(2 * max_degree / min_edge_size) + 1; valid for arbitrary hypergraphs."""
-    met = metrics(hg)
+    return _gk(metrics(hg))
+
+
+def _gk(met: Metrics) -> int:
     return ceil(Fraction(2 * met.max_degree, met.min_edge_size)) + 1

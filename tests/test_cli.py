@@ -14,7 +14,7 @@ import pytest
 
 import hyperchoose
 from hyperchoose import gen_complete, gen_fano, is_proper, parse_hypergraph, serialize_hypergraph, vertex_counts
-from hyperchoose import choosability, degree_constrained, density, find_bipartition, nullstellensatz, orientation
+from hyperchoose import choosability, cli, core, degree_constrained, density, find_bipartition, nullstellensatz, orientation
 from hyperchoose.cli import build_parser, main
 from hyperchoose.errors import TheoremContradictionError
 from oracles import random_two_colorable, sympy_target_coefficient
@@ -593,6 +593,68 @@ def test_internal_error_exits_6(capsys, monkeypatch, k33_path):
     assert captured.err == (
         "error: internal: TheoremContradictionError: parametric search failed to improve\n"
     )
+
+
+def test_analyze_computes_metrics_once(capsys, monkeypatch, k33_path, fano_path):
+    # Wrapped at every package attribute that refers to it, so no caller of
+    # metrics escapes the count.
+    calls = []
+    metrics = core.metrics
+    targets = [
+        (module, attr)
+        for name, module in sys.modules.items()
+        if name == "hyperchoose" or name.startswith("hyperchoose.")
+        for attr, value in vars(module).items()
+        if value is metrics
+    ]
+    assert len(targets) >= 2
+    for module, attr in targets:
+        monkeypatch.setattr(module, attr, lambda hg: calls.append(hg) or metrics(hg))
+    for path in (k33_path, fano_path, str(GOLDEN / "peel_miss.hgr")):
+        calls.clear()
+        code, _ = run(capsys, "analyze", path, "--no-timing")
+        assert code == 0 and len(calls) == 1, path
+
+
+def fresh_run(capsys, *argv):
+    """One command through a newly built parser, as the first main() call runs it."""
+    args = build_parser().parse_args(list(argv))
+    return args.func(args), capsys.readouterr().out
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch, tmp_path, k33_path):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+
+    golden = {name: (GOLDEN / f"{name}.json").read_text() for name in (
+        "orient_k33_k2", "orient_k33", "color_k33_gk", "selection_k33_gk"
+    )}
+    assert run(capsys, "orient", k33_path, "--k", "2") == (0, golden["orient_k33_k2"])
+    assert run(capsys, "orient", k33_path) == (0, golden["orient_k33"])
+
+    lists = lists_file(tmp_path, K33_LISTS_GK)
+    sel = tmp_path / "selection.json"
+    gk = ["color", k33_path, lists, "--method", "gk"]
+    assert run(capsys, *gk, "--selection", str(sel)) == (0, golden["color_k33_gk"])
+    assert sel.read_text() == golden["selection_k33_gk"]
+    sel.unlink()
+    before = sorted(tmp_path.iterdir())
+    assert run(capsys, *gk) == (0, golden["color_k33_gk"])
+    assert sorted(tmp_path.iterdir()) == before  # no --selection: no file written
+
+    lower = ["dense", "lower-bound", "--s", "2", "--l", "2", "--t", "6", "--trials", "200"]
+    seeded = run(capsys, *lower, "--seed", "3")
+    assert seeded[0] == 0 and seeded == fresh_run(capsys, *lower, "--seed", "3")
+    monkeypatch.setenv("HYPERCHOOSE_SEED", "3")
+    assert run(capsys, *lower) == seeded == fresh_run(capsys, *lower)
+
+    with pytest.raises(SystemExit) as exc:
+        main(["orient", k33_path, "--k", "two"])
+    assert exc.value.code == 2 and "--k" in capsys.readouterr().err
+    assert run(capsys, "orient", k33_path) == (0, golden["orient_k33"])
+    assert len(builds) == 1
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

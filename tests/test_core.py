@@ -50,33 +50,67 @@ def test_parse_comments_and_ordering():
     assert hg.edges == ((0, 3), (1, 2))
 
 
+# (document, fragment, the full message).  The fragment keeps each case's id.
+MALFORMED = [
+    ("p hg 2 1\ne 0 0\n", "duplicate vertex", "line 2: duplicate vertex in edge"),
+    ("p hg 2 1\ne 0\n", "size < 2", "line 2: edge of size < 2"),
+    ("p hg 2 1\ne 0 2\n", "outside", "line 2: vertex index 2 outside 0..1"),
+    ("p hg 2 1\ne 0 -1\n", "outside", "line 2: vertex index -1 outside 0..1"),
+    ("e 0 1\n", "before header", "line 1: edge line before header"),
+    ("p hg 2 2\ne 0 1\n", "declares 2 edges", "header declares 2 edges but document has 1"),
+    ("p hg 2 1\ne 0 1\np hg 2 1\n", "duplicate header", "line 3: duplicate header line"),
+    ("p hg 2 1\nq 0 1\n", "unknown line", "line 2: unknown line type 'q'"),
+    ("p graph 2 1\ne 0 1\n", "malformed header", "line 1: malformed header 'p graph 2 1'"),
+    ("", "missing header", "missing header line"),
+    # The first vertex out of range in line order, not in sorted order.
+    ("p hg 2 1\ne 5 -1\n", "outside", "line 2: vertex index 5 outside 0..1"),
+    ("p hg 3 1\ne\t5\t0\n", "tab-separated", "line 2: vertex index 5 outside 0..2"),
+    ("p hg 3 1\n \t \ne 0 3\n", "whitespace-only line", "line 3: vertex index 3 outside 0..2"),
+    ("p hg 3 2\r\ne 2 0\r\ne 1\r\n", "CRLF", "line 3: edge of size < 2"),
+    ("p hg 3 1\ncx 1 2\ne 0 0\n", "cx comment", "line 3: duplicate vertex in edge"),
+    ("cx\np hg 2 1\n\n  e 0 x  \n", "non-integer vertex", "line 4: non-integer vertex in 'e 0 x'"),
+    (" p hg x 1\n", "non-integer header", "line 1: non-integer header field in 'p hg x 1'"),
+    ("p hg -1 0\n", "negative count", "line 1: negative count in header"),
+    ("p  hg 2  1 extra \n", "malformed header", "line 1: malformed header 'p  hg 2  1 extra'"),
+    ("p hg 2 1\n\x0cq\n", "form feed", "line 3: unknown line type 'q'"),
+]
+
+
 @pytest.mark.parametrize(
-    "text,fragment",
-    [
-        ("p hg 2 1\ne 0 0\n", "duplicate vertex"),
-        ("p hg 2 1\ne 0\n", "size < 2"),
-        ("p hg 2 1\ne 0 2\n", "outside"),
-        ("p hg 2 1\ne 0 -1\n", "outside"),
-        ("e 0 1\n", "before header"),
-        ("p hg 2 2\ne 0 1\n", "declares 2 edges"),
-        ("p hg 2 1\ne 0 1\np hg 2 1\n", "duplicate header"),
-        ("p hg 2 1\nq 0 1\n", "unknown line"),
-        ("p graph 2 1\ne 0 1\n", "malformed header"),
-        ("", "missing header"),
-    ],
+    "text,message", [(t, m) for t, _, m in MALFORMED], ids=[f"{t}-{f}" for t, f, _ in MALFORMED]
 )
-def test_parse_rejects_malformed(text, fragment):
+def test_parse_rejects_malformed(text, message):
     with pytest.raises(HgrFormatError) as err:
         parse_hypergraph(text)
-    assert fragment in str(err.value)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p hg 3 1\ne\t2\t0\n",
+        "p hg 3 1\n \t \ne 2 0\n",
+        "p hg 3 1\r\ne 2 0\r\n",
+        "p hg 3 1\ncx 1 2\n  e 0  2 \n",
+    ],
+    ids=["tab-separated", "whitespace-only line", "CRLF", "cx comment"],
+)
+def test_parse_accepts_any_whitespace_and_comment(text):
+    hg = parse_hypergraph(text)
+    assert hg.n == 3 and hg.edges == ((0, 2),)
 
 
 def test_roundtrip_reproduces_edges():
+    # The parser builds its hypergraph without the constructor's checks; on
+    # seeded instances it still equals the original, with the same n and
+    # edge order, and its edges pass the public constructor unchanged.
     rnd = random.Random(42)
-    for _ in range(25):
-        hg = random_hypergraph(rnd, rnd.randint(2, 9), rnd.randint(1, 8))
+    for _ in range(200):
+        n = rnd.randint(2, 40)
+        hg = random_hypergraph(rnd, n, rnd.randint(0, 3 * n))
         again = parse_hypergraph(serialize_hypergraph(hg))
-        assert again.n == hg.n and again.edges == hg.edges
+        assert again == hg and again.n == hg.n and again.edges == hg.edges
+        assert Hypergraph(again.n, again.edges).edges == again.edges
         assert serialize_hypergraph(again) == serialize_hypergraph(hg)
 
 
@@ -317,6 +351,22 @@ def test_validate_flags_duplicates():
 LOOSE = Hypergraph(5, ((0, 1, 2), (1, 2, 3)))
 LOOSE_SIDES = ("A", "A", "B", "A", "A")
 BAD_SIDES = [("A", "A", "B", "A", "C"), ("A", "A", "B", "A"), ("A", "A", "A", "B", "A")]
+
+
+@pytest.mark.parametrize(
+    "n,edges,message",
+    [
+        (-1, (), "vertex count must be nonnegative"),
+        (3, ((0,),), "edge (0,) has size < 2"),
+        (3, ((1, 0, 1),), "duplicate vertex in edge (0, 1, 1)"),
+        (3, ((2, 3),), "edge (2, 3) has a vertex outside 0..2"),
+        (3, ((0, -1),), "edge (-1, 0) has a vertex outside 0..2"),
+    ],
+)
+def test_public_constructor_checks_every_edge(n, edges, message):
+    with pytest.raises(ValueError) as err:
+        Hypergraph(n, ((0, 1),) + edges if n > 0 else edges)
+    assert str(err.value) == message
 
 
 def test_constructor_invariants():

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain, combinations, compress
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -107,14 +107,23 @@ class ListAssignment:
         norm = []
         for i, lv in enumerate(self.lists):
             lv = tuple(sorted(lv))
-            if not lv:
-                raise ValueError(f"vertex {i}: empty color list")
-            if len(set(lv)) != len(lv):
-                raise ValueError(f"vertex {i}: duplicate color in list {lv}")
-            if lv[0] < 0:
-                raise ValueError(f"vertex {i}: negative color in list {lv}")
+            fault = _list_fault(i, lv)
+            if fault:
+                raise ValueError(fault)
             norm.append(lv)
         object.__setattr__(self, "lists", tuple(norm))
+
+    @classmethod
+    def _checked(cls, lists: tuple[tuple[int, ...], ...]) -> "ListAssignment":
+        """A list assignment over lists the caller has already sorted and checked.
+
+        Each list must be a sorted tuple of distinct nonnegative integers and
+        not empty: the invariants ``__post_init__`` enforces, which this
+        constructor does not check again.
+        """
+        la = object.__new__(cls)
+        object.__setattr__(la, "lists", lists)
+        return la
 
     @property
     def n(self) -> int:
@@ -142,21 +151,49 @@ class ListAssignment:
             lists = doc["lists"]
         except (TypeError, KeyError) as exc:
             raise HgrFormatError(f"list assignment document missing field: {exc}")
-        if not _is_int(n) or not isinstance(lists, list) or not all(
-            isinstance(lv, list) and all(_is_int(c) for c in lv) for lv in lists
-        ):
-            raise HgrFormatError(
-                "list assignment needs an integer n and lists of integer colors"
-            )
+        types = "list assignment needs an integer n and lists of integer colors"
+        if not _is_int(n) or not isinstance(lists, list):
+            raise HgrFormatError(types)
+        # One pass checks and sorts each list.  A type fault anywhere, then a
+        # count mismatch, takes precedence over the first list's value fault.
+        # Plain ints pass on their types alone; any other type, such as a
+        # subclass of int, goes through _is_int.
+        norm = []
+        fault = None
+        for i, lv in enumerate(lists):
+            if not isinstance(lv, list) or not (
+                set(map(type, lv)) <= _INT or all(map(_is_int, lv))
+            ):
+                raise HgrFormatError(types)
+            lv = tuple(sorted(lv))
+            if fault is None:
+                fault = _list_fault(i, lv)
+            norm.append(lv)
         if len(lists) != n:
             raise HgrFormatError(
                 f"list assignment declares n={n} but carries {len(lists)} lists"
             )
-        return cls(tuple(tuple(lv) for lv in lists))
+        if fault:
+            raise ValueError(fault)
+        return cls._checked(tuple(norm))
+
+
+_INT = {int}
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _list_fault(i: int, lv: tuple[int, ...]) -> Optional[str]:
+    """Why vertex i's sorted color list ``lv`` is invalid, or None if it is valid."""
+    if not lv:
+        return f"vertex {i}: empty color list"
+    if len(set(lv)) != len(lv):
+        return f"vertex {i}: duplicate color in list {lv}"
+    if lv[0] < 0:
+        return f"vertex {i}: negative color in list {lv}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -519,7 +556,7 @@ def edge_vertex_flow(
     order they were created.  The source arcs are the edges' residual
     ``supply`` and the sink arcs the vertices' ``spare`` capacity.
 
-    Dinic's algorithm: a BFS level graph per phase, then a blocking flow by a
+    Dinic's algorithm: a level graph per phase, then a blocking flow by a
     depth-first walk with current-arc pointers and an explicit path stack, so
     paths of any length never recurse.  In the first phase every edge sits at
     level 1, every vertex at level 2 and the sink at level 3, and no reverse
@@ -529,15 +566,29 @@ def edge_vertex_flow(
     order as much as its supply, the incidence and the vertex's spare
     capacity allow.
 
+    Each later level graph holds only the nodes on a shortest augmenting
+    path.  A bidirectional search finds them: one side grows layers from the
+    edges with supply left, the other grows layers back over residual arcs
+    from the vertices with spare capacity, and each step grows the side with
+    the smaller frontier by one whole layer.  The search stops at the first
+    layer where the sides meet, which fixes the shortest path length.  A
+    sweep back from the meeting nodes keeps the source-side nodes that lead
+    to them; a sink-side node keeps the level its distance to the sink gives
+    it, and the walk never reaches one that lies on no shortest path.  When
+    the sides never meet, the source side runs to the end, and the edges it
+    reached are the cut.  A node on no shortest path is a dead end for the
+    whole phase, since augmenting only removes level arcs and adds arcs one
+    level down; the walk would enter it, find nothing and retreat without
+    changing a residual.  So leaving it out changes neither the paths nor
+    their order.
+
     The flow found, and with it every witness built from ``chosen``, depends
     on the order in which the walk tries arcs; that order is fixed as
     follows.  Level-1 edges start walks in edge order.  An edge tries its
     vertices in edge order; a vertex tries the sink, then its slots in
-    creation order, each leading back to the slot's edge.  The BFS stops
-    after the first vertex level that holds a vertex with spare capacity,
-    since nodes past it lie on no shortest path; so only vertices on that
-    top level can use the sink, and their slots lead nowhere.  A walk that
-    reaches the sink augments and restarts at its level-1 edge with the
+    creation order, each leading back to the slot's edge.  Only vertices on
+    the top level can use the sink, and their slots lead nowhere.  A walk
+    that reaches the sink augments and restarts at its level-1 edge with the
     pointers kept, which retraces the path up to its first saturated arc.
 
     Returns the flow value, per edge the vertices whose incidence arc carries
@@ -574,44 +625,115 @@ def edge_vertex_flow(
                     break
         supply[j] = left
 
+    top = m + n + 2  # the level of the vertices next to the sink
     while True:
-        # Levels: edges odd, vertices even, 0 for unreached or dead.
+        # Labels: -d at distance d from the source, top - d at distance d
+        # from the sink side's first layer, 0 for unreached or dead.  Edges
+        # lie at odd, vertices at even distance from the source.
         lev_e = [0] * m
         lev_v = [0] * n
-        frontier = [j for j in range(m) if supply[j] > 0]
-        for j in frontier:
-            lev_e[j] = 1
-        top = 0  # level of the vertices next to the sink, 0 if it is unreached
-        depth = 1
-        while frontier:
-            depth += 1
-            reached = []
-            for j in frontier:
-                for k in range(base[j], base[j + 1]):
-                    if res[k] > 0:
-                        v = vert[k]
-                        if not lev_v[v]:
-                            lev_v[v] = depth
-                            reached.append(v)
-            if any(spare[v] > 0 for v in reached):
-                top = depth
-                break
-            depth += 1
-            frontier = []
-            for v in reached:
-                for k in vslots[v]:
-                    if res[k] < incidence_cap:
-                        j = owner[k]
-                        if not lev_e[j]:
-                            lev_e[j] = depth
-                            frontier.append(j)
-        if not top:
+        sf = list(compress(range(m), supply))  # the source side's frontier
+        for j in sf:
+            lev_e[j] = -1
+        tf = list(compress(range(n), spare))  # the sink side's frontier
+        for v in tf:
+            lev_v[v] = top
+        ds, dt = 1, 0  # the distance of each frontier
+        met: list[int] = []  # source-side nodes at distance ds on a shortest path
+        while sf and not met:
+            new = []
+            if tf and len(tf) < len(sf):
+                # Back from the sink.  A node the source side reached meets it.
+                dt += 1
+                lv = top - dt
+                if dt % 2:
+                    for v in tf:
+                        for k in vslots[v]:
+                            if res[k] > 0:
+                                j = owner[k]
+                                x = lev_e[j]
+                                if x <= 0:
+                                    lev_e[j] = lv
+                                    if x:
+                                        met.append(j)
+                                    else:
+                                        new.append(j)
+                else:
+                    for j in tf:
+                        for k in range(base[j], base[j + 1]):
+                            if res[k] < incidence_cap:
+                                v = vert[k]
+                                x = lev_v[v]
+                                if x <= 0:
+                                    lev_v[v] = lv
+                                    if x:
+                                        met.append(v)
+                                    else:
+                                        new.append(v)
+                tf = new
+            else:
+                # On from the source.  A frontier node that reaches the sink
+                # side meets it, and its later arcs need no look.
+                lv = top - dt - 1
+                d = -ds - 1
+                if ds % 2:
+                    for j in sf:
+                        for k in range(base[j], base[j + 1]):
+                            if res[k] > 0:
+                                v = vert[k]
+                                x = lev_v[v]
+                                if not x:
+                                    lev_v[v] = d
+                                    new.append(v)
+                                elif x > 0:
+                                    lev_e[j] = lv
+                                    met.append(j)
+                                    break
+                else:
+                    for v in sf:
+                        for k in vslots[v]:
+                            if res[k] < incidence_cap:
+                                j = owner[k]
+                                x = lev_e[j]
+                                if not x:
+                                    lev_e[j] = d
+                                    new.append(j)
+                                elif x > 0:
+                                    lev_v[v] = lv
+                                    met.append(v)
+                                    break
+                if not met:
+                    ds += 1
+                    sf = new
+        if not met:
             break
+        # Keep the source-side nodes that lead to a meeting node: sweep back
+        # from them, one distance at a time, relabelling each kept node
+        # top - (the distance to the sink side's first layer).
+        while ds > 1:
+            ds -= 1
+            lv -= 1
+            new = []
+            if ds % 2:
+                for v in met:
+                    for k in vslots[v]:
+                        if res[k] > 0:
+                            j = owner[k]
+                            if lev_e[j] == -ds:
+                                lev_e[j] = lv
+                                new.append(j)
+            else:
+                for j in met:
+                    for k in range(base[j], base[j + 1]):
+                        if res[k] < incidence_cap:
+                            v = vert[k]
+                            if lev_v[v] == -ds:
+                                lev_v[v] = lv
+                                new.append(v)
+            met = new
         it_e = base[:m]  # current slot of each edge
         it_v = [0] * n  # current position in each vertex's slot list
-        for j0 in range(m):
-            if lev_e[j0] != 1:
-                continue
+        for j0 in sorted(met):
             path: list[int] = []  # slots: forward at even, reverse at odd positions
             j = j0
             while True:
@@ -678,7 +800,7 @@ def edge_vertex_flow(
         for j, e in enumerate(edges)
     ]
     value = edge_cap * m - sum(supply)
-    return value, chosen, [j for j in range(m) if lev_e[j]]
+    return value, chosen, [j for j in range(m) if lev_e[j] < 0]
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,10 @@ def test_color_lists_size_mismatch_exits_4(capsys, tmp_path, k33_path):
         {"n": 6, "lists": [[True, 2]] * 6},
         {"n": "6", "lists": [[1, 2, 3]] * 6},
         [[1, 2, 3]] * 6,
+        {"n": 6, "lists": [[1, 2, 3]] * 5 + [[]]},
+        {"n": 6, "lists": [[1, 2, 2]] * 6},
+        {"n": 6, "lists": [[-1, 2, 3]] * 6},
+        {"n": 5, "lists": [[1, 2, 3]] * 6},
     ],
 )
 def test_malformed_lists_exit_2(capsys, tmp_path, k33_path, doc):
@@ -208,7 +212,7 @@ def test_malformed_lists_exit_2(capsys, tmp_path, k33_path, doc):
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2, (argv, captured.err)
-        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.out == "" and captured.err.startswith(f"error: {path}: ")
 
 
 def test_color_sparse_on_fano_exits_4(capsys, tmp_path, fano_path):

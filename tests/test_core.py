@@ -11,6 +11,7 @@ from hyperchoose import (
     bipartition_is_valid,
     coefficient_count,
     core,
+    density,
     find_bipartition,
     gen_complete,
     gen_fano,
@@ -273,6 +274,27 @@ def test_edge_vertex_flow_matches_reference_on_random_hypergraphs():
     assert min(seen.values()) >= 50, seen
 
 
+def test_edge_vertex_flow_matches_reference_on_deep_networks():
+    # Level graphs up to about 24 layers deep, and one about 600 deep, which
+    # the small networks above rarely build: the tight density flow at the
+    # peel's value on random 3-uniform hypergraphs, the unit and gk flows on
+    # 3-regular 3-uniform ones, and a chain whose one augmenting path runs
+    # through every vertex.
+    rnd = random.Random(17)
+    networks = []
+    for n in range(30, 121, 15):
+        for m in (n, 2 * n):
+            hg = random_hypergraph(rnd, n, m, 3, 3)
+            lam, _ = density._peel_density(hg)
+            networks.append((hg, (lam.denominator, lam.numerator, lam.denominator)))
+        hg = gen_k_regular_k_uniform(3, n, seed=n)
+        networks += [(hg, (1, 1, 1)), (hg, (2, 2, 1))]
+    chain = Hypergraph(300, tuple((i, i + 1) for i in range(299)) + ((0, 1),))
+    networks.append((chain, (1, 1, 1)))
+    for hg, caps in networks:
+        got = core.edge_vertex_flow(hg, *caps)
+        assert got == reference_edge_vertex_flow(hg, *caps), (hg, caps)
+
 def test_gen_complete_counts():
     assert len(gen_complete(2, 3, 3)[0].edges) == 9
     assert len(gen_complete(3, 2, 2)[0].edges) == 4
@@ -412,3 +434,39 @@ def test_list_assignment_json_roundtrip():
     assert ListAssignment.from_json(la.to_json()) == la
     with pytest.raises(HgrFormatError):
         ListAssignment.from_json({"n": 3, "lists": [[1]]})
+
+
+TYPES = "list assignment needs an integer n and lists of integer colors"
+
+
+@pytest.mark.parametrize(
+    "doc, error, message",
+    [
+        ({"lists": [[1]]}, HgrFormatError, "list assignment document missing field: 'n'"),
+        ({"n": 1}, HgrFormatError, "list assignment document missing field: 'lists'"),
+        ({"n": 1.0, "lists": [[1]]}, HgrFormatError, TYPES),
+        ({"n": True, "lists": [[1]]}, HgrFormatError, TYPES),
+        ({"n": 1, "lists": [[1.5]]}, HgrFormatError, TYPES),
+        ({"n": 1, "lists": [["1"]]}, HgrFormatError, TYPES),
+        ({"n": 1, "lists": [[False, 2]]}, HgrFormatError, TYPES),
+        ({"n": 1, "lists": {"0": [1]}}, HgrFormatError, TYPES),
+        ({"n": 2, "lists": [[1], (2,)]}, HgrFormatError, TYPES),
+        ({"n": 3, "lists": [[1]]}, HgrFormatError, "list assignment declares n=3 but carries 1 lists"),
+        ({"n": 2, "lists": [[1], []]}, ValueError, "vertex 1: empty color list"),
+        ({"n": 1, "lists": [[2, 1, 2]]}, ValueError, "vertex 0: duplicate color in list (1, 2, 2)"),
+        ({"n": 2, "lists": [[0], [3, -1]]}, ValueError, "vertex 1: negative color in list (-1, 3)"),
+        # A type fault anywhere, then a count mismatch, outranks a value fault.
+        ({"n": 2, "lists": [[], ["a"]]}, HgrFormatError, TYPES),
+        ({"n": 3, "lists": [[], [1]]}, HgrFormatError, "list assignment declares n=3 but carries 2 lists"),
+        ({"n": 2, "lists": [[1, 1], [-1]]}, ValueError, "vertex 0: duplicate color in list (1, 1)"),
+    ],
+)
+def test_list_assignment_from_json_messages(doc, error, message):
+    with pytest.raises(error) as exc:
+        ListAssignment.from_json(doc)
+    assert str(exc.value) == message
+    if error is ValueError:
+        assert not isinstance(exc.value, HgrFormatError)
+        with pytest.raises(ValueError) as direct:
+            ListAssignment(tuple(map(tuple, doc["lists"])))
+        assert str(direct.value) == message

@@ -18,12 +18,12 @@ explicit 64-bit seed; identical seeds replay identical reports.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import mpmath
 import numpy as np
 
 from .core import (
@@ -48,43 +48,65 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _digits(prec: int) -> decimal.Context:
+    """A decimal context of ``prec`` significant digits.
+
+    The exponent range is the widest decimal allows: (1 + s^(1/l))^l
+    exceeds the default Emax at l = 10^7.
+    """
+    return decimal.Context(prec=prec, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+def _root(s: int, l: int) -> decimal.Decimal:
+    """s^(1/l) = exp(ln(s) / l) in the current decimal context."""
+    return (decimal.Decimal(s).ln() / l).exp()
+
+
 def split_probability(s: int, l: int) -> float:
     """Neutral probability (s^(1/l) - 1) / (1 + s^(1/l)).
 
-    Computed in extended precision and rounded once, so the float returned is
-    within one ulp (relative error far below 1e-12).
+    Computed with 30 significant decimal digits and rounded once, so the
+    float returned is within one ulp (relative error far below 1e-12).
     """
     if s < 2 or l < 1:
         raise ValueError("requires s >= 2 and l >= 1")
-    with mpmath.workdps(30):
-        r = mpmath.root(s, l)
+    with decimal.localcontext(_digits(30)):
+        r = _root(s, l)
         return float((r - 1) / (1 + r))
 
 
 def _integer_root(s: int, l: int) -> Optional[int]:
-    r = round(s ** (1.0 / l))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 1 and cand**l == s:
-            return cand
-    return None
+    """The integer l-th root of s >= 2, or None if s is no perfect l-th power."""
+    if s.bit_length() <= l:  # 1 < s^(1/l) < 2
+        return None
+    x = 1 << -(-s.bit_length() // l)  # at least s^(1/l)
+    while True:  # Newton's method from above, in integers
+        y = ((l - 1) * x + s // x ** (l - 1)) // l
+        if y >= x:
+            return x if x**l == s else None
+        x = y
 
 
 def cond_ert_upper(s: int, l: int, t: int) -> bool:
     """Whether t < (1 + s^(1/l))^l / 4, decided exactly at rational thresholds.
 
     When s is a perfect l-th power the threshold is rational and compared
-    exactly; otherwise it is irrational, and a 60-digit evaluation (widened
-    to 200 digits if the margin looks suspicious) settles the comparison.
+    exactly; otherwise it is irrational, and a decimal evaluation to 60
+    digits past the units digit of t (widened to 200 digits if the margin
+    looks suspicious) settles the comparison.
     """
     if s < 2 or l < 1 or t < 1:
         raise ValueError("requires s >= 2, l >= 1, t >= 1")
     r = _integer_root(s, l)
     if r is not None:
         return Fraction(t) < Fraction((1 + r) ** l, 4)
+    # Near t the threshold has as many integer digits as t, and dps digits
+    # past them keep its rounding error (about l * 10^-dps) below the margin.
+    t_digits = t.bit_length() // 3 + 1  # at least the decimal digits of t
     for dps in (60, 200):
-        with mpmath.workdps(dps):
-            threshold = (1 + mpmath.root(s, l)) ** l / 4
-            if abs(threshold - t) > mpmath.mpf(10) ** (-dps // 2):
+        with decimal.localcontext(_digits(t_digits + dps)):
+            threshold = (1 + _root(s, l)) ** l / 4
+            if abs(threshold - t) > decimal.Decimal(10) ** (-dps // 2):
                 return t < threshold
     raise ArithmeticError(
         f"threshold for s={s}, l={l} is numerically indistinguishable from t={t}"
@@ -118,8 +140,21 @@ def feasibility_margin(s: int, l: int, t: int) -> float:
         raise ValueError("requires s >= 2, l >= 1, t >= 1")
     # log T = log(t/2) - l*log(1 + s^(1/l)); (1 + s^(1/l))^l itself overflows
     # a float for large l, while T only underflows harmlessly to 0.
-    log_t = math.log(t / 2) - l * math.log1p(s ** (1.0 / l))
-    return l * l * s * (math.log(s) + log_t) - s * math.exp(log_t) + s * l * l
+    try:
+        log_t = math.log(t / 2) - l * math.log1p(s ** (1.0 / l))
+        return l * l * s * (math.log(s) + log_t) - s * math.exp(log_t) + s * l * l
+    except OverflowError:
+        raise ValueError(
+            "s, l or t out of range: the feasibility margin overflows a float"
+        ) from None
+
+
+def _common_length(lists: ListAssignment, what: str) -> int:
+    """The length all lists share; PreconditionError naming ``what`` if none."""
+    sizes = set(lists.sizes())
+    if len(sizes) != 1:
+        raise PreconditionError(f"{what} requires equal-length lists")
+    return sizes.pop()
 
 
 def expected_counts(lists: ListAssignment, p: float) -> tuple[float, float]:
@@ -133,10 +168,7 @@ def expected_counts(lists: ListAssignment, p: float) -> tuple[float, float]:
     of dangerous lists is bounded by the tally, which is what the
     rejection-sampling argument needs.
     """
-    sizes = set(lists.sizes())
-    if len(sizes) != 1:
-        raise PreconditionError("expected_counts requires equal-length lists")
-    l = sizes.pop()
+    l = _common_length(lists, "expected_counts")
     count = lists.n
     return (
         2 * ((1 - p) / 2) ** l * count,
@@ -245,13 +277,10 @@ def random_split_color_report(
         raise PreconditionError("list assignment size differs from vertex count")
     if not bipartition_is_valid(hg, bip):
         raise PreconditionError("bipartition is not valid for the hypergraph")
-    sizes = set(lists.sizes())
-    if len(sizes) != 1:
-        raise PreconditionError("split coloring requires equal-length lists")
+    l = _common_length(lists, "split coloring")
     if max_iters < 1:
         raise ValueError("max_iters must be positive")
     s = met.uniform
-    l = sizes.pop()
     p = split_probability(s, l)
     palette = lists.palette()
     member = _member(lists, palette)
@@ -300,12 +329,10 @@ def split_experiment(
     missing red, matching the closed form); the rejection categories use the
     plain dangerous count.
     """
-    sizes = set(lists.sizes())
-    if len(sizes) != 1:
-        raise PreconditionError("split_experiment requires equal-length lists")
+    l = _common_length(lists, "split_experiment")
     if trials < 1:
         raise ValueError("trials must be positive")
-    p = split_probability(s, sizes.pop())
+    p = split_probability(s, l)
     palette = lists.palette()
     draws = _rng(seed).random((trials, len(palette)))
     mono_counts, dang_counts, dangerous = _tally(

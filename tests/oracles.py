@@ -12,6 +12,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Optional, Sequence
 
+import mpmath
 import sympy
 
 from hyperchoose import Hypergraph, ListAssignment
@@ -119,6 +120,34 @@ def split_tallies(lists, palette, draws, p):
     tally = sum((not blue & set(lv)) + (not red & set(lv)) for lv in lists)
     dangerous = [not blue & set(lv) or not red & set(lv) for lv in lists]
     return mono, tally, dangerous
+
+
+def mpmath_split_probability(s: int, l: int) -> float:
+    """(s^(1/l) - 1) / (1 + s^(1/l)) at 30 mpmath digits, rounded once to a float."""
+    with mpmath.workdps(30):
+        r = mpmath.root(s, l)
+        return float((r - 1) / (1 + r))
+
+
+def mpmath_cond_ert_upper(s: int, l: int, t: int) -> bool:
+    """Whether t < (1 + s^(1/l))^l / 4, by a float root guess and mpmath.
+
+    A perfect l-th power s (found by checking the integers next to the float
+    root) gives a rational threshold, compared exactly; otherwise a 60-digit
+    evaluation, widened to 200 digits if the margin looks suspicious, decides.
+    """
+    guess = round(s ** (1.0 / l))
+    for r in (guess - 1, guess, guess + 1):
+        if r >= 1 and r**l == s:
+            return Fraction(t) < Fraction((1 + r) ** l, 4)
+    for dps in (60, 200):
+        with mpmath.workdps(dps):
+            threshold = (1 + mpmath.root(s, l)) ** l / 4
+            if abs(threshold - t) > mpmath.mpf(10) ** (-dps // 2):
+                return t < threshold
+    raise ArithmeticError(
+        f"threshold for s={s}, l={l} is numerically indistinguishable from t={t}"
+    )
 
 
 def exhaustive_colorable(hg: Hypergraph, r: int) -> bool:

@@ -417,6 +417,29 @@ def test_dense_thresholds_large_l(capsys, l):
     assert code == 0 and math.isfinite(json.loads(out)["feasibility_margin"])
 
 
+@pytest.mark.parametrize(
+    "s, l, t",
+    [(10, 2, 4), (9, 2, 4), (16, 3, 5), (3, 2000, 5), (3, 10**7, 5)],
+)
+def test_dense_thresholds_match_golden_output(capsys, s, l, t):
+    # An irrational near-tie, a perfect-power tie, and thresholds past a float.
+    code, out = run(capsys, "dense", "thresholds", "--s", str(s), "--l", str(l), "--t", str(t))
+    assert code == 0
+    assert out == (GOLDEN / f"thresholds_s{s}_l{l}_t{t}.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "s, l, t",
+    [(10**400, 2, 5), (10**400, 3, 5), (10**400, 1000, 5), (3, 2, 10**400), (3, 2000, 10**400)],
+    ids=["huge-s-l2", "huge-s-l3", "huge-s-l1000", "huge-t-l2", "huge-t-l2000"],
+)
+def test_dense_thresholds_past_the_float_range_exit_2(capsys, s, l, t):
+    code = main(["dense", "thresholds", "--s", str(s), "--l", str(l), "--t", str(t)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "feasibility margin overflows a float" in captured.err
+
+
 def test_dense_lower_bound_json_and_csv(capsys):
     code, out = run(
         capsys, "dense", "lower-bound", "--s", "2", "--l", "2", "--t", "6",
@@ -676,6 +699,24 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     done = hyperchoose_m("orient", "f.hgr")
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["k_star"] == 1
+
+
+def test_cli_leaves_mpmath_unloaded(tmp_path):
+    (tmp_path / "k33.hgr").write_text(serialize_hypergraph(K33))
+    src = str(Path(hyperchoose.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from hyperchoose.cli import main\n"
+        "assert main(['orient', 'k33.hgr']) == 0\n"
+        "assert main(['dense', 'thresholds', '--s', '10', '--l', '2', '--t', '4']) == 0\n"
+        "assert 'mpmath' not in sys.modules\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_benchmark_layers_resolve(monkeypatch):

@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,7 +24,7 @@ from hyperchoose import (
     split_experiment,
     split_probability,
 )
-from oracles import split_tallies
+from oracles import mpmath_cond_ert_upper, mpmath_split_probability, split_tallies
 
 DISJOINT_3LISTS = ListAssignment(tuple(tuple(range(3 * i + 1, 3 * i + 4)) for i in range(6)))
 
@@ -41,6 +42,53 @@ def test_cond_ert_upper_threshold():
     assert cond_ert_upper(4, 2, 2)  # threshold 9/4
     assert not cond_ert_upper(9, 2, 4)  # threshold exactly 4: strict
     assert cond_ert_upper(10, 2, 4)  # irrational threshold slightly above 4
+
+
+def test_split_probability_matches_mpmath_bit_for_bit():
+    for s in range(2, 200):
+        for l in range(1, 25):
+            assert split_probability(s, l) == mpmath_split_probability(s, l), (s, l)
+
+
+def test_cond_ert_upper_matches_mpmath_next_to_the_threshold():
+    # t at floor, ceil and floor + 1 of the float threshold: the nearest ties,
+    # wherever a float still places the threshold within 1.
+    for s in range(2, 300):
+        for l in range(1, 30):
+            threshold = (1 + s ** (1 / l)) ** l / 4
+            if threshold >= 1e15:
+                continue
+            near = {math.floor(threshold), math.ceil(threshold), math.floor(threshold) + 1}
+            for t in near - {0}:
+                assert cond_ert_upper(s, l, t) == mpmath_cond_ert_upper(s, l, t), (s, l, t)
+
+
+@pytest.mark.parametrize("l", [10**3, 10**5, 10**7])
+def test_thresholds_match_mpmath_at_large_l(l):
+    for s in (2, 3, 10, 199, 2**100):
+        assert split_probability(s, l) == mpmath_split_probability(s, l), s
+        for t in (5, 10**30):
+            assert cond_ert_upper(s, l, t) == mpmath_cond_ert_upper(s, l, t), (s, t)
+
+
+@pytest.mark.parametrize("s, l", [(3, 150), (3, 300), (5, 200), (3, 1000)])
+def test_cond_ert_upper_decides_ties_above_1e30(s, l):
+    # t = floor(threshold) and t + 1, with the threshold far past 10^30: 60
+    # significant digits alone cannot tell these apart.
+    with mpmath.workdps(700):
+        t = int(mpmath.floor((1 + mpmath.root(s, l)) ** l / 4))
+    assert t > 10**30
+    assert cond_ert_upper(s, l, t) and not cond_ert_upper(s, l, t + 1)
+
+
+def test_cond_ert_upper_perfect_powers_past_the_float_range():
+    # s = r^l overflows a float; the threshold (1 + r)^l / 4 is rational.
+    r = 10**200 + 1  # (1 + r)^2 / 4 is an integer: t equal to it fails
+    assert not cond_ert_upper(r**2, 2, (1 + r) ** 2 // 4)
+    assert cond_ert_upper(r**2, 2, (1 + r) ** 2 // 4 - 1)
+    r = 10**200  # (1 + r)^3 / 4 is not
+    assert cond_ert_upper(r**3, 3, (1 + r) ** 3 // 4)
+    assert not cond_ert_upper(r**3, 3, (1 + r) ** 3 // 4 + 1)
 
 
 def test_cond_corollary():

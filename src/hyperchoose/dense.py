@@ -116,12 +116,20 @@ def cond_ert_upper(s: int, l: int, t: int) -> bool:
 def cond_corollary(s: int, l: int, t: int) -> bool:
     """Whether t <= sqrt(s) * 2^(l-2), decided exactly by squaring.
 
-    A true corollary condition implies the main threshold condition (since
-    1 + s^(1/l) >= 2 s^(1/(2l)) strictly for s >= 2); this is asserted.
+    t^2 <= s * 2^(2l-4) is decided by bit lengths, which differ unless the
+    two sides are within a factor of two; only then is s * 2^(2l-4) built,
+    and then it is no longer than t^2.  A true corollary condition implies
+    the main threshold condition (since 1 + s^(1/l) >= 2 s^(1/(2l)) strictly
+    for s >= 2); this is asserted.
     """
     if s < 2 or l < 2 or t < 1:
         raise ValueError("requires s >= 2, l >= 2, t >= 1")
-    ok = t * t <= s * 4 ** (l - 2)
+    square, shift = t * t, 2 * l - 4
+    bits = s.bit_length() + shift
+    if square.bit_length() != bits:
+        ok = square.bit_length() < bits
+    else:
+        ok = square <= s << shift
     if ok and not cond_ert_upper(s, l, t):
         raise TheoremContradictionError(
             "corollary condition held but the main threshold condition failed"

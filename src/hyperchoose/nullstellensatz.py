@@ -12,7 +12,10 @@ by the total head degree on side B.
 One iterative transfer count computes every coefficient.  It visits the
 vertices one at a time and keeps, per set of open edges that already have a
 head, the weighted number of partial head choices; the number of such live
-terms is capped by TERM_GUARD.
+terms is capped by TERM_GUARD.  At each vertex, every term that already heads
+the same subset of the vertex's edges has the same picks, so the picks and
+their weights are tabled once per subset for that vertex step, and a term
+only ORs and multiplies.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Sequence
 from itertools import combinations
-from math import prod
+from math import comb, prod
 
 from .core import (
     Hypergraph,
@@ -125,6 +128,40 @@ def _vertex_order(hg: Hypergraph, incident: list[list[int]]) -> list[int]:
     return order
 
 
+def _pick_table(
+    headed: int,
+    closing: list[int],
+    staying: list[int],
+    heads: int,
+    mults: list[dict[int, int]],
+    v: int,
+) -> tuple[tuple[int, int], ...]:
+    """Vertex v's ways to head ``heads`` edges, given the edge bits already headed.
+
+    It must head every unheaded edge it closes; the rest is a choice among
+    the unheaded staying edges.  Each way is (bits of the picked staying
+    edges, product of v's tree multiplicities over the forced and picked
+    edges), in ``combinations`` order; there is no way when the forced edges
+    alone exceed ``heads`` or too few free ones remain.  The picks of one
+    term give distinct keys, so a table longer than TERM_GUARD raises before
+    it is built: that term alone would take the count past the guard.
+    """
+    forced = [j for j in closing if not headed >> j & 1]
+    free = [j for j in staying if not headed >> j & 1]
+    k = heads - len(forced)
+    if not 0 <= k <= len(free):
+        return ()
+    if comb(len(free), k) > TERM_GUARD:
+        raise GuardExceededError(
+            f"more than {TERM_GUARD} live terms in the coefficient count"
+        )
+    base = prod(mults[j][v] for j in forced)
+    return tuple(
+        (sum(1 << j for j in pick), base * prod(mults[j][v] for j in pick))
+        for pick in combinations(free, k)
+    )
+
+
 def _transfer_count(
     hg: Hypergraph, bip: tuple[str, ...], target: Sequence[int]
 ) -> int:
@@ -133,7 +170,13 @@ def _transfer_count(
     A term is the set of open edges that already have a head, one bit per
     edge index; terms map to summed weights.  Vertex v heads exactly
     target[v] of its still-unheaded edges, and an edge that v closes must
-    have a head once v is done, when it leaves the term.
+    have a head once v is done, when it leaves the term.  What v may pick
+    depends only on which of its own edges the term already heads, so each
+    such mask gets one pick table per vertex step: (pick bits, weight) pairs
+    in ``combinations`` order, the weight covering the forced edges too.
+    The tables of a step hold at most TERM_GUARD ways (a longer one raises,
+    see ``_pick_table``); past that the step drops the ones it holds and
+    builds them again as terms need them.
     """
     mults = [_tree_multiplicity(crossing_tree(e, bip)) for e in hg.edges]
     incident: list[list[int]] = [[] for _ in range(hg.n)]
@@ -147,24 +190,30 @@ def _transfer_count(
     for v in order:
         closing = [j for j in incident[v] if closer[j] == v]
         staying = [j for j in incident[v] if closer[j] != v]
+        own = sum(1 << j for j in incident[v])
         keep_mask = ~sum(1 << j for j in closing)
+        tables: dict[int, tuple[tuple[int, int], ...]] = {}
+        tabled = 0  # pick ways held in tables
         nxt: dict[int, int] = {}
         for term, w in terms.items():
-            # v must head every unheaded edge it closes; the rest is a choice.
-            forced = [j for j in closing if not term >> j & 1]
-            free = [j for j in staying if not term >> j & 1]
-            k = target[v] - len(forced)
-            if not 0 <= k <= len(free):
-                continue
-            base = w * prod(mults[j][v] for j in forced)
+            headed = term & own
+            table = tables.get(headed)
+            if table is None:
+                table = _pick_table(headed, closing, staying, target[v], mults, v)
+                tabled += len(table)
+                if tabled > TERM_GUARD:
+                    # Hold no more ways than the guard lets terms live.
+                    tables.clear()
+                    tabled = len(table)
+                tables[headed] = table
             kept = term & keep_mask
-            for pick in combinations(free, k):
-                key = kept | sum(1 << j for j in pick)
-                nxt[key] = nxt.get(key, 0) + base * prod(mults[j][v] for j in pick)
-                if len(nxt) > TERM_GUARD:
-                    raise GuardExceededError(
-                        f"more than {TERM_GUARD} live terms in the coefficient count"
-                    )
+            for bits, weight in table:
+                key = kept | bits
+                nxt[key] = nxt.get(key, 0) + w * weight
+            if len(nxt) > TERM_GUARD:
+                raise GuardExceededError(
+                    f"more than {TERM_GUARD} live terms in the coefficient count"
+                )
         if not nxt:
             return 0
         terms = nxt

@@ -10,16 +10,17 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import prod
 from typing import Optional, Sequence
 
 import mpmath
 import sympy
 
-from hyperchoose import Hypergraph, ListAssignment
+from hyperchoose import Hypergraph, ListAssignment, nullstellensatz
 from hyperchoose.choosability import MAX_UNIVERSE, MAX_VERTICES, ChoosabilityVerdict
 from hyperchoose.core import _ListSearch
 from hyperchoose.errors import GuardExceededError
-from hyperchoose.nullstellensatz import crossing_tree
+from hyperchoose.nullstellensatz import _tree_multiplicity, _vertex_order, crossing_tree
 
 
 def exhaustive_two_colorable(hg: Hypergraph) -> bool:
@@ -205,6 +206,48 @@ def random_two_colorable(
         part_b = rnd.sample(range(n_a, n_a + n_b), size - take_a)
         edges.append(tuple(sorted(part_a + part_b)))
     return Hypergraph(n_a + n_b, tuple(edges)), ("A",) * n_a + ("B",) * n_b
+
+
+def reference_transfer_count(
+    hg: Hypergraph, bip: tuple[str, ...], target: Sequence[int]
+) -> int:
+    """``nullstellensatz._transfer_count`` before its pick tables: every term
+    recomputes its forced and free edges and their weights.  It reads the
+    package's ``TERM_GUARD`` at call time, so a patched guard applies here too."""
+    mults = [_tree_multiplicity(crossing_tree(e, bip)) for e in hg.edges]
+    incident: list[list[int]] = [[] for _ in range(hg.n)]
+    for j, e in enumerate(hg.edges):
+        for v in e:
+            incident[v].append(j)
+    order = _vertex_order(hg, incident)
+    position = {v: i for i, v in enumerate(order)}
+    closer = [max(e, key=position.__getitem__) for e in hg.edges]
+    terms = {0: 1}
+    for v in order:
+        closing = [j for j in incident[v] if closer[j] == v]
+        staying = [j for j in incident[v] if closer[j] != v]
+        keep_mask = ~sum(1 << j for j in closing)
+        nxt: dict[int, int] = {}
+        for term, w in terms.items():
+            # v must head every unheaded edge it closes; the rest is a choice.
+            forced = [j for j in closing if not term >> j & 1]
+            free = [j for j in staying if not term >> j & 1]
+            k = target[v] - len(forced)
+            if not 0 <= k <= len(free):
+                continue
+            base = w * prod(mults[j][v] for j in forced)
+            kept = term & keep_mask
+            for pick in combinations(free, k):
+                key = kept | sum(1 << j for j in pick)
+                nxt[key] = nxt.get(key, 0) + base * prod(mults[j][v] for j in pick)
+                if len(nxt) > nullstellensatz.TERM_GUARD:
+                    raise GuardExceededError(
+                        f"more than {nullstellensatz.TERM_GUARD} live terms in the coefficient count"
+                    )
+        if not nxt:
+            return 0
+        terms = nxt
+    return terms.get(0, 0)
 
 
 @lru_cache(maxsize=None)

@@ -274,6 +274,7 @@ def test_exact_oracles_match_golden_output(capsys, k33_path, fano_path, golden, 
         ("color_k33_exact", ["color", "K33", "LISTS", "--method", "exact"]),
         ("color_k33_gk", ["color", "K33", "LISTS_GK", "--method", "gk", "--selection", "SEL"]),
         ("coefficient_k33", ["coefficient", "K33"]),
+        ("coefficient_planted_m16", ["coefficient", "PLANTED16"]),
     ],
 )
 def test_certificates_match_golden_output(
@@ -286,6 +287,7 @@ def test_certificates_match_golden_output(
         "LISTS": lists_file(tmp_path, K33_LISTS),
         "LISTS_GK": lists_file(tmp_path, K33_LISTS_GK, "lists_gk.json"),
         "SEL": str(sel),
+        "PLANTED16": str(GOLDEN / "coefficient_planted_m16.hgr"),
     }
     code, out = run(capsys, *(paths.get(arg, arg) for arg in argv))
     assert code == 0

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -96,6 +97,29 @@ def test_cond_corollary():
     assert not cond_corollary(16, 4, 17)
     assert cond_corollary(4, 3, 4)
     assert not cond_corollary(2, 2, 2)  # sqrt(2) < 2
+
+
+def test_cond_corollary_matches_exact_formula():
+    # t0 = floor(sqrt(s) * 2^(l-2)); t0 and t0 + 1 straddle the condition, and
+    # t0^2 = s * 4^(l-2) exactly for perfect squares s (s = 4, l = 3, t = 4).
+    ties = 0
+    for s in [*range(2, 41), 2**61 - 1, 10**30]:
+        for l in [*range(2, 9), 64, 300]:
+            t0 = math.isqrt(s * 4 ** (l - 2))
+            ties += t0 * t0 == s * 4 ** (l - 2)
+            for t in {1, t0 - 1, t0, t0 + 1, t0 + 2} - {0}:
+                assert cond_corollary(s, l, t) == (t * t <= s * 4 ** (l - 2)), (s, l, t)
+    assert ties and cond_corollary(4, 3, 4) and not cond_corollary(4, 3, 5)
+
+
+def test_cond_corollary_does_not_build_the_power():
+    tracemalloc.start()
+    try:
+        assert cond_corollary(3, 10**8, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # 4^(10^8 - 2) alone would take 25 MB
 
 
 def test_corollary_implies_main_threshold():

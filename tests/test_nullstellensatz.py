@@ -1,20 +1,26 @@
+import importlib
 import random
+from pathlib import Path
 
 import pytest
 
 from hyperchoose import (
+    GuardExceededError,
     Hypergraph,
     PreconditionError,
     coefficient_count,
     crossing_tree,
+    find_bipartition,
     gen_complete,
     min_orientation,
     monomial_coefficient,
+    nullstellensatz,
     vertex_counts,
 )
 from oracles import (
     b_side_sign,
     random_two_colorable,
+    reference_transfer_count,
     sympy_coefficients,
     sympy_target_coefficient,
 )
@@ -152,3 +158,110 @@ def test_monomial_coefficient_arbitrary_queries():
         monomial_coefficient(hg, bip, (1, 1, 1))
     with pytest.raises(PreconditionError):
         monomial_coefficient(hg, ("A",), (1, 1, 1, 1))
+
+
+def lab_coefficient_rungs(monkeypatch, ms):
+    """The benchmark's ``lab`` coefficient instances at seed 1 with m in ``ms``."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for m in ms:
+        for c in range(workloads.COEFFICIENT_COPIES[m]):
+            rng = workloads._rng(1, workloads.FAMILY_IDS["lab"], 2, m, c)
+            yield Hypergraph(m // 2, tuple(workloads.planted_edges(m // 2, m, rng)))
+
+
+def reference_cases(rnd, count):
+    """Random 2-colored instances, each with an orientation's head degrees and a
+    random exponent vector whose entries may leave a vertex's range."""
+    for _ in range(count):
+        hg, bip = random_two_colorable(
+            rnd, rnd.randint(1, 4), rnd.randint(1, 4), rnd.randint(1, 10)
+        )
+        phi = tuple(rnd.choice(e) for e in hg.edges)
+        degs = hg.degrees()
+        exponent = tuple(rnd.randint(-1, d + 1) for d in degs)
+        yield hg, bip, phi, exponent
+
+
+def test_transfer_count_matches_reference(monkeypatch):
+    rnd = random.Random(27)
+    zero = positive = 0
+    for hg, bip, phi, exponent in reference_cases(rnd, 200):
+        target = vertex_counts(hg.n, phi)
+        assert coefficient_count(hg, bip, phi) == reference_transfer_count(hg, bip, target)
+        coef = monomial_coefficient(hg, bip, exponent)
+        assert coef == reference_transfer_count(hg, bip, exponent)
+        zero += coef == 0
+        positive += coef > 0
+    assert zero and positive
+    rungs = list(lab_coefficient_rungs(monkeypatch, (8, 12, 16, 36)))
+    assert {len(hg.edges) for hg in rungs} == {8, 12, 16, 36}
+    for hg in rungs:
+        bip = find_bipartition(hg)
+        _, phi = min_orientation(hg)
+        count = coefficient_count(hg, bip, phi)
+        assert count == reference_transfer_count(hg, bip, vertex_counts(hg.n, phi)) > 0
+        assert monomial_coefficient(hg, bip, vertex_counts(hg.n, phi)) == count
+
+
+@pytest.mark.parametrize("guard", [1, 2, 5, 50])
+def test_transfer_count_guard_matches_reference(monkeypatch, guard):
+    monkeypatch.setattr(nullstellensatz, "TERM_GUARD", guard)
+    rnd = random.Random(28)
+    outcomes = set()
+    for hg, bip, phi, exponent in reference_cases(rnd, 60):
+        for target in (vertex_counts(hg.n, phi), exponent):
+            try:
+                expected = reference_transfer_count(hg, bip, target)
+            except GuardExceededError:
+                expected = GuardExceededError
+            try:
+                got = monomial_coefficient(hg, bip, target)
+            except GuardExceededError:
+                got = GuardExceededError
+            assert got == expected
+            outcomes.add(expected is GuardExceededError)
+    assert outcomes == {True, False}
+
+
+def non_monochromatic_triples(side):
+    """Every triple on side + side vertices that meets both halves."""
+    from itertools import combinations
+
+    edges = combinations(range(2 * side), 3)
+    return Hypergraph(2 * side, tuple(t for t in edges if 0 < sum(v < side for v in t) < 3))
+
+
+def traced_peak(call):
+    """``call()``'s tracemalloc peak in bytes."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def expect_guard(hg, bip, target):
+    with pytest.raises(GuardExceededError):
+        monomial_coefficient(hg, bip, target)
+
+
+def test_guard_raises_before_building_a_long_pick_table(monkeypatch):
+    """One term whose picks alone pass TERM_GUARD raises before its table is built."""
+    # 4 + 4 vertices: 48 edges, the first vertex picks 6 of 18 (18 564 ways).
+    hg = non_monochromatic_triples(4)
+    bip = find_bipartition(hg)
+    target = vertex_counts(hg.n, min_orientation(hg)[1])
+    monkeypatch.setattr(nullstellensatz, "TERM_GUARD", 1000)
+    with pytest.raises(GuardExceededError):
+        reference_transfer_count(hg, bip, target)
+    assert traced_peak(lambda: expect_guard(hg, bip, target)) < 2**20
+    # 6 + 6 vertices at the real guard: about C(45, 15) ways, never built.
+    monkeypatch.undo()
+    hg = non_monochromatic_triples(6)
+    bip = find_bipartition(hg)
+    target = vertex_counts(hg.n, min_orientation(hg)[1])
+    assert traced_peak(lambda: expect_guard(hg, bip, target)) < 2**20

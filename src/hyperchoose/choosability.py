@@ -136,7 +136,7 @@ def is_f_choosable(
         return ChoosabilityVerdict(True, None, 0)
 
     search = _ListSearch(hg.n, hg.edges)
-    incident = [[e for e in hg.edges if v in e] for v in range(n)]
+    edges, inc = hg.edges, search.inc
     suffix_capacity = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix_capacity[i] = suffix_capacity[i + 1] + f[i] * (f[i] - 1) // 2
@@ -155,7 +155,7 @@ def is_f_choosable(
             if color[v] is None:
                 for c in lists_acc[v]:
                     if not any(
-                        all(color[u] == c for u in e if u != v) for e in incident[v]
+                        all(color[u] == c for u in edges[j] if u != v) for j in inc[v]
                     ):
                         color[v] = c
                         break

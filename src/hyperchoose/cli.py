@@ -3,8 +3,9 @@
 Exit codes: 0 success; 2 unreadable or malformed input; 3 guard or budget
 exceeded; 4 method precondition failed; 5 no coloring exists (or the sampling
 budget produced none); 6 internal error (a proven guarantee failed, or any
-other unexpected exception).  Identical invocations with identical seeds print
-byte-identical JSON once timing is suppressed with --no-timing.
+other unexpected exception).  Identical invocations print byte-identical JSON
+once timing is suppressed with --no-timing; a randomized command's seed is its
+--seed option, 0 when omitted.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import argparse
 import functools
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -66,12 +66,6 @@ def _load_lists(path: str) -> ListAssignment:
         return ListAssignment.from_json(doc)
     except ValueError as exc:
         raise HgrFormatError(f"{path}: {exc}")
-
-
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("HYPERCHOOSE_SEED", "0"))
 
 
 def cmd_analyze(args) -> int:
@@ -218,7 +212,7 @@ def cmd_dense_split_color(args) -> int:
     if bip is None:
         raise PreconditionError("split coloring requires a 2-colorable hypergraph")
     coloring, report = dense.random_split_color_report(
-        hg, bip, lists, args.max_iters, _seed(args)
+        hg, bip, lists, args.max_iters, args.seed
     )
     _emit(
         {
@@ -231,9 +225,8 @@ def cmd_dense_split_color(args) -> int:
 
 
 def cmd_dense_lower_bound(args) -> int:
-    seed = _seed(args)
     reports = [
-        (t, dense.lower_bound_experiment(args.s, args.l, t, args.trials, seed))
+        (t, dense.lower_bound_experiment(args.s, args.l, t, args.trials, args.seed))
         for t in args.t
     ]
     if args.csv:
@@ -268,10 +261,9 @@ def cmd_generate(args) -> int:
     if args.kind == "fano":
         _write_hgr(gen_fano(), args.output)
         return EXIT_OK
-    hg = gen_k_regular_k_uniform(args.k, args.n, _seed(args), proposals=args.proposals)
+    hg = gen_k_regular_k_uniform(args.k, args.n, args.seed, proposals=args.proposals)
     if hg is None:
-        print("search budget exhausted without a valid instance", file=sys.stderr)
-        return EXIT_GUARD
+        raise GuardExceededError("search budget exhausted without a valid instance")
     _write_hgr(hg, args.output)
     return EXIT_OK
 
@@ -332,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("path")
     q.add_argument("lists")
     q.add_argument("--max-iters", type=int, default=1000)
-    q.add_argument("--seed", type=int)
+    q.add_argument("--seed", type=int, default=0)
     q.set_defaults(func=cmd_dense_split_color)
 
     q = dense_sub.add_parser("lower-bound", help="mirrored-random-lists experiment")
@@ -340,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--l", type=int, required=True)
     q.add_argument("--t", type=int, nargs="+", required=True)
     q.add_argument("--trials", type=int, default=10000)
-    q.add_argument("--seed", type=int)
+    q.add_argument("--seed", type=int, default=0)
     q.add_argument("--csv", action="store_true", help="one CSV row per t value")
     q.set_defaults(func=cmd_dense_lower_bound)
 
@@ -362,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = gen_sub.add_parser("regular", help="random k-uniform k-regular instance")
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("--seed", type=int)
+    q.add_argument("--seed", type=int, default=0)
     q.add_argument("--proposals", type=int, default=100_000)
     q.add_argument("--output", "-o")
     q.set_defaults(func=cmd_generate)

@@ -14,7 +14,6 @@ pair graph, sparse or gk, is one run of the list-coloring search.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, compress
@@ -22,18 +21,24 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import GuardExceededError, HgrFormatError, TheoremContradictionError
+from .errors import (
+    GuardExceededError,
+    HgrFormatError,
+    PreconditionError,
+    TheoremContradictionError,
+)
 
 SIDE_A = "A"
 SIDE_B = "B"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Hypergraph:
     """A vertex count plus an ordered list of vertex-set edges.
 
-    Equality is order-insensitive on edges (multiset comparison); the stored
-    edge order is still meaningful because serialization preserves it.
+    Equality and hash compare ``n`` and the edges in stored order: the order
+    is part of the value, since serialization and every per-edge witness
+    follow it.
     """
 
     n: int
@@ -71,14 +76,6 @@ class Hypergraph:
         """Per-vertex degree, counting duplicate edges with multiplicity."""
         return vertex_counts(self.n, chain.from_iterable(self.edges))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Hypergraph):
-            return NotImplemented
-        return self.n == other.n and sorted(self.edges) == sorted(other.edges)
-
-    def __hash__(self) -> int:
-        return hash((self.n, tuple(sorted(self.edges))))
-
 
 def vertex_counts(n: int, vertices: Iterable[int]) -> list[int]:
     """How often each of the vertices 0..n-1 occurs in ``vertices``.
@@ -90,6 +87,15 @@ def vertex_counts(n: int, vertices: Iterable[int]) -> list[int]:
     for v in vertices:
         d[v] += 1
     return d
+
+
+def _incidence(n: int, edges: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Per vertex of 0..n-1, the indices of the edges holding it, in edge order."""
+    inc: list[list[int]] = [[] for _ in range(n)]
+    for j, e in enumerate(edges):
+        for v in e:
+            inc[v].append(j)
+    return inc
 
 
 def orientation_is_valid(hg: Hypergraph, phi: Sequence[int]) -> bool:
@@ -144,8 +150,7 @@ class ListAssignment:
 
     @classmethod
     def from_json(cls, doc) -> "ListAssignment":
-        if isinstance(doc, str):
-            doc = json.loads(doc)
+        """The list assignment of a parsed ``{"n": ..., "lists": [...]}`` document."""
         try:
             n = doc["n"]
             lists = doc["lists"]
@@ -365,10 +370,7 @@ class _ListSearch:
         self.n = n
         self.edges = edges
         self.sizes = [len(e) for e in edges]
-        self.inc: list[list[int]] = [[] for _ in range(n)]
-        for j, e in enumerate(edges):
-            for v in e:
-                self.inc[v].append(j)
+        self.inc = _incidence(n, edges)
         self.nodes = 0  # branching decisions made by the last solve
 
     def solve(
@@ -512,17 +514,31 @@ def find_bipartition(hg: Hypergraph) -> Optional[tuple[str, ...]]:
 
 
 def _color_pairs(
-    hg: Hypergraph, pairs: tuple[tuple[int, int], ...], lists: ListAssignment
+    hg: Hypergraph,
+    pairs: tuple[tuple[int, int], ...],
+    lists: ListAssignment,
+    need: Sequence[int],
+    why: str,
 ) -> tuple[int, ...]:
     """List coloring of the graph of ``pairs``, verified proper for ``hg``.
 
     The pairs hold one vertex pair per edge of ``hg``, so a coloring proper on
     them is proper on ``hg``; they go to the search as they are, with no
-    second validation.  The search stops after ``SEARCH_NODE_GUARD``
-    branching decisions beyond one per vertex.  Callers first check that the
-    lists are long enough for a coloring to exist, so a missing or improper
-    one raises TheoremContradictionError.
+    second validation.  Both pair-graph colorings rest on one list rule,
+    checked here: one list per vertex, and at least ``need[v]`` colors for
+    each vertex v, where ``why`` names the bound; lists that break it raise
+    PreconditionError.  The search stops after ``SEARCH_NODE_GUARD``
+    branching decisions beyond one per vertex.  Lists that meet the rule
+    always admit a coloring, so a missing or improper one raises
+    TheoremContradictionError.
     """
+    if lists.n != hg.n:
+        raise PreconditionError("list assignment size differs from vertex count")
+    for v, (lv, k) in enumerate(zip(lists.lists, need)):
+        if len(lv) < k:
+            raise PreconditionError(
+                f"vertex {v}: list of size {len(lv)} is below the required {k} ({why})"
+            )
     color = _ListSearch(hg.n, pairs).solve(lists.lists, max_nodes=SEARCH_NODE_GUARD)
     if color is None:
         raise TheoremContradictionError(

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .core import Hypergraph, ListAssignment, _color_pairs, edge_vertex_flow
 from .density import bound_gk
-from .errors import PreconditionError, TheoremContradictionError
+from .errors import TheoremContradictionError
 
 
 def build_selection(hg: Hypergraph, k: int) -> Optional[tuple[tuple[int, int], ...]]:
@@ -48,18 +48,10 @@ def list_color_gk(
     colored.
     """
     k = bound_gk(hg) - 1
-    if lists.n != hg.n:
-        raise PreconditionError("list assignment size differs from vertex count")
-    short = [v for v in range(hg.n) if len(lists.lists[v]) < k + 1]
-    if short:
-        v = short[0]
-        raise PreconditionError(
-            f"vertex {v}: list of size {len(lists.lists[v])} is below the "
-            f"required {k + 1} (2*max_degree/min_size rounded up, plus 1)"
-        )
     pairs = build_selection(hg, k)
     if pairs is None:
         raise TheoremContradictionError(
             f"no degree-{k} selection found at the guaranteed cap"
         )
-    return _color_pairs(hg, pairs, lists), pairs
+    why = "2*max_degree/min_size rounded up, plus 1"
+    return _color_pairs(hg, pairs, lists, [k + 1] * hg.n, why), pairs

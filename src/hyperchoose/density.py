@@ -19,7 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from .core import Hypergraph, Metrics, edge_vertex_flow, find_bipartition, metrics
+from .core import (
+    Hypergraph,
+    Metrics,
+    _incidence,
+    edge_vertex_flow,
+    find_bipartition,
+    metrics,
+)
 from .errors import GuardExceededError, TheoremContradictionError
 
 EXACT_EDGE_GUARD = 24
@@ -98,12 +105,9 @@ def _peel_density(hg: Hypergraph) -> tuple[Fraction, int]:
     degree.
     """
     edges = hg.edges
-    deg = hg.degrees()
+    inc = _incidence(hg.n, edges)
+    deg = [len(js) for js in inc]
     max_degree = max(deg)
-    inc: list[list[int]] = [[] for _ in range(hg.n)]
-    for j, e in enumerate(edges):
-        for v in e:
-            inc[v].append(j)
     buckets: list[list[int]] = [[] for _ in range(max_degree + 1)]
     for v, d in enumerate(deg):
         buckets[d].append(v)

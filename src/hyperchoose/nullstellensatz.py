@@ -28,6 +28,7 @@ from math import comb, prod
 from .core import (
     Hypergraph,
     SIDE_A,
+    _incidence,
     bipartition_is_valid,
     orientation_is_valid,
     vertex_counts,
@@ -77,11 +78,9 @@ def coefficient_count(
     transfer count over vertices; exact (arbitrary precision).  Raises
     GuardExceededError past TERM_GUARD live terms.
     """
-    if not bipartition_is_valid(hg, bip):
-        raise PreconditionError("bipartition is not valid for the hypergraph")
     if not orientation_is_valid(hg, phi):
         raise PreconditionError("orientation is not valid for the hypergraph")
-    return _transfer_count(hg, bip, vertex_counts(hg.n, phi))
+    return monomial_coefficient(hg, bip, vertex_counts(hg.n, phi))
 
 
 def monomial_coefficient(
@@ -179,10 +178,7 @@ def _transfer_count(
     builds them again as terms need them.
     """
     mults = [_tree_multiplicity(crossing_tree(e, bip)) for e in hg.edges]
-    incident: list[list[int]] = [[] for _ in range(hg.n)]
-    for j, e in enumerate(hg.edges):
-        for v in e:
-            incident[v].append(j)
+    incident = _incidence(hg.n, hg.edges)
     order = _vertex_order(hg, incident)
     position = {v: i for i, v in enumerate(order)}
     closer = [max(e, key=position.__getitem__) for e in hg.edges]

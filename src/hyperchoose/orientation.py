@@ -101,21 +101,13 @@ def list_color_sparse(
 ) -> tuple[int, ...]:
     """Proper list coloring of a 2-colorable hypergraph via its minimal orientation.
 
-    Requires every list to exceed the head degree of its vertex under the
-    minimal orientation; uniform lists of size ceil(L) + 1 always qualify.
-    The bipartition is checked once, by :func:`reduce_to_pairgraph`.
+    Requires one list per vertex, each longer than its vertex's head degree
+    under the minimal orientation; uniform lists of size ceil(L) + 1 always
+    qualify.  The bipartition is checked once, by :func:`reduce_to_pairgraph`.
     The pair graph is colored by the list-coloring search, which raises
     GuardExceededError after more than ``SEARCH_NODE_GUARD`` branching decisions.
     """
-    if lists.n != hg.n:
-        raise PreconditionError("list assignment size differs from vertex count")
     _, phi = min_orientation(hg)
-    deg = vertex_counts(hg.n, phi)
-    short = [v for v in range(hg.n) if len(lists.lists[v]) < deg[v] + 1]
-    if short:
-        v = short[0]
-        raise PreconditionError(
-            f"vertex {v}: list of size {len(lists.lists[v])} is below the "
-            f"required {deg[v] + 1} (head degree + 1)"
-        )
-    return _color_pairs(hg, reduce_to_pairgraph(hg, bip, phi), lists)
+    need = [d + 1 for d in vertex_counts(hg.n, phi)]
+    pairs = reduce_to_pairgraph(hg, bip, phi)
+    return _color_pairs(hg, pairs, lists, need, "head degree + 1")

@@ -16,7 +16,7 @@ import hyperchoose
 from hyperchoose import gen_complete, gen_fano, is_proper, parse_hypergraph, serialize_hypergraph, vertex_counts
 from hyperchoose import choosability, cli, core, degree_constrained, density, find_bipartition, nullstellensatz, orientation
 from hyperchoose.cli import build_parser, main
-from hyperchoose.errors import TheoremContradictionError
+from hyperchoose.errors import PreconditionError, TheoremContradictionError
 from oracles import random_two_colorable, sympy_target_coefficient
 
 K33 = gen_complete(2, 3, 3)[0]
@@ -492,13 +492,15 @@ def test_dense_split_color_missing_file_exits_2(capsys, tmp_path, k33_path):
     assert code == 2
 
 
-def test_seed_env_fallback(capsys, tmp_path, k33_path, monkeypatch):
+def test_seed_env_is_ignored(capsys, tmp_path, k33_path, monkeypatch):
+    # --seed is the one seed channel: without it the seed is 0, whatever the
+    # environment holds.  Seeds 0 and 7 split these lists differently.
     lists = lists_file(tmp_path, [[3 * i + 1, 3 * i + 2, 3 * i + 3] for i in range(6)])
+    split = ["dense", "split-color", k33_path, lists]
     monkeypatch.setenv("HYPERCHOOSE_SEED", "7")
-    _, with_env = run(capsys, "dense", "split-color", k33_path, lists)
-    monkeypatch.delenv("HYPERCHOOSE_SEED")
-    _, with_flag = run(capsys, "dense", "split-color", k33_path, lists, "--seed", "7")
-    assert with_env == with_flag
+    without_flag = run(capsys, *split)
+    assert without_flag == run(capsys, *split, "--seed", "0")
+    assert without_flag != run(capsys, *split, "--seed", "7")
 
 
 def test_generate_complete_roundtrip(capsys, tmp_path):
@@ -557,6 +559,48 @@ def test_generate_regular_one_proposal_is_accepted(capsys):
     code, out = run(capsys, "generate", "regular", "--k", "2", "--n", "10", "--seed", "1",
                     "--proposals", "1")
     assert code == 0 and parse_hypergraph(out).degrees() == [2] * 10
+
+
+def test_generate_regular_budget_exhausted_exits_3(capsys):
+    code = main(["generate", "regular", "--k", "3", "--n", "3", "--seed", "1",
+                 "--proposals", "1"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: search budget exhausted without a valid instance\n"
+
+
+# Lists for K3,3 that break the pair-graph list rule: vertex 2's list one color
+# short, or one list too few.  Each message is pinned at the library and at
+# the CLI.
+SHORT_LIST_MESSAGES = {
+    ("sparse", "short"): "vertex 2: list of size 2 is below the required 3 (head degree + 1)",
+    ("gk", "short"): (
+        "vertex 2: list of size 3 is below the required 4 "
+        "(2*max_degree/min_size rounded up, plus 1)"
+    ),
+    ("sparse", "few"): "list assignment size differs from vertex count",
+    ("gk", "few"): "list assignment size differs from vertex count",
+}
+
+
+@pytest.mark.parametrize("method, case", sorted(SHORT_LIST_MESSAGES))
+def test_color_short_lists_messages(capsys, tmp_path, k33_path, method, case):
+    lists = [list(lv) for lv in (K33_LISTS if method == "sparse" else K33_LISTS_GK)]
+    if case == "short":
+        lists[2].pop()
+    else:
+        lists.pop()
+    message = SHORT_LIST_MESSAGES[method, case]
+    la = core.ListAssignment(tuple(map(tuple, lists)))
+    with pytest.raises(PreconditionError) as exc:
+        if method == "sparse":
+            orientation.list_color_sparse(K33, find_bipartition(K33), la)
+        else:
+            degree_constrained.list_color_gk(K33, la)
+    assert str(exc.value) == message
+    code = main(["color", k33_path, lists_file(tmp_path, lists), "--method", method])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (4, "", f"error: {message}\n")
 
 
 def test_color_gk_writes_selection(capsys, monkeypatch, tmp_path, fano_path):
@@ -676,8 +720,6 @@ def test_main_reuses_one_parser(capsys, monkeypatch, tmp_path, k33_path):
     lower = ["dense", "lower-bound", "--s", "2", "--l", "2", "--t", "6", "--trials", "200"]
     seeded = run(capsys, *lower, "--seed", "3")
     assert seeded[0] == 0 and seeded == fresh_run(capsys, *lower, "--seed", "3")
-    monkeypatch.setenv("HYPERCHOOSE_SEED", "3")
-    assert run(capsys, *lower) == seeded == fresh_run(capsys, *lower)
 
     with pytest.raises(SystemExit) as exc:
         main(["orient", k33_path, "--k", "two"])

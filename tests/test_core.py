@@ -115,6 +115,14 @@ def test_roundtrip_reproduces_edges():
         assert serialize_hypergraph(again) == serialize_hypergraph(hg)
 
 
+def test_equality_follows_the_stored_edge_order():
+    hg = Hypergraph(4, ((0, 1), (2, 3), (1, 2)))
+    same = Hypergraph(4, ((1, 0), (3, 2), (2, 1)))
+    assert hg == same and hash(hg) == hash(same)
+    assert hg != Hypergraph(4, ((2, 3), (0, 1), (1, 2)))
+    assert hg != Hypergraph(5, hg.edges)
+
+
 def test_serialize_is_bit_exact():
     hg = Hypergraph(4, ((2, 0), (3, 1)))
     assert serialize_hypergraph(hg) == "p hg 4 2\ne 0 2\ne 1 3\n"
@@ -261,6 +269,9 @@ def test_edge_vertex_flow_matches_reference_on_random_hypergraphs():
         seen["empty"] += not edges
         seen["duplicate"] += len(set(edges)) < len(edges)
         seen["isolated"] += len({v for e in edges for v in e}) < n
+        assert core._incidence(n, edges) == [
+            [j for j, e in enumerate(edges) if v in e] for v in range(n)
+        ]
         b = rnd.randint(2, 6)
         k = rnd.randint(1, 4)
         for caps in (

@@ -1,6 +1,6 @@
 """Ground-truth oracles: exact list coloring, choosability, and chromatic number.
 
-Everything here is exact within constant vertex guards (only the color
+Everything here is exact within constant guards (only the color
 universe of ``is_f_choosable`` can be set); exceeding a guard raises instead
 of approximating, because these routines back every other module's
 verification.  The choosability decision enumerates adversarial list systems
@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .core import Hypergraph, ListAssignment, _ListSearch, is_proper
+from .core import SEARCH_NODE_GUARD, Hypergraph, ListAssignment, _ListSearch, is_proper
 from .density import bound_gk
 from .errors import GuardExceededError, PreconditionError, TheoremContradictionError
 
@@ -33,10 +33,14 @@ CHROMATIC_MAX_VERTICES = 20
 def color_from_lists(
     hg: Hypergraph, lists: ListAssignment
 ) -> Optional[tuple[int, ...]]:
-    """A proper coloring with every color drawn from its vertex list, or None."""
+    """A proper coloring with every color drawn from its vertex list, or None.
+
+    More than ``SEARCH_NODE_GUARD`` branching decisions beyond one per vertex
+    raise GuardExceededError.
+    """
     if lists.n != hg.n:
         raise PreconditionError("list assignment size differs from vertex count")
-    solved = _ListSearch(hg.n, hg.edges).solve(lists.lists)
+    solved = _ListSearch(hg.n, hg.edges).solve(lists.lists, max_nodes=SEARCH_NODE_GUARD)
     if solved is None:
         return None
     color = tuple(solved)

@@ -52,9 +52,13 @@ def _emit(doc) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _load_hypergraph(path: str) -> tuple[Hypergraph, bytes]:
+def _load_hypergraph(path: str, task: str = "") -> tuple[Hypergraph, bytes]:
+    """The hypergraph in ``path`` and its bytes; a ``task`` needs at least one edge."""
     raw = Path(path).read_bytes()
-    return parse_hypergraph(raw.decode("utf-8")), raw
+    hg = parse_hypergraph(raw.decode("utf-8"))
+    if task and not hg.edges:
+        raise HgrFormatError(f"hypergraph has no edges; nothing to {task}")
+    return hg, raw
 
 
 def _load_lists(path: str) -> ListAssignment:
@@ -70,9 +74,7 @@ def _load_lists(path: str) -> ListAssignment:
 
 def cmd_analyze(args) -> int:
     start = time.perf_counter()
-    hg, raw = _load_hypergraph(args.path)
-    if not hg.edges:
-        raise HgrFormatError("hypergraph has no edges; nothing to analyze")
+    hg, raw = _load_hypergraph(args.path, "analyze")
     bounds = density.bounds(hg)
     met = bounds.metrics
     report = {
@@ -103,7 +105,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_orient(args) -> int:
-    hg, _ = _load_hypergraph(args.path)
+    hg, _ = _load_hypergraph(args.path, "orient" if args.k is None else "")
     if args.k is not None:
         phi = orientation.hall_orientation(hg, args.k)
         _emit(
@@ -123,7 +125,7 @@ def cmd_orient(args) -> int:
 def cmd_color(args) -> int:
     if args.selection and args.method != "gk":
         raise ValueError(f"--selection applies to --method gk, not {args.method}")
-    hg, _ = _load_hypergraph(args.path)
+    hg, _ = _load_hypergraph(args.path, "" if args.method == "exact" else "color")
     lists = _load_lists(args.lists)
     if args.method == "sparse":
         bip = find_bipartition(hg)
@@ -178,7 +180,7 @@ def cmd_exact(args) -> int:
 def cmd_coefficient(args) -> int:
     from .nullstellensatz import coefficient_count
 
-    hg, _ = _load_hypergraph(args.path)
+    hg, _ = _load_hypergraph(args.path, "certify")
     bip = find_bipartition(hg)
     if bip is None:
         raise PreconditionError("coefficient requires a 2-colorable hypergraph")
@@ -206,7 +208,7 @@ def cmd_dense_thresholds(args) -> int:
 
 
 def cmd_dense_split_color(args) -> int:
-    hg, _ = _load_hypergraph(args.path)
+    hg, _ = _load_hypergraph(args.path, "color")
     lists = _load_lists(args.lists)
     bip = find_bipartition(hg)
     if bip is None:

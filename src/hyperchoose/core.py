@@ -347,19 +347,20 @@ class _ListSearch:
 
     A proper list coloring of a hypergraph is NAE-SAT over the lists: no edge
     may take a single value.  The search branches on the lowest-index
-    unassigned vertex, trying the values of its list in list order, and keeps
-    an explicit stack of decisions plus a trail of assignments and domain
-    removals that backtracking undoes (Davis-Logemann-Loveland).
+    unassigned vertex, trying its values in ascending order, and keeps an
+    explicit stack of decisions plus a trail of assignments and domain
+    removals that backtracking undoes (Davis-Logemann-Loveland).  A vertex's
+    open values are one bitmask, bit i standing for the i-th smallest value.
 
     Propagation: when every assigned vertex of an edge has value c and exactly
     one vertex is free, c leaves that vertex's domain; an empty domain is a
     conflict and a single remaining value is assigned at once.  Only values
-    that no proper extension uses are removed.  When every list is the same
-    sequence, a branching vertex tries only values up to one past the largest
+    that no proper extension uses are removed.  When every list holds the same
+    values, a branching vertex tries only values up to one past the largest
     assigned so far: swapping two values keeps a coloring proper, so the
     lexicographically first coloring never skips a value, and survives.  The
     first coloring found is therefore the lexicographically first one (vertex
-    0 most significant, each list in its own order).
+    0 most significant, values in ascending order).
 
     The edges on vertices 0..n-1 are taken as given, unsorted and unchecked;
     propagation does not depend on the order of an edge's vertices.  The
@@ -386,43 +387,36 @@ class _ListSearch:
         GuardExceededError.
         """
         n, edges, inc = self.n, self.edges, self.inc
-        index: dict = {}  # value -> bit position, in order of first appearance
-        options: list[list[int]] = []  # each list as bit positions, in list order
+        values = sorted(set(chain.from_iterable(lists)))
+        bit = {c: 1 << i for i, c in enumerate(values)}
         dom: list[int] = []  # bitmask of the values still open to each vertex
         queue: list[tuple[int, int]] = []  # (vertex, bit) assignments to propagate
         for v, lv in enumerate(lists):
-            opts = []
             d = 0
             for c in lv:
-                i = index.get(c)
-                if i is None:
-                    i = index[c] = len(index)
-                opts.append(i)
-                d |= 1 << i
+                d |= bit[c]
             if not d:
                 return None
             if not d & (d - 1):
-                queue.append((v, opts[0]))
-            options.append(opts)
+                queue.append((v, d.bit_length() - 1))
             dom.append(d)
-        values = list(index)
-        interchangeable = n > 0 and options.count(options[0]) == n
+        interchangeable = n > 0 and dom.count(dom[0]) == n
         color = [-1] * n
         free = self.sizes[:]  # unassigned vertices per edge
         trail: list[int] = []  # assigned vertices, in assignment order
         dtrail: list[tuple[int, int]] = []  # (vertex, domain before a removal)
-        # One frame per open decision: (vertex, next list position, trail
-        # marks before the decision, largest value assigned before it).
+        # One frame per open decision: (vertex, bit tried last, trail marks
+        # before the decision, largest value assigned before it).
         stack: list[tuple[int, int, int, int, int]] = []
         self.nodes = nodes = 0
         top = -1
         v = -1  # the vertex of the current decision; -1 at the root
-        pos = tmark = dmark = 0
+        tmark = dmark = 0
         while True:
             ok = True
             while queue and ok:
-                u, c = queue.pop()
-                color[u] = c
+                u, cu = queue.pop()
+                color[u] = cu
                 trail.append(u)
                 for j in inc[u]:
                     f = free[j] - 1
@@ -434,17 +428,17 @@ class _ListSearch:
                         cx = color[x]
                         if cx == -1:
                             w = x
-                        elif cx != c:
+                        elif cx != cu:
                             break
                     else:
-                        # Every assigned vertex of edge j has value c.
+                        # Every assigned vertex of edge j has value cu.
                         if f == 0:
                             ok = False
                             continue
                         d = dom[w]
-                        if d >> c & 1:
+                        if d >> cu & 1:
                             dtrail.append((w, d))
-                            d ^= 1 << c
+                            d ^= 1 << cu
                             dom[w] = d
                             if not d:
                                 ok = False
@@ -452,7 +446,7 @@ class _ListSearch:
                                 queue.append((w, d.bit_length() - 1))
             if ok:
                 if v >= 0:
-                    stack.append((v, pos, tmark, dmark, top))
+                    stack.append((v, c, tmark, dmark, top))
                 if interchangeable and top < len(values) - 1:
                     top = max([top] + [color[u] for u in trail[tmark:]])
                 v += 1
@@ -461,7 +455,7 @@ class _ListSearch:
                 if v == n:
                     self.nodes = nodes
                     return [values[c] for c in color]
-                pos = 0
+                c = -1
                 tmark, dmark = len(trail), len(dtrail)
             elif v < 0:
                 return None
@@ -478,20 +472,16 @@ class _ListSearch:
                 while len(dtrail) > dmark:
                     w, d = dtrail.pop()
                     dom[w] = d
-                opts = options[v]
-                d = dom[v]
-                while pos < len(opts):
-                    c = opts[pos]
-                    pos += 1
-                    if d >> c & 1 and not (interchangeable and c > top + 1):
-                        break
-                else:
-                    if not stack:
-                        self.nodes = nodes
-                        return None
-                    v, pos, tmark, dmark, top = stack.pop()
-                    continue
-                break
+                d = dom[v] >> (c + 1) << (c + 1)
+                if interchangeable:
+                    d &= (2 << (top + 1)) - 1
+                if d:
+                    break
+                if not stack:
+                    self.nodes = nodes
+                    return None
+                v, c, tmark, dmark, top = stack.pop()
+            c = (d & -d).bit_length() - 1
             nodes += 1
             if max_nodes is not None and nodes > max_nodes + n:
                 self.nodes = nodes
@@ -811,10 +801,9 @@ def edge_vertex_flow(
                 j = owner[path.pop()]
                 it_e[j] += 1
 
-    chosen = [
-        tuple(v for k, v in enumerate(e, base[j]) if res[k] < incidence_cap)
-        for j, e in enumerate(edges)
-    ]
+    # Slots run in edge order, so one selector stream serves every edge.
+    used = map(incidence_cap.__gt__, res)
+    chosen = [tuple(compress(e, used)) for e in edges]
     value = edge_cap * m - sum(supply)
     return value, chosen, [j for j in range(m) if lev_e[j] < 0]
 

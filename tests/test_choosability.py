@@ -41,6 +41,20 @@ def test_color_from_lists_single_edge():
     assert col == (1, 2)
 
 
+# Eight isolated vertices, then a K4 that no 3 colors can color: chronological
+# backtracking runs through the isolated vertices' values before it can refute
+# the K4.
+ISOLATED_K4 = Hypergraph(12, tuple((a, b) for a in range(8, 12) for b in range(a + 1, 12)))
+
+
+def test_color_from_lists_node_guard(monkeypatch):
+    lists = ListAssignment(((1, 2, 3),) * 12)
+    assert color_from_lists(ISOLATED_K4, lists) is None
+    monkeypatch.setattr(choosability, "SEARCH_NODE_GUARD", 100)
+    with pytest.raises(GuardExceededError, match="exceeded the node guard 100"):
+        color_from_lists(ISOLATED_K4, lists)
+
+
 def test_color_from_lists_verifies_and_is_deterministic():
     rnd = random.Random(17)
     for _ in range(50):

@@ -171,12 +171,26 @@ def test_color_exact_bad_lists_exits_5(capsys, tmp_path, k33_path):
 def test_color_exact_unverified_coloring_exits_6(capsys, monkeypatch, tmp_path, k33_path):
     # color_from_lists verifies what the search returns, so a wrong coloring
     # is an internal error even when asserts are stripped.
-    monkeypatch.setattr(choosability._ListSearch, "solve", lambda self, lists: [1] * 6)
+    monkeypatch.setattr(choosability._ListSearch, "solve", lambda self, lists, **_: [1] * 6)
     lists = lists_file(tmp_path, K33_LISTS)
     code = main(["color", k33_path, lists, "--method", "exact"])
     captured = capsys.readouterr()
     assert code == 6 and captured.out == ""
     assert "TheoremContradictionError" in captured.err
+
+
+def test_color_exact_node_guard_exits_3(capsys, monkeypatch, tmp_path):
+    # Eight isolated vertices ahead of a K4 with 3-lists: the refutation runs
+    # past a guard of 100 decisions.
+    path = tmp_path / "isolated_k4.hgr"
+    edges = tuple((a, b) for a in range(8, 12) for b in range(a + 1, 12))
+    path.write_text(serialize_hypergraph(hyperchoose.Hypergraph(12, edges)))
+    lists = lists_file(tmp_path, [[1, 2, 3]] * 12)
+    monkeypatch.setattr(choosability, "SEARCH_NODE_GUARD", 100)
+    code = main(["color", str(path), lists, "--method", "exact"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "error: coloring search exceeded the node guard 100\n"
 
 
 def test_color_lists_size_mismatch_exits_4(capsys, tmp_path, k33_path):
@@ -653,6 +667,47 @@ def test_analyze_exact_guard_exits_3(capsys, tmp_path):
     big.write_text("p hg 25 24\n" + "\n".join(edges) + "\n")
     code, _ = run(capsys, "analyze", str(big), "--exact")
     assert code == 3
+
+
+def edgeless_argv(tmp_path, argv):
+    """``argv`` with PATH and LISTS replaced by an edgeless file and its 2-lists."""
+    path = tmp_path / "edgeless.hgr"
+    path.write_text("p hg 3 0\n")
+    subst = {"PATH": str(path), "LISTS": lists_file(tmp_path, [[1, 2]] * 3)}
+    return [subst.get(a, a) for a in argv]
+
+
+@pytest.mark.parametrize(
+    "argv, task",
+    [
+        (["orient", "PATH"], "orient"),
+        (["color", "PATH", "LISTS", "--method", "sparse"], "color"),
+        (["color", "PATH", "LISTS", "--method", "gk"], "color"),
+        (["dense", "split-color", "PATH", "LISTS"], "color"),
+        (["coefficient", "PATH"], "certify"),
+        (["analyze", "PATH"], "analyze"),
+    ],
+)
+def test_edgeless_input_exits_2_with_one_message(capsys, tmp_path, argv, task):
+    code = main(edgeless_argv(tmp_path, argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: hypergraph has no edges; nothing to {task}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["orient", "PATH", "--k", "1"], {"k": 1, "feasible": True, "head": [], "degrees": [0] * 3}),
+        (["color", "PATH", "LISTS", "--method", "exact"], [1, 1, 1]),
+        (["choosability", "PATH", "--f", "2"], {"f": 2, "choosable": True, "witness": None, "lists_examined": 0}),
+        (["exact", "PATH", "--what", "ch"], {"what": "ch", "value": 1}),
+        (["exact", "PATH", "--what", "chi"], {"what": "chi", "value": 1}),
+    ],
+)
+def test_edgeless_input_still_serves_the_other_commands(capsys, tmp_path, argv, expected):
+    code, out = run(capsys, *edgeless_argv(tmp_path, argv))
+    assert code == 0 and json.loads(out) == expected
 
 
 def test_internal_error_exits_6(capsys, monkeypatch, k33_path):

@@ -210,8 +210,9 @@ def test_find_bipartition_is_lex_first():
 
 
 def test_list_search_identical_lists_is_lex_first():
-    # Identical lists switch on the symmetry cut; the first coloring in list
-    # order must survive it, whatever the order of the shared list.
+    # Identical lists switch on the symmetry cut; the first coloring in
+    # ascending value order must survive it, also when the shared values
+    # leave gaps.
     rnd = random.Random(99)
     uncolorable = 0
     for _ in range(400):
@@ -219,8 +220,8 @@ def test_list_search_identical_lists_is_lex_first():
         n = rnd.randint(1, 8 if r < 4 else 7)
         m = rnd.randint(0, 3 * n) if n > 1 else 0
         hg = random_hypergraph(rnd, n, m, max_size=rnd.choice((2, 3)))
-        order = rnd.sample(range(10), r)
-        lists = [tuple(order) for _ in range(n)]
+        shared = tuple(sorted(rnd.sample(range(10), r)))
+        lists = [shared] * n
         expected = first_list_coloring(hg, lists)
         found = core._ListSearch(hg.n, hg.edges).solve(lists)
         if expected is None:
@@ -229,6 +230,30 @@ def test_list_search_identical_lists_is_lex_first():
         else:
             assert found is not None and tuple(found) == expected
     assert uncolorable >= 50
+
+
+def test_list_search_ignores_the_order_within_lists():
+    # Each vertex tries its values in ascending order, whatever the order of
+    # its list: shuffled lists give the first coloring over the sorted ones.
+    rnd = random.Random(31)
+    uncolorable = differs = 0
+    for _ in range(300):
+        n = rnd.randint(1, 7)
+        m = rnd.randint(0, 3 * n) if n > 1 else 0
+        hg = random_hypergraph(rnd, n, m, max_size=rnd.choice((2, 3)))
+        lists = [sorted(rnd.sample(range(6), rnd.randint(1, 3))) for _ in range(n)]
+        shuffled = [rnd.sample(lv, len(lv)) for lv in lists]
+        differs += shuffled != lists
+        search = core._ListSearch(hg.n, hg.edges)
+        expected = first_list_coloring(hg, lists)
+        found = search.solve(shuffled)
+        assert found == search.solve(lists)
+        if expected is None:
+            uncolorable += 1
+            assert found is None
+        else:
+            assert found is not None and tuple(found) == expected
+    assert uncolorable >= 10 and differs >= 200
 
 
 def test_list_search_symmetry_cut_halves_fano_refutation():

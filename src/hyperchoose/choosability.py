@@ -8,10 +8,13 @@ up to color permutation and up to a domination order that discards mergeable
 systems (see the lemma at ``is_f_choosable``), which keeps the search at desk
 scale despite the doubly-exponential raw space.  The color pairs the partial
 system covers are one int bitmask, so the domination cut is a popcount per
-candidate list; and each system that survives it is first tried with the
-previous colorable system's coloring, repaired greedily, which counts only
-after ``is_proper`` accepts it and its lists admit it.  The list search
-decides the rest.
+candidate list, and the last vertex scans only the candidates holding the
+lowest uncovered pair.  Each system that survives the cut is first tried
+with the previous colorable system's coloring: kept whole when every list
+still holds its color, else repaired greedily and counted only after
+``is_proper`` accepts it and its lists admit it.  The list search decides
+the rest, and its colorings are verified the same way.  The chromatic number
+runs the same search, stopped at ``SEARCH_NODE_GUARD`` decisions.
 """
 
 from __future__ import annotations
@@ -78,6 +81,28 @@ def _candidates(
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _pair_index(
+    used: int, size: int
+) -> tuple[tuple[tuple[tuple[int, ...], int, int, int], ...], ...]:
+    """``_candidates(used, size)`` by color pair among 1..used, in lex order.
+
+    Entry k holds the candidates whose pair mask has bit k.
+    """
+    index: list[list] = [[] for _ in range(used * (used - 1) // 2)]
+    for cand in _candidates(used, size):
+        # Pairs among 1..used come first in bit order; stop at a fresh color.
+        mask = cand[1]
+        while mask:
+            low = mask & -mask
+            k = low.bit_length() - 1
+            if k >= len(index):
+                break
+            index[k].append(cand)
+            mask ^= low
+    return tuple(map(tuple, index))
+
+
 def is_f_choosable(
     hg: Hypergraph,
     f: Sequence[int],
@@ -107,14 +132,25 @@ def is_f_choosable(
 
     The covered color pairs are one int bitmask with its popcount, and each
     candidate list carries its precomputed pair mask, so the capacity cut
-    costs a popcount per candidate.  A dominant system is first tried with
-    the coloring of the previous colorable system: each vertex keeps its
-    color while its list still holds it, and every other vertex takes, in
-    index order, the first color of its list that leaves no edge
-    monochromatic.  That coloring counts only once ``is_proper`` accepts it
-    and every vertex's color is in its list; otherwise the list search
-    decides the system.  The systems are plain tuples of sorted lists, and a
-    ``ListAssignment`` is built only for the witness.
+    costs a popcount per candidate.  At the last vertex no capacity is left,
+    so a candidate passes only if the system it completes covers every pair;
+    while some pair among the colors in use is uncovered, only the
+    candidates holding the lowest such pair (``_pair_index``) can pass, and
+    only they are scanned, in the same order and under the same cut.
+
+    Each completed system is decided in the last vertex's frame, and takes
+    no memo key.  It is first tried with the coloring of the previous
+    colorable system.  Only vertices at or after the lowest one whose list
+    changed since then can have lost their color; if none has, that
+    coloring counts as it is: it was verified proper, and each color was
+    just found in its list.  Otherwise every vertex that lost its color
+    takes, in index order, the first color of its list that no edge through
+    it bans (an edge bans c when all its other vertices have c), and the
+    repaired coloring counts only once ``is_proper`` accepts it and every
+    vertex's color is in its list.  Failing that, the list search decides
+    the system, and its coloring passes the same two checks.  The systems
+    are plain tuples of sorted lists, and a ``ListAssignment`` is built only
+    for the witness.
 
     The verdict is deterministic; a negative one carries the first failing
     system in enumeration order, re-verified uncolorable by a fresh search
@@ -151,47 +187,84 @@ def is_f_choosable(
     examined = 0
     witness: Optional[ListAssignment] = None
     last: Optional[list[int]] = None  # coloring of the last colorable system
+    dirty = 0  # the lowest vertex whose list changed since ``last`` was set
+
+    def fits(color: list[int]) -> bool:
+        return is_proper(hg, color) and all(c in lv for c, lv in zip(color, lists_acc))
 
     def reuse() -> Optional[list[int]]:
-        """The last coloring, repaired greedily for the current system."""
-        color = [c if c in lv else None for c, lv in zip(last, lists_acc)]
-        for v in range(n):
-            if color[v] is None:
-                for c in lists_acc[v]:
-                    if not any(
-                        all(color[u] == c for u in edges[j] if u != v) for j in inc[v]
-                    ):
-                        color[v] = c
-                        break
-                else:
-                    return None
+        """``last`` itself if every vertex keeps its color, else a greedy repair.
+
+        Only vertices from ``dirty`` on can have lost their color.  Each that
+        has takes, in index order, the first color of its list that no edge
+        through it bans; an edge bans c when all its other vertices have c.
+        """
+        lost = [v for v in range(dirty, n) if last[v] not in lists_acc[v]]
+        if not lost:
+            return last
+        color: list = last[:]
+        for v in lost:
+            color[v] = None
+        for v in lost:
+            banned = set()
+            for j in inc[v]:
+                others = {color[u] for u in edges[j] if u != v}
+                if len(others) == 1:
+                    banned |= others
+            for c in lists_acc[v]:
+                if c not in banned:
+                    color[v] = c
+                    break
+            else:
+                return None
         return color
 
+    def leaf() -> bool:
+        """Decide the complete system ``lists_acc``; a coloring becomes ``last``."""
+        nonlocal witness, last, dirty
+        if last is not None:
+            color = reuse()
+            if color is last or (color is not None and fits(color)):
+                last, dirty = color, n
+                return True
+        color = search.solve(lists_acc)
+        if color is None:
+            witness = ListAssignment(tuple(lists_acc))
+            return False
+        if not fits(color):
+            raise TheoremContradictionError("list coloring failed verification")
+        last, dirty = color, n
+        return True
+
     def rec(i: int, used: int, covered: int, count: int) -> bool:
-        nonlocal examined, witness, last
-        if i == n:
-            if used * (used - 1) // 2 > count:
-                return True  # a color pair never co-occurs: dominated, skip
-            examined += 1
-            color = None if last is None else reuse()
-            if (
-                color is None
-                or not is_proper(hg, color)
-                or not all(c in lv for c, lv in zip(color, lists_acc))
-            ):
-                color = search.solve(lists_acc)
-                if color is None:
-                    witness = ListAssignment(tuple(lists_acc))
-                    return False
-            last = color
-            return True
+        nonlocal examined, dirty
         # Colors 1..used all occur, so these are exactly the nonzero masks.
         key = (i, tuple(sorted(masks[1 : used + 1])))
         if key in memo_true:
             return True
+        uncovered = ~covered
+        if i == n - 1:
+            # No list follows, so a leaf passes the cut only if it covers
+            # every color pair, the lowest uncovered one included.
+            candidates = _candidates(used, f[i])
+            if count < used * (used - 1) // 2:
+                lowest = (uncovered & (covered + 1)).bit_length() - 1
+                candidates = _pair_index(used, f[i])[lowest]
+            for cand, mask, _, pairs in candidates:
+                if pairs - (mask & uncovered).bit_count() > count:
+                    continue
+                examined += 1
+                lists_acc.append(cand)
+                if dirty > i:
+                    dirty = i
+                ok = leaf()
+                lists_acc.pop()
+                if not ok:
+                    return False
+            memo_true.add(key)
+            return True
         bit = 1 << i
         budget = count + suffix_capacity[i + 1]
-        uncovered = ~covered
         for cand, mask, new_used, pairs in _candidates(used, f[i]):
             newly = (mask & uncovered).bit_count()
             if pairs - newly > budget:
@@ -199,6 +272,8 @@ def is_f_choosable(
             for c in cand:
                 masks[c] |= bit
             lists_acc.append(cand)
+            if dirty > i:
+                dirty = i
             ok = rec(i + 1, new_used, covered | mask, count + newly)
             lists_acc.pop()
             for c in cand:
@@ -220,7 +295,11 @@ def is_f_choosable(
 
 
 def chromatic_number(hg: Hypergraph) -> int:
-    """Exact chromatic number by iterative deepening over the color count."""
+    """Exact chromatic number by iterative deepening over the color count.
+
+    Each color count's search makes at most ``SEARCH_NODE_GUARD`` branching
+    decisions beyond one per vertex, or raises GuardExceededError.
+    """
     if hg.n > CHROMATIC_MAX_VERTICES:
         raise GuardExceededError(
             f"{hg.n} vertices exceeds the guard {CHROMATIC_MAX_VERTICES}"
@@ -229,7 +308,7 @@ def chromatic_number(hg: Hypergraph) -> int:
         return 1 if hg.n else 0
     search = _ListSearch(hg.n, hg.edges)
     for r in range(2, hg.n + 1):
-        if search.solve([range(r)] * hg.n) is not None:
+        if search.solve([range(r)] * hg.n, max_nodes=SEARCH_NODE_GUARD) is not None:
             return r
     raise TheoremContradictionError("rainbow coloring rejected")  # pragma: no cover
 

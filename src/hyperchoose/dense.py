@@ -438,6 +438,13 @@ def lower_bound_experiment(
     coloring of the complete s-uniform hypergraph on (t/2, t/2) certifies a
     choice number above l for that hypergraph.  The report carries the
     witness fraction and the first uncolorable system found.
+
+    Each distinct multiset of side-A lists is decided once per call.  This
+    is exact: permuting side A's vertices together with their side-B copies
+    is an automorphism of the complete hypergraph, so a trial's verdict
+    depends only on the multiset, and the sorted lists are its key.  At
+    l = 2 the palette has six 2-subsets, so 200 trials at t = 8 meet at
+    most C(9, 4) = 126 keys.
     """
     if s < 2 or l < 1 or t < 2 or trials < 1:
         raise ValueError("requires s >= 2, l >= 1, t >= 2, trials >= 1")
@@ -450,16 +457,22 @@ def lower_bound_experiment(
     rng = _rng(seed)
     witnesses = 0
     first_witness: Optional[ListAssignment] = None
+    uncolorable: dict[tuple[tuple[int, ...], ...], bool] = {}  # by side multiset
     for _ in range(trials):
         left = [
-            tuple(sorted(int(c) + 1 for c in rng.choice(palette_size, size=l, replace=False)))
+            tuple(sorted(c + 1 for c in rng.choice(palette_size, size=l, replace=False).tolist()))
             for _ in range(t // 2)
         ]
-        system = ListAssignment(tuple(left + left))
-        if complete_proper_exists(s, t // 2, t // 2, system) is None:
+        key = tuple(sorted(left))
+        verdict = uncolorable.get(key)
+        if verdict is None:
+            system = ListAssignment(tuple(left + left))
+            verdict = complete_proper_exists(s, t // 2, t // 2, system) is None
+            uncolorable[key] = verdict
+        if verdict:
             witnesses += 1
             if first_witness is None:
-                first_witness = system
+                first_witness = ListAssignment(tuple(left + left))
     return DenseExperimentReport(
         trials=trials,
         categories={"witness_found": witnesses, "colorable": trials - witnesses},

@@ -19,6 +19,7 @@ import sympy
 from hyperchoose import Hypergraph, ListAssignment, nullstellensatz
 from hyperchoose.choosability import MAX_UNIVERSE, MAX_VERTICES, ChoosabilityVerdict
 from hyperchoose.core import _ListSearch
+from hyperchoose.dense import DenseExperimentReport, _rng, complete_proper_exists
 from hyperchoose.errors import GuardExceededError
 from hyperchoose.nullstellensatz import _tree_multiplicity, _vertex_order, crossing_tree
 
@@ -343,6 +344,33 @@ def reference_is_f_choosable(
         return ChoosabilityVerdict(True, None, examined)
     assert witness is not None and search.solve(witness.lists) is None
     return ChoosabilityVerdict(False, witness, examined)
+
+
+def reference_lower_bound_experiment(
+    s: int, l: int, t: int, trials: int, seed: int
+) -> DenseExperimentReport:
+    """``dense.lower_bound_experiment`` before its per-multiset memo: one
+    ``complete_proper_exists`` call per trial."""
+    rng = _rng(seed)
+    witnesses = 0
+    first_witness: Optional[ListAssignment] = None
+    for _ in range(trials):
+        left = [
+            tuple(sorted(int(c) + 1 for c in rng.choice(l * l, size=l, replace=False)))
+            for _ in range(t // 2)
+        ]
+        system = ListAssignment(tuple(left + left))
+        if complete_proper_exists(s, t // 2, t // 2, system) is None:
+            witnesses += 1
+            if first_witness is None:
+                first_witness = system
+    return DenseExperimentReport(
+        trials=trials,
+        categories={"witness_found": witnesses, "colorable": trials - witnesses},
+        seed=seed,
+        witness_fraction=witnesses / trials,
+        witness=first_witness,
+    )
 
 
 def reference_edge_vertex_flow(

@@ -18,6 +18,7 @@ from hyperchoose import (
     is_f_choosable,
     is_proper,
 )
+from hyperchoose.choosability import _candidates, _pair_index
 from hyperchoose.core import _ListSearch
 from oracles import (
     exhaustive_colorable,
@@ -159,6 +160,13 @@ def test_chromatic_number_matches_brute_force():
     assert {2, 3, 4} <= seen
 
 
+def test_chromatic_number_node_guard(monkeypatch):
+    assert chromatic_number(ISOLATED_K4) == 4
+    monkeypatch.setattr(choosability, "SEARCH_NODE_GUARD", 100)
+    with pytest.raises(GuardExceededError, match="exceeded the node guard 100"):
+        chromatic_number(ISOLATED_K4)
+
+
 def test_chromatic_guard():
     with pytest.raises(GuardExceededError):
         chromatic_number(Hypergraph(25, ((0, 1),)))
@@ -285,9 +293,29 @@ def test_is_f_choosable_reuses_colorings(monkeypatch):
         return solve(self, lists, **kwargs)
 
     monkeypatch.setattr(_ListSearch, "solve", counted)
+    # Most systems keep the previous coloring outright, with no is_proper call.
+    checked = []
+    proper = choosability.is_proper
+
+    def counted_proper(hg, color):
+        checked.append(color)
+        return proper(hg, color)
+
+    monkeypatch.setattr(choosability, "is_proper", counted_proper)
     verdict = is_f_choosable(gen_fano(), [3] * 7, max_universe=21)
     assert verdict.choosable and verdict.lists_examined == 49483
     assert len(calls) < verdict.lists_examined / 100
+    assert len(checked) < verdict.lists_examined / 2
+
+
+def test_pair_index_holds_each_pairs_candidates_in_order():
+    for used in range(22):
+        for size in range(1, 5):
+            index = _pair_index(used, size)
+            assert len(index) == used * (used - 1) // 2
+            for k, entry in enumerate(index):
+                bit = 1 << k
+                assert list(entry) == [c for c in _candidates(used, size) if c[1] & bit]
 
 
 def test_is_f_choosable_frees_its_memo_on_return():

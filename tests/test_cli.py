@@ -193,6 +193,19 @@ def test_color_exact_node_guard_exits_3(capsys, monkeypatch, tmp_path):
     assert captured.err == "error: coloring search exceeded the node guard 100\n"
 
 
+def test_exact_chi_node_guard_exits_3(capsys, monkeypatch, tmp_path):
+    # The same input: refuting 3 colors runs past a guard of 100 decisions.
+    path = tmp_path / "isolated_k4.hgr"
+    edges = tuple((a, b) for a in range(8, 12) for b in range(a + 1, 12))
+    path.write_text(serialize_hypergraph(hyperchoose.Hypergraph(12, edges)))
+    monkeypatch.setattr(choosability, "SEARCH_NODE_GUARD", 100)
+    for argv in (["exact", str(path), "--what", "chi"], ["analyze", str(path), "--exact"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, ""), argv
+        assert captured.err == "error: coloring search exceeded the node guard 100\n"
+
+
 def test_color_lists_size_mismatch_exits_4(capsys, tmp_path, k33_path):
     lists = lists_file(tmp_path, [[1, 2, 3]] * 5)
     for method in ("exact", "sparse", "gk"):
@@ -471,6 +484,15 @@ def test_dense_lower_bound_json_and_csv(capsys):
     assert code == 0
     assert lines[0] == "s,l,t,trials,witness_fraction,seed"
     assert len(lines) == 3 and lines[1].startswith("2,2,6,100,")
+
+
+def test_dense_lower_bound_matches_golden_output(capsys):
+    code, out = run(
+        capsys, "dense", "lower-bound", "--s", "3", "--l", "2", "--t", "8",
+        "--trials", "200", "--seed", "1",
+    )
+    assert code == 0
+    assert out == (GOLDEN / "lower_bound_s3_l2_t8_seed1.json").read_text()
 
 
 def test_dense_lower_bound_guard_exits_3(capsys):

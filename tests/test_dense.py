@@ -25,7 +25,12 @@ from hyperchoose import (
     split_experiment,
     split_probability,
 )
-from oracles import mpmath_cond_ert_upper, mpmath_split_probability, split_tallies
+from oracles import (
+    mpmath_cond_ert_upper,
+    mpmath_split_probability,
+    reference_lower_bound_experiment,
+    split_tallies,
+)
 
 DISJOINT_3LISTS = ListAssignment(tuple(tuple(range(3 * i + 1, 3 * i + 4)) for i in range(6)))
 
@@ -312,3 +317,25 @@ def test_lower_bound_experiment_replay_and_guards():
         lower_bound_experiment(2, 2, 26, trials=10, seed=0)
     with pytest.raises(GuardExceededError):
         lower_bound_experiment(2, 2, 7, trials=10, seed=0)  # odd t
+
+
+def test_lower_bound_experiment_matches_reference():
+    # One verdict per side multiset must leave every report unchanged: the
+    # counts, the witness (each trial's own system) and the JSON bytes.  At
+    # t = 24 with l >= 2 a trial's search is slow and its multiset almost
+    # never repeats, so those points draw one trial per seed.
+    cases = [
+        (s, l, t, 1 if t == 24 and l > 1 else 20, seed)
+        for s in (2, 3, 7)
+        for l in (1, 2, 3)
+        for t in (2, 8, 24)
+        for seed in range(30)
+    ]
+    cases += [(3, 2, 8, 200, seed) for seed in range(30)]  # the benchmark's runs
+    cases += [(2, 2, 6, 500, seed) for seed in (99, *range(30))]  # ACCEPTANCE 9's shape
+    found = 0
+    for case in cases:
+        report = lower_bound_experiment(*case)
+        assert report.to_json() == reference_lower_bound_experiment(*case).to_json(), case
+        found += report.witness is not None
+    assert found >= 100

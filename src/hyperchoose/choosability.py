@@ -238,14 +238,11 @@ def is_f_choosable(
 
     def rec(i: int, used: int, covered: int, count: int) -> bool:
         nonlocal examined, dirty
-        # Colors 1..used all occur, so these are exactly the nonzero masks.
-        key = (i, tuple(sorted(masks[1 : used + 1])))
-        if key in memo_true:
-            return True
         uncovered = ~covered
         if i == n - 1:
             # No list follows, so a leaf passes the cut only if it covers
             # every color pair, the lowest uncovered one included.
+            key = None
             candidates = _candidates(used, f[i])
             if count < used * (used - 1) // 2:
                 lowest = (uncovered & (covered + 1)).bit_length() - 1
@@ -253,6 +250,12 @@ def is_f_choosable(
             for cand, mask, _, pairs in candidates:
                 if pairs - (mask & uncovered).bit_count() > count:
                     continue
+                # A frame with no passing leaf examines nothing, memo hit or
+                # not, so the key waits for the first leaf that passes.
+                if key is None:
+                    key = (i, tuple(sorted(masks[1 : used + 1])))
+                    if key in memo_true:
+                        return True
                 examined += 1
                 lists_acc.append(cand)
                 if dirty > i:
@@ -261,7 +264,12 @@ def is_f_choosable(
                 lists_acc.pop()
                 if not ok:
                     return False
-            memo_true.add(key)
+            if key is not None:
+                memo_true.add(key)
+            return True
+        # Colors 1..used all occur, so these are exactly the nonzero masks.
+        key = (i, tuple(sorted(masks[1 : used + 1])))
+        if key in memo_true:
             return True
         bit = 1 << i
         budget = count + suffix_capacity[i + 1]

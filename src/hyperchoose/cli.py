@@ -61,6 +61,13 @@ def _load_hypergraph(path: str, task: str = "") -> tuple[Hypergraph, bytes]:
     return hg, raw
 
 
+def _seed(args) -> int:
+    """The ``--seed`` option, which numpy's generators take only nonnegative."""
+    if args.seed < 0:
+        raise ValueError("--seed must be a nonnegative integer")
+    return args.seed
+
+
 def _load_lists(path: str) -> ListAssignment:
     try:
         doc = json.loads(Path(path).read_text("utf-8"))
@@ -214,7 +221,7 @@ def cmd_dense_split_color(args) -> int:
     if bip is None:
         raise PreconditionError("split coloring requires a 2-colorable hypergraph")
     coloring, report = dense.random_split_color_report(
-        hg, bip, lists, args.max_iters, args.seed
+        hg, bip, lists, args.max_iters, _seed(args)
     )
     _emit(
         {
@@ -227,8 +234,9 @@ def cmd_dense_split_color(args) -> int:
 
 
 def cmd_dense_lower_bound(args) -> int:
+    seed = _seed(args)
     reports = [
-        (t, dense.lower_bound_experiment(args.s, args.l, t, args.trials, args.seed))
+        (t, dense.lower_bound_experiment(args.s, args.l, t, args.trials, seed))
         for t in args.t
     ]
     if args.csv:
@@ -263,7 +271,7 @@ def cmd_generate(args) -> int:
     if args.kind == "fano":
         _write_hgr(gen_fano(), args.output)
         return EXIT_OK
-    hg = gen_k_regular_k_uniform(args.k, args.n, args.seed, proposals=args.proposals)
+    hg = gen_k_regular_k_uniform(args.k, args.n, _seed(args), proposals=args.proposals)
     if hg is None:
         raise GuardExceededError("search budget exhausted without a valid instance")
     _write_hgr(hg, args.output)

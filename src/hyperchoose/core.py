@@ -863,35 +863,32 @@ def gen_k_regular_k_uniform(
     rng = np.random.Generator(np.random.Philox(seed))
     budget = proposals
     while budget > 0:
-        layers = [[int(x) for x in rng.permutation(n)] for _ in range(k)]
+        layers = np.stack([rng.permutation(n) for _ in range(k)])
         budget -= 1
         stall = 0
+        # Column j sorted is edge j; it repeats a vertex iff two adjacent
+        # entries are equal.  A swap re-sorts and re-tests only its columns.
+        cols = np.sort(layers, axis=0)
+        bad = (cols[1:] == cols[:-1]).any(axis=0)
         while True:
-            # Scan before the budget check, so the last proposal is checked too.
-            conflict = None
-            for j in range(n):
-                column = [layers[i][j] for i in range(k)]
-                if len(set(column)) < k:
-                    conflict = j
-                    break
-            if conflict is None:
-                edges = tuple(
-                    tuple(sorted(layers[i][j] for i in range(k))) for j in range(n)
-                )
-                hg = Hypergraph(n, edges)
-                assert hg.degrees() == [k] * n
-                return hg
+            # Test before the budget check, so the last proposal is tested too.
+            conflict = int(bad.argmax())
+            if not bad[conflict]:
+                assert (np.bincount(cols.ravel(), minlength=n) == k).all()
+                return Hypergraph._checked(n, tuple(zip(*cols.tolist())))
             if budget == 0 or stall >= 50 * n:
                 break
-            column = [layers[i][conflict] for i in range(k)]
+            column = layers[:, conflict].tolist()
             dup_layer = next(
                 i for i in range(1, k) if column[i] in column[:i]
             )
             j2 = (conflict + 1 + int(rng.integers(n - 1))) % n
-            layers[dup_layer][conflict], layers[dup_layer][j2] = (
-                layers[dup_layer][j2],
-                layers[dup_layer][conflict],
-            )
+            touched = [conflict, j2]
+            row = layers[dup_layer]
+            row[touched] = row[touched[::-1]]
+            sub = np.sort(layers[:, touched], axis=0)
+            cols[:, touched] = sub
+            bad[touched] = (sub[1:] == sub[:-1]).any(axis=0)
             budget -= 1
             stall += 1
     return None

@@ -14,6 +14,7 @@ from math import prod
 from typing import Optional, Sequence
 
 import mpmath
+import numpy as np
 import sympy
 
 from hyperchoose import Hypergraph, ListAssignment, nullstellensatz
@@ -371,6 +372,52 @@ def reference_lower_bound_experiment(
         witness_fraction=witnesses / trials,
         witness=first_witness,
     )
+
+
+def reference_gen_k_regular_k_uniform(
+    k: int, n: int, seed: int, proposals: int = 100_000
+) -> Optional[Hypergraph]:
+    """``core.gen_k_regular_k_uniform`` before it worked on arrays: Python
+    lists for the layers, and a scan of every column from 0 after each swap.
+
+    Builds k layers, each a permutation of the vertices; edge j collects the
+    layer values at position j.  Columns with repeated vertices are repaired
+    by random in-layer swaps; each swap or restart consumes one proposal from
+    the budget.  Returns None if the budget is exhausted.
+    """
+    rng = np.random.Generator(np.random.Philox(seed))
+    budget = proposals
+    while budget > 0:
+        layers = [[int(x) for x in rng.permutation(n)] for _ in range(k)]
+        budget -= 1
+        stall = 0
+        while True:
+            # Scan before the budget check, so the last proposal is checked too.
+            conflict = None
+            for j in range(n):
+                column = [layers[i][j] for i in range(k)]
+                if len(set(column)) < k:
+                    conflict = j
+                    break
+            if conflict is None:
+                edges = tuple(
+                    tuple(sorted(layers[i][j] for i in range(k))) for j in range(n)
+                )
+                hg = Hypergraph(n, edges)
+                assert hg.degrees() == [k] * n
+                return hg
+            if budget == 0 or stall >= 50 * n:
+                break
+            column = [layers[i][conflict] for i in range(k)]
+            dup_layer = next(i for i in range(1, k) if column[i] in column[:i])
+            j2 = (conflict + 1 + int(rng.integers(n - 1))) % n
+            layers[dup_layer][conflict], layers[dup_layer][j2] = (
+                layers[dup_layer][j2],
+                layers[dup_layer][conflict],
+            )
+            budget -= 1
+            stall += 1
+    return None
 
 
 def reference_edge_vertex_flow(

@@ -539,6 +539,20 @@ def test_seed_env_is_ignored(capsys, tmp_path, k33_path, monkeypatch):
     assert without_flag != run(capsys, *split, "--seed", "7")
 
 
+@pytest.mark.parametrize("command", ["generate regular", "dense split-color", "dense lower-bound"])
+def test_negative_seed_names_the_option(capsys, tmp_path, k33_path, command):
+    lists = lists_file(tmp_path, [[3 * i + 1, 3 * i + 2, 3 * i + 3] for i in range(6)])
+    rest = {
+        "generate regular": ["--k", "4", "--n", "12"],
+        "dense split-color": [k33_path, lists],
+        "dense lower-bound": ["--s", "3", "--l", "2", "--t", "8"],
+    }[command]
+    code = main([*command.split(), *rest, "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --seed must be a nonnegative integer\n"
+
+
 def test_generate_complete_roundtrip(capsys, tmp_path):
     out_file = tmp_path / "gen.hgr"
     bip_file = tmp_path / "bip.json"
@@ -575,6 +589,12 @@ def test_generate_regular(capsys, tmp_path):
     assert code == 0
     hg = parse_hypergraph(out_file.read_text())
     assert hg.degrees() == [4] * 8
+
+
+def test_generate_regular_matches_golden(capsys):
+    code, out = run(capsys, "generate", "regular", "--k", "4", "--n", "12", "--seed", "1")
+    assert code == 0
+    assert out == (GOLDEN / "regular_k4_n12_seed1.hgr").read_text()
 
 
 def test_generate_regular_infeasible_exits_2(capsys):

@@ -13,8 +13,8 @@ lowest uncovered pair.  Each system that survives the cut is first tried
 with the previous colorable system's coloring: kept whole when every list
 still holds its color, else repaired greedily and counted only after
 ``is_proper`` accepts it and its lists admit it.  The list search decides
-the rest, and its colorings are verified the same way.  The chromatic number
-runs the same search, stopped at ``SEARCH_NODE_GUARD`` decisions.
+the rest, and its colorings are verified the same way.  Every list search
+here stops at ``SEARCH_NODE_GUARD`` decisions beyond one per vertex.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .core import SEARCH_NODE_GUARD, Hypergraph, ListAssignment, _ListSearch, is_proper
+from .core import Hypergraph, ListAssignment, _color_lists, _ListSearch, is_proper
 from .density import bound_gk
-from .errors import GuardExceededError, PreconditionError, TheoremContradictionError
+from .errors import GuardExceededError, TheoremContradictionError
 
 MAX_VERTICES = 12
 MAX_UNIVERSE = 12
@@ -36,20 +36,8 @@ CHROMATIC_MAX_VERTICES = 20
 def color_from_lists(
     hg: Hypergraph, lists: ListAssignment
 ) -> Optional[tuple[int, ...]]:
-    """A proper coloring with every color drawn from its vertex list, or None.
-
-    More than ``SEARCH_NODE_GUARD`` branching decisions beyond one per vertex
-    raise GuardExceededError.
-    """
-    if lists.n != hg.n:
-        raise PreconditionError("list assignment size differs from vertex count")
-    solved = _ListSearch(hg.n, hg.edges).solve(lists.lists, max_nodes=SEARCH_NODE_GUARD)
-    if solved is None:
-        return None
-    color = tuple(solved)
-    if not is_proper(hg, color) or not lists.admits(color):
-        raise TheoremContradictionError("list coloring failed verification")
-    return color
+    """A proper coloring with every color drawn from its vertex list, or None."""
+    return _color_lists(hg, hg.edges, lists)
 
 
 @dataclass(frozen=True)
@@ -303,11 +291,7 @@ def is_f_choosable(
 
 
 def chromatic_number(hg: Hypergraph) -> int:
-    """Exact chromatic number by iterative deepening over the color count.
-
-    Each color count's search makes at most ``SEARCH_NODE_GUARD`` branching
-    decisions beyond one per vertex, or raises GuardExceededError.
-    """
+    """Exact chromatic number by iterative deepening over the color count."""
     if hg.n > CHROMATIC_MAX_VERTICES:
         raise GuardExceededError(
             f"{hg.n} vertices exceeds the guard {CHROMATIC_MAX_VERTICES}"
@@ -316,7 +300,7 @@ def chromatic_number(hg: Hypergraph) -> int:
         return 1 if hg.n else 0
     search = _ListSearch(hg.n, hg.edges)
     for r in range(2, hg.n + 1):
-        if search.solve([range(r)] * hg.n, max_nodes=SEARCH_NODE_GUARD) is not None:
+        if search.solve([range(r)] * hg.n) is not None:
             return r
     raise TheoremContradictionError("rainbow coloring rejected")  # pragma: no cover
 

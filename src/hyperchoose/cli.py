@@ -271,7 +271,7 @@ def cmd_generate(args) -> int:
     if args.kind == "fano":
         _write_hgr(gen_fano(), args.output)
         return EXIT_OK
-    hg = gen_k_regular_k_uniform(args.k, args.n, _seed(args), proposals=args.proposals)
+    hg = gen_k_regular_k_uniform(args.k, args.n, _seed(args))
     if hg is None:
         raise GuardExceededError("search budget exhausted without a valid instance")
     _write_hgr(hg, args.output)
@@ -365,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--proposals", type=int, default=100_000)
     q.add_argument("--output", "-o")
     q.set_defaults(func=cmd_generate)
 

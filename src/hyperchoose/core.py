@@ -8,8 +8,9 @@ are immutable after construction and safe to share across threads.
 
 Certificates are plain tuples aligned with the vertices or the edges: a
 coloring holds one color per vertex, a 2-coloring one ``"A"``/``"B"`` side
-label per vertex, an orientation one head per edge.  Every list coloring of a
-pair graph, sparse or gk, is one run of the list-coloring search.
+label per vertex, an orientation one head per edge.  Every list coloring a
+command prints, of the hypergraph or of a pair graph (sparse or gk), is one
+run of the list-coloring search, verified in one place.
 """
 
 from __future__ import annotations
@@ -333,12 +334,9 @@ def serialize_hypergraph(hg: Hypergraph) -> str:
 # List-coloring search
 # ---------------------------------------------------------------------------
 
-# Branching decisions allowed to the searches behind polynomial pipelines
-# (find_bipartition and the pair-graph coloring) on top of one per
-# vertex, so that an input on which the search goes exponential raises instead
-# of hanging, while a search that never backtracks passes at any size.  The exact
-# oracles in choosability have no node budget: their constant vertex guards
-# bound the search instead.
+# Branching decisions allowed to every list search on top of one per vertex,
+# so that an input on which the search goes exponential raises instead of
+# hanging, while a search that never backtracks passes at any size.
 SEARCH_NODE_GUARD = 1_000_000
 
 
@@ -374,19 +372,15 @@ class _ListSearch:
         self.inc = _incidence(n, edges)
         self.nodes = 0  # branching decisions made by the last solve
 
-    def solve(
-        self,
-        lists: Sequence[Sequence],
-        *,
-        max_nodes: Optional[int] = None,
-    ) -> Optional[list]:
+    def solve(self, lists: Sequence[Sequence]) -> Optional[list]:
         """First proper coloring taking each vertex's value from its list, or None.
 
         A search that never backtracks makes at most one branching decision
-        per vertex; more than ``max_nodes`` decisions beyond those raise
-        GuardExceededError.
+        per vertex; more than ``SEARCH_NODE_GUARD`` decisions beyond those
+        raise GuardExceededError.
         """
         n, edges, inc = self.n, self.edges, self.inc
+        guard = SEARCH_NODE_GUARD
         values = sorted(set(chain.from_iterable(lists)))
         bit = {c: 1 << i for i, c in enumerate(values)}
         dom: list[int] = []  # bitmask of the values still open to each vertex
@@ -483,10 +477,10 @@ class _ListSearch:
                 v, c, tmark, dmark, top = stack.pop()
             c = (d & -d).bit_length() - 1
             nodes += 1
-            if max_nodes is not None and nodes > max_nodes + n:
+            if nodes > guard + n:
                 self.nodes = nodes
                 raise GuardExceededError(
-                    f"coloring search exceeded the node guard {max_nodes}"
+                    f"coloring search exceeded the node guard {guard}"
                 )
             queue.append((v, c))
 
@@ -498,9 +492,29 @@ def find_bipartition(hg: Hypergraph) -> Optional[tuple[str, ...]]:
     GuardExceededError once the search has made more than
     ``SEARCH_NODE_GUARD`` branching decisions beyond one per vertex.
     """
-    search = _ListSearch(hg.n, hg.edges)
-    side = search.solve([(SIDE_A, SIDE_B)] * hg.n, max_nodes=SEARCH_NODE_GUARD)
+    side = _ListSearch(hg.n, hg.edges).solve([(SIDE_A, SIDE_B)] * hg.n)
     return None if side is None else tuple(side)
+
+
+def _color_lists(
+    hg: Hypergraph, edges: Sequence[Sequence[int]], lists: ListAssignment
+) -> Optional[tuple[int, ...]]:
+    """The list search's coloring for ``edges``, verified for ``hg``, or None.
+
+    ``edges`` are the hypergraph's own or one vertex pair inside each of
+    them, so a coloring proper on them is proper on ``hg``.  A list count
+    other than ``hg.n`` raises PreconditionError, and a coloring that
+    ``is_proper`` or the lists reject raises TheoremContradictionError.
+    """
+    if lists.n != hg.n:
+        raise PreconditionError("list assignment size differs from vertex count")
+    color = _ListSearch(hg.n, edges).solve(lists.lists)
+    if color is None:
+        return None
+    color = tuple(color)
+    if not is_proper(hg, color) or not lists.admits(color):
+        raise TheoremContradictionError("list coloring failed verification")
+    return color
 
 
 def _color_pairs(
@@ -510,33 +524,24 @@ def _color_pairs(
     need: Sequence[int],
     why: str,
 ) -> tuple[int, ...]:
-    """List coloring of the graph of ``pairs``, verified proper for ``hg``.
+    """List coloring of the graph of ``pairs``, one vertex pair per edge of ``hg``.
 
-    The pairs hold one vertex pair per edge of ``hg``, so a coloring proper on
-    them is proper on ``hg``; they go to the search as they are, with no
-    second validation.  Both pair-graph colorings rest on one list rule,
-    checked here: one list per vertex, and at least ``need[v]`` colors for
-    each vertex v, where ``why`` names the bound; lists that break it raise
-    PreconditionError.  The search stops after ``SEARCH_NODE_GUARD``
-    branching decisions beyond one per vertex.  Lists that meet the rule
-    always admit a coloring, so a missing or improper one raises
-    TheoremContradictionError.
+    Both pair-graph colorings rest on one list rule: at least ``need[v]``
+    colors for each vertex v, where ``why`` names the bound; a short list
+    raises PreconditionError.  Lists that meet the rule always admit a
+    coloring, so a missing one raises TheoremContradictionError.
     """
-    if lists.n != hg.n:
-        raise PreconditionError("list assignment size differs from vertex count")
-    for v, (lv, k) in enumerate(zip(lists.lists, need)):
-        if len(lv) < k:
-            raise PreconditionError(
-                f"vertex {v}: list of size {len(lv)} is below the required {k} ({why})"
-            )
-    color = _ListSearch(hg.n, pairs).solve(lists.lists, max_nodes=SEARCH_NODE_GUARD)
+    if lists.n == hg.n:  # else _color_lists reports the count first
+        for v, (lv, k) in enumerate(zip(lists.lists, need)):
+            if len(lv) < k:
+                raise PreconditionError(
+                    f"vertex {v}: list of size {len(lv)} is below the required {k} ({why})"
+                )
+    color = _color_lists(hg, pairs, lists)
     if color is None:
         raise TheoremContradictionError(
             "pair graph admitted no list coloring despite sufficient lists"
         )
-    color = tuple(color)
-    if not is_proper(hg, color) or not lists.admits(color):
-        raise TheoremContradictionError("pair-graph coloring failed verification")
     return color
 
 
@@ -843,25 +848,25 @@ def gen_fano() -> Hypergraph:
     return Hypergraph(7, lines)
 
 
-def gen_k_regular_k_uniform(
-    k: int, n: int, seed: int, proposals: int = 100_000
-) -> Optional[Hypergraph]:
+# Proposals (layer draws and swaps) one call of gen_k_regular_k_uniform may spend.
+PROPOSAL_BUDGET = 100_000
+
+
+def gen_k_regular_k_uniform(k: int, n: int, seed: int) -> Optional[Hypergraph]:
     """Random k-uniform hypergraph on n vertices with every degree exactly k.
 
     Builds k layers, each a permutation of the vertices; edge j collects the
     layer values at position j.  Columns with repeated vertices are repaired
-    by random in-layer swaps; each swap or restart consumes one proposal from
-    the budget.  Returns None if the budget is exhausted.  Edge count is
-    always n (k*n incidences at k per edge), and duplicate edges may occur.
+    by random in-layer swaps; each swap or restart consumes one of
+    ``PROPOSAL_BUDGET`` proposals, and None means they ran out.  Edge count
+    is always n (k*n incidences at k per edge), and duplicate edges may occur.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     if n < k:
         raise ValueError(f"edge size {k} exceeds vertex count {n}")
-    if proposals < 1:
-        raise ValueError("proposals must be at least 1")
     rng = np.random.Generator(np.random.Philox(seed))
-    budget = proposals
+    budget = PROPOSAL_BUDGET
     while budget > 0:
         layers = np.stack([rng.permutation(n) for _ in range(k)])
         budget -= 1

@@ -12,6 +12,7 @@ from hyperchoose import (
     choosability,
     chromatic_number,
     color_from_lists,
+    core,
     gen_complete,
     gen_fano,
     gen_k_regular_k_uniform,
@@ -51,7 +52,7 @@ ISOLATED_K4 = Hypergraph(12, tuple((a, b) for a in range(8, 12) for b in range(a
 def test_color_from_lists_node_guard(monkeypatch):
     lists = ListAssignment(((1, 2, 3),) * 12)
     assert color_from_lists(ISOLATED_K4, lists) is None
-    monkeypatch.setattr(choosability, "SEARCH_NODE_GUARD", 100)
+    monkeypatch.setattr(core, "SEARCH_NODE_GUARD", 100)
     with pytest.raises(GuardExceededError, match="exceeded the node guard 100"):
         color_from_lists(ISOLATED_K4, lists)
 
@@ -162,9 +163,19 @@ def test_chromatic_number_matches_brute_force():
 
 def test_chromatic_number_node_guard(monkeypatch):
     assert chromatic_number(ISOLATED_K4) == 4
-    monkeypatch.setattr(choosability, "SEARCH_NODE_GUARD", 100)
+    monkeypatch.setattr(core, "SEARCH_NODE_GUARD", 100)
     with pytest.raises(GuardExceededError, match="exceeded the node guard 100"):
         chromatic_number(ISOLATED_K4)
+
+
+def test_is_f_choosable_node_guard(monkeypatch):
+    # The first system, every list {1, 2}, takes a search of 11 decisions to
+    # refute: over a guard of 3 plus one per vertex.
+    fano = gen_fano()
+    assert not is_f_choosable(fano, [2] * 7, max_universe=14).choosable
+    monkeypatch.setattr(core, "SEARCH_NODE_GUARD", 3)
+    with pytest.raises(GuardExceededError, match="exceeded the node guard 3"):
+        is_f_choosable(fano, [2] * 7, max_universe=14)
 
 
 def test_chromatic_guard():
@@ -288,9 +299,9 @@ def test_is_f_choosable_reuses_colorings(monkeypatch):
     calls = []
     solve = _ListSearch.solve
 
-    def counted(self, lists, **kwargs):
+    def counted(self, lists):
         calls.append(lists)
-        return solve(self, lists, **kwargs)
+        return solve(self, lists)
 
     monkeypatch.setattr(_ListSearch, "solve", counted)
     # Most systems keep the previous coloring outright, with no is_proper call.

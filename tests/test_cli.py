@@ -171,7 +171,7 @@ def test_color_exact_bad_lists_exits_5(capsys, tmp_path, k33_path):
 def test_color_exact_unverified_coloring_exits_6(capsys, monkeypatch, tmp_path, k33_path):
     # color_from_lists verifies what the search returns, so a wrong coloring
     # is an internal error even when asserts are stripped.
-    monkeypatch.setattr(choosability._ListSearch, "solve", lambda self, lists, **_: [1] * 6)
+    monkeypatch.setattr(choosability._ListSearch, "solve", lambda self, lists: [1] * 6)
     lists = lists_file(tmp_path, K33_LISTS)
     code = main(["color", k33_path, lists, "--method", "exact"])
     captured = capsys.readouterr()
@@ -186,7 +186,7 @@ def test_color_exact_node_guard_exits_3(capsys, monkeypatch, tmp_path):
     edges = tuple((a, b) for a in range(8, 12) for b in range(a + 1, 12))
     path.write_text(serialize_hypergraph(hyperchoose.Hypergraph(12, edges)))
     lists = lists_file(tmp_path, [[1, 2, 3]] * 12)
-    monkeypatch.setattr(choosability, "SEARCH_NODE_GUARD", 100)
+    monkeypatch.setattr(core, "SEARCH_NODE_GUARD", 100)
     code = main(["color", str(path), lists, "--method", "exact"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")
@@ -198,12 +198,26 @@ def test_exact_chi_node_guard_exits_3(capsys, monkeypatch, tmp_path):
     path = tmp_path / "isolated_k4.hgr"
     edges = tuple((a, b) for a in range(8, 12) for b in range(a + 1, 12))
     path.write_text(serialize_hypergraph(hyperchoose.Hypergraph(12, edges)))
-    monkeypatch.setattr(choosability, "SEARCH_NODE_GUARD", 100)
+    monkeypatch.setattr(core, "SEARCH_NODE_GUARD", 100)
     for argv in (["exact", str(path), "--what", "chi"], ["analyze", str(path), "--exact"]):
         code = main(argv)
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, ""), argv
         assert captured.err == "error: coloring search exceeded the node guard 100\n"
+
+
+def test_choosability_node_guard_exits_3(capsys, monkeypatch, fano_path):
+    # Refuting the first Fano system, every list {1, 2}, takes 11 decisions:
+    # past a guard of 3 plus one per vertex.
+    monkeypatch.setattr(core, "SEARCH_NODE_GUARD", 3)
+    for argv in (
+        ["choosability", fano_path, "--f", "2", "--max-universe", "14"],
+        ["exact", fano_path, "--what", "ch"],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, ""), argv
+        assert captured.err == "error: coloring search exceeded the node guard 3\n"
 
 
 def test_color_lists_size_mismatch_exits_4(capsys, tmp_path, k33_path):
@@ -281,6 +295,10 @@ def test_choosability_guard_exits_3(capsys, k33_path):
         (
             "choosability_fano_f3_universe21",
             ["choosability", "FANO", "--f", "3", "--max-universe", "21"],
+        ),
+        (
+            "choosability_fano_f2_universe14",
+            ["choosability", "FANO", "--f", "2", "--max-universe", "14"],
         ),
     ],
 )
@@ -602,24 +620,17 @@ def test_generate_regular_infeasible_exits_2(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("proposals", ["0", "-5"])
-def test_generate_regular_nonpositive_proposals_exit_2(capsys, proposals):
-    code, _ = run(capsys, "generate", "regular", "--k", "3", "--n", "6", "--seed", "1",
-                  "--proposals", proposals)
-    assert code == 2
-
-
-def test_generate_regular_one_proposal_is_accepted(capsys):
+def test_generate_regular_one_proposal_is_accepted(capsys, monkeypatch):
     # Seed 1 draws a conflict-free pair of layers at once, so the one proposal
     # the budget allows must be checked and returned.
-    code, out = run(capsys, "generate", "regular", "--k", "2", "--n", "10", "--seed", "1",
-                    "--proposals", "1")
+    monkeypatch.setattr(core, "PROPOSAL_BUDGET", 1)
+    code, out = run(capsys, "generate", "regular", "--k", "2", "--n", "10", "--seed", "1")
     assert code == 0 and parse_hypergraph(out).degrees() == [2] * 10
 
 
-def test_generate_regular_budget_exhausted_exits_3(capsys):
-    code = main(["generate", "regular", "--k", "3", "--n", "3", "--seed", "1",
-                 "--proposals", "1"])
+def test_generate_regular_budget_exhausted_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(core, "PROPOSAL_BUDGET", 1)
+    code = main(["generate", "regular", "--k", "3", "--n", "3", "--seed", "1"])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err == "error: search budget exhausted without a valid instance\n"

@@ -141,8 +141,7 @@ def is_f_choosable(
     for the witness.
 
     The verdict is deterministic; a negative one carries the first failing
-    system in enumeration order, re-verified uncolorable by a fresh search
-    before returning.
+    system in enumeration order, the one the list search found uncolorable.
     """
     n = hg.n
     f = tuple(f)
@@ -285,8 +284,6 @@ def is_f_choosable(
     del rec
     if ok:
         return ChoosabilityVerdict(True, None, examined)
-    if search.solve(witness.lists) is not None:
-        raise TheoremContradictionError("witness list system admits a coloring")
     return ChoosabilityVerdict(False, witness, examined)
 
 

@@ -42,6 +42,10 @@ from .errors import (
 
 LOWER_BOUND_MAX_L = 3
 LOWER_BOUND_MAX_T = 24
+# Trials whose lists one `integers` call draws.  Within the guard a trial
+# draws at most 12 lists of 5 values, so a block's draws stay under 0.5 MB
+# whatever the trial count.
+LOWER_BOUND_BLOCK_TRIALS = 1024
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -428,6 +432,34 @@ def complete_proper_exists(
     return tuple(color)
 
 
+def _draw_lists(
+    rng: np.random.Generator, palette_size: int, l: int, trials: int, lists: int
+) -> np.ndarray:
+    """(trials x lists x l) sorted l-subsets of {1..palette_size}, one per
+    ``rng.choice(palette_size, size=l, replace=False)`` call, from one
+    ``integers`` call on the same stream.
+
+    For a palette of at most 10 000 colors ``choice`` runs Floyd's
+    algorithm: l bounded draws with inclusive upper bounds P-l .. P-1, of
+    which the j-th becomes P-l+j when it was already picked, then a shuffle
+    of the picks by l-1 more bounded draws with bounds l-1 .. 1.  ``integers``
+    with the exclusive bounds P-l+1 .. P, l .. 2 makes the same bounded draws
+    (a bound of 0 consumes nothing in either), and the shuffle only permutes
+    a list that is sorted here anyway.
+    """
+    highs = np.array(
+        [*range(palette_size - l + 1, palette_size + 1), *range(l, 1, -1)],
+        dtype=np.uint64,
+    )
+    draws = rng.integers(0, highs, size=(trials, lists, 2 * l - 1), dtype=np.uint64)
+    picks = draws[..., :l].astype(np.int64)
+    for j in range(1, l):
+        seen = (picks[..., :j] == picks[..., j, None]).any(axis=-1)
+        picks[..., j][seen] = palette_size - l + j
+    picks.sort(axis=-1)
+    return picks + 1
+
+
 def lower_bound_experiment(
     s: int, l: int, t: int, trials: int, seed: int
 ) -> DenseExperimentReport:
@@ -445,6 +477,11 @@ def lower_bound_experiment(
     depends only on the multiset, and the sorted lists are its key.  At
     l = 2 the palette has six 2-subsets, so 200 trials at t = 8 meet at
     most C(9, 4) = 126 keys.
+
+    The lists of up to ``LOWER_BOUND_BLOCK_TRIALS`` trials come from one
+    ``integers`` call (see ``_draw_lists``), which consumes the stream
+    exactly as one ``rng.choice(l*l, size=l, replace=False)`` call per list
+    would; the draws, and so every report, are the same per seed.
     """
     if s < 2 or l < 1 or t < 2 or trials < 1:
         raise ValueError("requires s >= 2, l >= 1, t >= 2, trials >= 1")
@@ -453,26 +490,24 @@ def lower_bound_experiment(
             f"parameters outside the experiment guard "
             f"(l <= {LOWER_BOUND_MAX_L}, t <= {LOWER_BOUND_MAX_T}, t even)"
         )
-    palette_size = l * l
     rng = _rng(seed)
     witnesses = 0
     first_witness: Optional[ListAssignment] = None
     uncolorable: dict[tuple[tuple[int, ...], ...], bool] = {}  # by side multiset
-    for _ in range(trials):
-        left = [
-            tuple(sorted(c + 1 for c in rng.choice(palette_size, size=l, replace=False).tolist()))
-            for _ in range(t // 2)
-        ]
-        key = tuple(sorted(left))
-        verdict = uncolorable.get(key)
-        if verdict is None:
-            system = ListAssignment(tuple(left + left))
-            verdict = complete_proper_exists(s, t // 2, t // 2, system) is None
-            uncolorable[key] = verdict
-        if verdict:
-            witnesses += 1
-            if first_witness is None:
-                first_witness = ListAssignment(tuple(left + left))
+    for start in range(0, trials, LOWER_BOUND_BLOCK_TRIALS):
+        block = min(LOWER_BOUND_BLOCK_TRIALS, trials - start)
+        for rows in _draw_lists(rng, l * l, l, block, t // 2).tolist():
+            left = list(map(tuple, rows))
+            key = tuple(sorted(left))
+            verdict = uncolorable.get(key)
+            if verdict is None:
+                system = ListAssignment(tuple(left + left))
+                verdict = complete_proper_exists(s, t // 2, t // 2, system) is None
+                uncolorable[key] = verdict
+            if verdict:
+                witnesses += 1
+                if first_witness is None:
+                    first_witness = ListAssignment(tuple(left + left))
     return DenseExperimentReport(
         trials=trials,
         categories={"witness_found": witnesses, "colorable": trials - witnesses},

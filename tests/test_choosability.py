@@ -219,6 +219,7 @@ def test_witness_is_reverified():
         if not verdict.choosable:
             assert verdict.witness is not None
             assert color_from_lists(hg, verdict.witness) is None
+            assert first_list_coloring(hg, verdict.witness.lists) is None
             assert verdict.witness.sizes() == [2] * hg.n
 
 

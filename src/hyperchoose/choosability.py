@@ -15,6 +15,10 @@ still holds its color, else repaired greedily and counted only after
 ``is_proper`` accepts it and its lists admit it.  The list search decides
 the rest, and its colorings are verified the same way.  Every list search
 here stops at ``SEARCH_NODE_GUARD`` decisions beyond one per vertex.
+
+``choice_number`` enumerates only the levels below the paper's proven upper
+bound and leaves the top level to the theorem; ``is_f_choosable`` itself
+stays the plain enumerator at every f.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .core import Hypergraph, ListAssignment, _color_lists, _ListSearch, is_proper
-from .density import bound_gk
+from .density import bounds
 from .errors import GuardExceededError, TheoremContradictionError
 
 MAX_VERTICES = 12
@@ -305,15 +309,23 @@ def chromatic_number(hg: Hypergraph) -> int:
 def choice_number(hg: Hypergraph) -> int:
     """Smallest k such that every system of k-lists is colorable.
 
-    Iterates k upward from 2.  Each k is decided over the full color universe
-    n*k, so only ``MAX_VERTICES`` bounds the search.  Below the chromatic
-    number the first system enumerated, every list equal, is uncolorable, so
-    one search settles each such k.
+    The paper's theorems decide the top level U without enumeration:
+    ch(H) <= ceil(2D/s) + 1 (the gk bound) for every H, and
+    ch(H) <= ceil(L) + 1 (the sparse bound) when H is 2-colorable, so U is
+    the smaller of the two there and the gk bound otherwise, both taken from
+    ``density.bounds``.  Only k = 2..U-1 are enumerated, upward, each over
+    the full color universe n*k, so only ``MAX_VERTICES`` bounds the search;
+    when none is choosable the answer is U.  Below the chromatic number the
+    first system enumerated, every list equal, is uncolorable, so one search
+    settles each such k.
     """
     if not hg.edges:
         return 1 if hg.n else 0
-    for k in range(2, bound_gk(hg) + 1):
-        verdict = is_f_choosable(hg, [k] * hg.n, max_universe=hg.n * k)
-        if verdict.choosable:
+    if hg.n > MAX_VERTICES:
+        raise GuardExceededError(f"{hg.n} vertices exceeds the guard {MAX_VERTICES}")
+    proven = bounds(hg)
+    upper = min(proven.gk, proven.sparse) if proven.two_colorable else proven.gk
+    for k in range(2, upper):
+        if is_f_choosable(hg, [k] * hg.n, max_universe=hg.n * k).choosable:
             return k
-    raise TheoremContradictionError("choice number exceeded its proven upper bound")
+    return upper

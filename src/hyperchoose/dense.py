@@ -501,13 +501,14 @@ def lower_bound_experiment(
             key = tuple(sorted(left))
             verdict = uncolorable.get(key)
             if verdict is None:
-                system = ListAssignment(tuple(left + left))
+                # The draws are sorted, distinct and within 1..l^2 already.
+                system = ListAssignment._checked(tuple(left + left))
                 verdict = complete_proper_exists(s, t // 2, t // 2, system) is None
                 uncolorable[key] = verdict
+                if verdict and first_witness is None:
+                    first_witness = system
             if verdict:
                 witnesses += 1
-                if first_witness is None:
-                    first_witness = ListAssignment(tuple(left + left))
     return DenseExperimentReport(
         trials=trials,
         categories={"witness_found": witnesses, "colorable": trials - witnesses},

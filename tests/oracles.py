@@ -18,9 +18,15 @@ import numpy as np
 import sympy
 
 from hyperchoose import Hypergraph, ListAssignment, nullstellensatz
-from hyperchoose.choosability import MAX_UNIVERSE, MAX_VERTICES, ChoosabilityVerdict
+from hyperchoose.choosability import (
+    MAX_UNIVERSE,
+    MAX_VERTICES,
+    ChoosabilityVerdict,
+    is_f_choosable,
+)
 from hyperchoose.core import _ListSearch
 from hyperchoose.dense import DenseExperimentReport, _rng, complete_proper_exists
+from hyperchoose.density import bound_gk
 from hyperchoose.errors import GuardExceededError
 from hyperchoose.nullstellensatz import _tree_multiplicity, _vertex_order, crossing_tree
 
@@ -345,6 +351,18 @@ def reference_is_f_choosable(
         return ChoosabilityVerdict(True, None, examined)
     assert witness is not None and search.solve(witness.lists) is None
     return ChoosabilityVerdict(False, witness, examined)
+
+
+def reference_choice_number(hg: Hypergraph) -> int:
+    """``choosability.choice_number`` before the proven bound decided its top
+    level: the smallest k in 2..bound_gk that ``is_f_choosable`` accepts,
+    every level enumerated."""
+    if not hg.edges:
+        return 1 if hg.n else 0
+    for k in range(2, bound_gk(hg) + 1):
+        if is_f_choosable(hg, [k] * hg.n, max_universe=hg.n * k).choosable:
+            return k
+    raise AssertionError("choice number exceeded its proven upper bound")
 
 
 def reference_lower_bound_experiment(

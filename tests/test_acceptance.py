@@ -256,5 +256,14 @@ def test_criterion_10_cross_bound_sanity():
         bounds = hc.bounds(hg)
         upper = min(bounds.sparse, bounds.gk) if bounds.two_colorable else bounds.gk
         assert chi <= ch <= upper, (hg.edges, chi, ch, upper)
+        # choice_number returns at most the bound by construction; full
+        # enumeration at the bound checks the theorem independently.
+        verdict = hc.is_f_choosable(hg, [upper] * hg.n, max_universe=hg.n * upper)
+        assert verdict.choosable, (hg.edges, upper)
         checked += 1
-    _report(10, True, f"{checked} random instances: chi <= ch <= min(bounds)")
+    _report(
+        10,
+        True,
+        f"{checked} random instances: chi <= ch <= min(bounds), "
+        "and every system of min(bounds)-lists colorable",
+    )

@@ -13,6 +13,7 @@ from hyperchoose import (
     chromatic_number,
     color_from_lists,
     core,
+    find_bipartition,
     gen_complete,
     gen_fano,
     gen_k_regular_k_uniform,
@@ -25,6 +26,8 @@ from oracles import (
     exhaustive_colorable,
     first_list_coloring,
     random_hypergraph,
+    random_two_colorable,
+    reference_choice_number,
     reference_is_f_choosable,
 )
 
@@ -204,6 +207,34 @@ def test_choice_number_regular_instance():
     assert choice_number(hg) == 2
 
 
+def test_choice_number_matches_full_enumeration():
+    # The reference enumerates every level up to bound_gk; choice_number
+    # enumerates only the levels below the proven bound and returns the bound.
+    named = [
+        gen_complete(2, 3, 3)[0],
+        gen_fano(),
+        gen_complete(3, 2, 2)[0],
+        Hypergraph(3, ((0, 1), (1, 2), (0, 2))),
+        gen_k_regular_k_uniform(4, 6, 0),
+    ]
+    for hg in named:
+        assert choice_number(hg) == reference_choice_number(hg), hg.edges
+    rnd = random.Random(26)
+    kinds = {True: 0, False: 0}
+    while min(kinds.values()) < 25:
+        n = rnd.randint(3, 6)
+        if rnd.random() < 0.5:
+            n_a = rnd.randint(1, n - 1)
+            hg = random_two_colorable(rnd, n_a, n - n_a, rnd.randint(1, 5), max_size=3)[0]
+        else:
+            hg = random_hypergraph(rnd, n, rnd.randint(1, 6), max_size=3)
+        kind = find_bipartition(hg) is not None
+        if kinds[kind] >= 25:
+            continue
+        assert choice_number(hg) == reference_choice_number(hg), hg.edges
+        kinds[kind] += 1
+
+
 def test_choice_number_at_least_chromatic():
     rnd = random.Random(11)
     for _ in range(20):
@@ -337,7 +368,7 @@ def test_is_f_choosable_frees_its_memo_on_return():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        assert choice_number(gen_fano()) == 3
+        assert is_f_choosable(gen_fano(), [3] * 7, max_universe=21).choosable
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -300,10 +301,17 @@ def test_choosability_guard_exits_3(capsys, k33_path):
             "choosability_fano_f2_universe14",
             ["choosability", "FANO", "--f", "2", "--max-universe", "14"],
         ),
+        ("exact_ch_k33", ["exact", "K33", "--what", "ch"]),
+        ("exact_ch_fano", ["exact", "FANO", "--what", "ch"]),
+        ("exact_ch_regular_k4_n12", ["exact", "REGULAR", "--what", "ch"]),
     ],
 )
 def test_exact_oracles_match_golden_output(capsys, k33_path, fano_path, golden, argv):
-    paths = {"K33": k33_path, "FANO": fano_path}
+    paths = {
+        "K33": k33_path,
+        "FANO": fano_path,
+        "REGULAR": str(GOLDEN / "regular_k4_n12_seed1.hgr"),
+    }
     code, out = run(capsys, *(paths.get(arg, arg) for arg in argv))
     assert code == 0
     assert out == (GOLDEN / f"{golden}.json").read_text()
@@ -854,6 +862,24 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     done = hyperchoose_m("orient", "f.hgr")
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["k_star"] == 1
+
+
+def test_exact_choice_number_of_regular_instance_returns_fast():
+    # ch = 2 follows from the gk bound ceil(2D/s) + 1 = 2 at D = s = 4, so no
+    # list system is enumerated.  Enumerating k = 2 instead ran out of a 2 GB
+    # address-space limit without an answer.
+    src = str(Path(hyperchoose.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["exact", str(GOLDEN / "regular_k4_n12_seed1.hgr"), "--what", "ch"]
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "hyperchoose", *argv],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"what": "ch", "value": 2}
+    assert elapsed < 5, elapsed
 
 
 def test_cli_leaves_mpmath_unloaded(tmp_path):

@@ -5,8 +5,8 @@ universe of ``is_f_choosable`` can be set); exceeding a guard raises instead
 of approximating, because these routines back every other module's
 verification.  The choosability decision enumerates adversarial list systems
 up to color permutation and up to a domination order that discards mergeable
-systems (see the lemma at ``is_f_choosable``), which keeps the search at desk
-scale despite the doubly-exponential raw space.  The color pairs the partial
+systems (see the lemma at ``is_f_choosable``), over at most ``MAX_VERTICES``
+vertices and ``FRAME_GUARD`` frames.  The color pairs the partial
 system covers are one int bitmask, so the domination cut is a popcount per
 candidate list, and the last vertex scans only the candidates holding the
 lowest uncovered pair.  Each system that survives the cut is first tried
@@ -18,7 +18,8 @@ here stops at ``SEARCH_NODE_GUARD`` decisions beyond one per vertex.
 
 ``choice_number`` enumerates only the levels below the paper's proven upper
 bound and leaves the top level to the theorem; ``is_f_choosable`` itself
-stays the plain enumerator at every f.
+stays the plain enumerator at every f.  ``chromatic_number`` has no vertex
+limit: its searches stop at the node guard.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import GuardExceededError, TheoremContradictionError
 
 MAX_VERTICES = 12
 MAX_UNIVERSE = 12
-CHROMATIC_MAX_VERTICES = 20
+FRAME_GUARD = 250_000
 
 
 def color_from_lists(
@@ -124,16 +125,18 @@ def is_f_choosable(
 
     The covered color pairs are one int bitmask with its popcount, and each
     candidate list carries its precomputed pair mask, so the capacity cut
-    costs a popcount per candidate.  At the last vertex no capacity is left,
-    so a candidate passes only if the system it completes covers every pair;
-    while some pair among the colors in use is uncovered, only the
-    candidates holding the lowest such pair (``_pair_index``) can pass, and
-    only they are scanned, in the same order and under the same cut.
+    costs a popcount per candidate.  Every vertex has one frame of the same
+    shape: a frame takes its memo key at the first candidate that passes
+    the cut, since a frame where none passes settles nothing.  At the last
+    vertex no capacity is left, so a candidate passes only if the system it
+    completes covers every pair; while some pair among the colors in use is
+    uncovered, only the candidates holding the lowest such pair
+    (``_pair_index``) can pass, and only they are scanned, in the same order
+    and under the same cut.  More than ``FRAME_GUARD`` frames raise.
 
-    Each completed system is decided in the last vertex's frame, and takes
-    no memo key.  It is first tried with the coloring of the previous
-    colorable system.  Only vertices at or after the lowest one whose list
-    changed since then can have lost their color; if none has, that
+    Each passing candidate at the last vertex completes a system, which is
+    counted and decided there.  It is first tried with the coloring of the
+    previous colorable system.  If every vertex keeps its color, that
     coloring counts as it is: it was verified proper, and each color was
     just found in its list.  Otherwise every vertex that lost its color
     takes, in index order, the first color of its list that no edge through
@@ -178,7 +181,7 @@ def is_f_choosable(
     examined = 0
     witness: Optional[ListAssignment] = None
     last: Optional[list[int]] = None  # coloring of the last colorable system
-    dirty = 0  # the lowest vertex whose list changed since ``last`` was set
+    frames, guard = 0, FRAME_GUARD
 
     def fits(color: list[int]) -> bool:
         return is_proper(hg, color) and all(c in lv for c, lv in zip(color, lists_acc))
@@ -186,11 +189,11 @@ def is_f_choosable(
     def reuse() -> Optional[list[int]]:
         """``last`` itself if every vertex keeps its color, else a greedy repair.
 
-        Only vertices from ``dirty`` on can have lost their color.  Each that
-        has takes, in index order, the first color of its list that no edge
-        through it bans; an edge bans c when all its other vertices have c.
+        Each vertex that lost its color takes, in index order, the first color
+        of its list that no edge through it bans; an edge bans c when all its
+        other vertices have c.
         """
-        lost = [v for v in range(dirty, n) if last[v] not in lists_acc[v]]
+        lost = [v for v in range(n) if last[v] not in lists_acc[v]]
         if not lost:
             return last
         color: list = last[:]
@@ -212,11 +215,11 @@ def is_f_choosable(
 
     def leaf() -> bool:
         """Decide the complete system ``lists_acc``; a coloring becomes ``last``."""
-        nonlocal witness, last, dirty
+        nonlocal witness, last
         if last is not None:
             color = reuse()
             if color is last or (color is not None and fits(color)):
-                last, dirty = color, n
+                last = color
                 return True
         color = search.solve(lists_acc)
         if color is None:
@@ -224,62 +227,53 @@ def is_f_choosable(
             return False
         if not fits(color):
             raise TheoremContradictionError("list coloring failed verification")
-        last, dirty = color, n
+        last = color
         return True
 
     def rec(i: int, used: int, covered: int, count: int) -> bool:
-        nonlocal examined, dirty
+        nonlocal examined, frames
+        frames += 1
+        if frames > guard:
+            raise GuardExceededError(
+                f"list-system enumeration exceeded the frame guard {guard}"
+            )
         uncovered = ~covered
-        if i == n - 1:
-            # No list follows, so a leaf passes the cut only if it covers
+        at_leaf = i == n - 1
+        candidates = _candidates(used, f[i])
+        if at_leaf and count < used * (used - 1) // 2:
+            # No list follows, so a system passes the cut only if it covers
             # every color pair, the lowest uncovered one included.
-            key = None
-            candidates = _candidates(used, f[i])
-            if count < used * (used - 1) // 2:
-                lowest = (uncovered & (covered + 1)).bit_length() - 1
-                candidates = _pair_index(used, f[i])[lowest]
-            for cand, mask, _, pairs in candidates:
-                if pairs - (mask & uncovered).bit_count() > count:
-                    continue
-                # A frame with no passing leaf examines nothing, memo hit or
-                # not, so the key waits for the first leaf that passes.
-                if key is None:
-                    key = (i, tuple(sorted(masks[1 : used + 1])))
-                    if key in memo_true:
-                        return True
-                examined += 1
-                lists_acc.append(cand)
-                if dirty > i:
-                    dirty = i
-                ok = leaf()
-                lists_acc.pop()
-                if not ok:
-                    return False
-            if key is not None:
-                memo_true.add(key)
-            return True
-        # Colors 1..used all occur, so these are exactly the nonzero masks.
-        key = (i, tuple(sorted(masks[1 : used + 1])))
-        if key in memo_true:
-            return True
+            lowest = (uncovered & (covered + 1)).bit_length() - 1
+            candidates = _pair_index(used, f[i])[lowest]
         bit = 1 << i
         budget = count + suffix_capacity[i + 1]
-        for cand, mask, new_used, pairs in _candidates(used, f[i]):
+        key = None
+        for cand, mask, new_used, pairs in candidates:
             newly = (mask & uncovered).bit_count()
             if pairs - newly > budget:
                 continue
-            for c in cand:
-                masks[c] |= bit
+            # A frame where no candidate passes settles nothing, memo hit or
+            # not, so the key waits for the first one that passes.  Colors
+            # 1..used all occur, so these are exactly the nonzero masks.
+            if key is None:
+                key = (i, tuple(sorted(masks[1 : used + 1])))
+                if key in memo_true:
+                    return True
             lists_acc.append(cand)
-            if dirty > i:
-                dirty = i
-            ok = rec(i + 1, new_used, covered | mask, count + newly)
+            if at_leaf:
+                examined += 1
+                ok = leaf()
+            else:
+                for c in cand:
+                    masks[c] |= bit
+                ok = rec(i + 1, new_used, covered | mask, count + newly)
+                for c in cand:
+                    masks[c] ^= bit
             lists_acc.pop()
-            for c in cand:
-                masks[c] ^= bit
             if not ok:
                 return False
-        memo_true.add(key)
+        if key is not None:
+            memo_true.add(key)
         return True
 
     ok = rec(0, 0, 0, 0)
@@ -292,11 +286,11 @@ def is_f_choosable(
 
 
 def chromatic_number(hg: Hypergraph) -> int:
-    """Exact chromatic number by iterative deepening over the color count."""
-    if hg.n > CHROMATIC_MAX_VERTICES:
-        raise GuardExceededError(
-            f"{hg.n} vertices exceeds the guard {CHROMATIC_MAX_VERTICES}"
-        )
+    """Exact chromatic number by iterative deepening over the color count.
+
+    Each color count's search stops at ``SEARCH_NODE_GUARD`` decisions beyond
+    one per vertex, so no vertex limit applies.
+    """
     if not hg.edges:
         return 1 if hg.n else 0
     search = _ListSearch(hg.n, hg.edges)
@@ -313,16 +307,15 @@ def choice_number(hg: Hypergraph) -> int:
     ch(H) <= ceil(2D/s) + 1 (the gk bound) for every H, and
     ch(H) <= ceil(L) + 1 (the sparse bound) when H is 2-colorable, so U is
     the smaller of the two there and the gk bound otherwise, both taken from
-    ``density.bounds``.  Only k = 2..U-1 are enumerated, upward, each over
-    the full color universe n*k, so only ``MAX_VERTICES`` bounds the search;
-    when none is choosable the answer is U.  Below the chromatic number the
+    ``density.bounds`` first.  Only k = 2..U-1 are enumerated, upward, each
+    over the full color universe n*k, so ``is_f_choosable``'s vertex and
+    frame guards bound the search, and apply only when U > 2; when none is
+    choosable the answer is U.  Below the chromatic number the
     first system enumerated, every list equal, is uncolorable, so one search
     settles each such k.
     """
     if not hg.edges:
         return 1 if hg.n else 0
-    if hg.n > MAX_VERTICES:
-        raise GuardExceededError(f"{hg.n} vertices exceeds the guard {MAX_VERTICES}")
     proven = bounds(hg)
     upper = min(proven.gk, proven.sparse) if proven.two_colorable else proven.gk
     for k in range(2, upper):

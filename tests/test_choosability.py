@@ -171,6 +171,15 @@ def test_chromatic_number_node_guard(monkeypatch):
         chromatic_number(ISOLATED_K4)
 
 
+def test_is_f_choosable_frame_guard(monkeypatch):
+    # Fano at f = 3 enters 53 511 enumeration frames.
+    monkeypatch.setattr(choosability, "FRAME_GUARD", 100)
+    with pytest.raises(
+        GuardExceededError, match="list-system enumeration exceeded the frame guard 100"
+    ):
+        is_f_choosable(gen_fano(), [3] * 7, max_universe=21)
+
+
 def test_is_f_choosable_node_guard(monkeypatch):
     # The first system, every list {1, 2}, takes a search of 11 decisions to
     # refute: over a guard of 3 plus one per vertex.
@@ -181,9 +190,15 @@ def test_is_f_choosable_node_guard(monkeypatch):
         is_f_choosable(fano, [2] * 7, max_universe=14)
 
 
-def test_chromatic_guard():
-    with pytest.raises(GuardExceededError):
-        chromatic_number(Hypergraph(25, ((0, 1),)))
+def test_chromatic_guard(monkeypatch):
+    # No vertex limit: a single edge among 25 vertices is colored at once.
+    assert chromatic_number(Hypergraph(25, ((0, 1),))) == 2
+    # 36 isolated vertices ahead of a K4: refuting 3 colors runs into the
+    # node guard.
+    k4 = Hypergraph(40, tuple((a, b) for a in range(36, 40) for b in range(a + 1, 40)))
+    monkeypatch.setattr(core, "SEARCH_NODE_GUARD", 100)
+    with pytest.raises(GuardExceededError, match="exceeded the node guard 100"):
+        chromatic_number(k4)
 
 
 def test_choice_number_k33():
@@ -192,8 +207,12 @@ def test_choice_number_k33():
 
 def test_choice_number_guards():
     assert choice_number(Hypergraph(25, ())) == 1  # no edges: nothing to search
+    # 2-colorable with L = 1/2: the sparse bound decides ch = 2 unenumerated.
+    assert choice_number(Hypergraph(25, ((0, 1),))) == 2
+    # A triangle has U = 3, so k = 2 must be enumerated over all 25 vertices.
+    triangle = Hypergraph(25, ((0, 1), (1, 2), (0, 2)))
     with pytest.raises(GuardExceededError, match="25 vertices exceeds the guard 12"):
-        choice_number(Hypergraph(25, ((0, 1),)))
+        choice_number(triangle)
 
 
 def test_choice_number_triangle():
@@ -204,6 +223,16 @@ def test_choice_number_triangle():
 def test_choice_number_regular_instance():
     hg = gen_k_regular_k_uniform(4, 6, seed=0)
     assert hg is not None
+    assert choice_number(hg) == 2
+
+
+@pytest.mark.parametrize("n, seed", [(1000, 1), (2000, 5), (4000, 20261017)])
+def test_regular_family_exact_numbers_at_scale(n, seed):
+    # k = 4: 2-colorable with L = 1, so ch = chi = 2 with nothing enumerated.
+    hg = gen_k_regular_k_uniform(4, n, seed)
+    assert hg is not None and hg.n == n
+    assert find_bipartition(hg) is not None
+    assert chromatic_number(hg) == 2
     assert choice_number(hg) == 2
 
 
@@ -349,6 +378,17 @@ def test_is_f_choosable_reuses_colorings(monkeypatch):
     assert verdict.choosable and verdict.lists_examined == 49483
     assert len(calls) < verdict.lists_examined / 100
     assert len(checked) < verdict.lists_examined / 2
+
+
+def test_is_f_choosable_reuse_rechecks_every_changed_list():
+    # The first system {1}, {1}, {1, 2} is colored 1, 1, 2.  The second,
+    # {1}, {2}, {1, 2}, changes only vertex 1's list, and that coloring still
+    # fits every other vertex; the system itself is uncolorable.
+    hg = Hypergraph(3, ((0, 2), (1, 2)))
+    verdict = is_f_choosable(hg, [1, 1, 2])
+    assert verdict == reference_is_f_choosable(hg, [1, 1, 2])
+    assert verdict.witness == ListAssignment(((1,), (2,), (1, 2)))
+    assert verdict.lists_examined == 2
 
 
 def test_pair_index_holds_each_pairs_candidates_in_order():

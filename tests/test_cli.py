@@ -207,6 +207,15 @@ def test_exact_chi_node_guard_exits_3(capsys, monkeypatch, tmp_path):
         assert captured.err == "error: coloring search exceeded the node guard 100\n"
 
 
+def test_choosability_frame_guard_exits_3(capsys, monkeypatch, fano_path):
+    # Fano at f = 3 enters 53 511 enumeration frames: past a guard of 100.
+    monkeypatch.setattr(choosability, "FRAME_GUARD", 100)
+    code = main(["choosability", fano_path, "--f", "3", "--max-universe", "21"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "error: list-system enumeration exceeded the frame guard 100\n"
+
+
 def test_choosability_node_guard_exits_3(capsys, monkeypatch, fano_path):
     # Refuting the first Fano system, every list {1, 2}, takes 11 decisions:
     # past a guard of 3 plus one per vertex.
@@ -725,12 +734,22 @@ def test_exact_choice_number_runs_no_second_chromatic_search(capsys, monkeypatch
 
 
 def test_analyze_exact_guard_exits_3(capsys, tmp_path):
-    # 25 isolated-ish vertices: over the chromatic-number vertex guard.
-    big = tmp_path / "big.hgr"
+    # A triangle among 25 vertices: U = 3, so k = 2 must be enumerated, over
+    # the 12-vertex enumeration guard.
+    triangle = tmp_path / "triangle.hgr"
+    triangle.write_text("p hg 25 3\ne 0 1\ne 1 2\ne 0 2\n")
+    code = main(["analyze", str(triangle), "--exact"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "error: 25 vertices exceeds the guard 12\n"
+    # A 25-vertex path is 2-colorable with L < 1: the bound decides ch = 2.
+    path = tmp_path / "path.hgr"
     edges = [f"e {i} {i + 1}" for i in range(24)]
-    big.write_text("p hg 25 24\n" + "\n".join(edges) + "\n")
-    code, _ = run(capsys, "analyze", str(big), "--exact")
-    assert code == 3
+    path.write_text("p hg 25 24\n" + "\n".join(edges) + "\n")
+    code, out = run(capsys, "analyze", str(path), "--exact", "--no-timing")
+    report = json.loads(out)
+    assert code == 0
+    assert (report["chromatic_number"], report["choice_number"]) == (2, 2)
 
 
 def edgeless_argv(tmp_path, argv):
@@ -865,8 +884,9 @@ def test_python_dash_m_runs_the_cli(tmp_path):
 
 
 def test_exact_choice_number_of_regular_instance_returns_fast():
-    # ch = 2 follows from the gk bound ceil(2D/s) + 1 = 2 at D = s = 4, so no
-    # list system is enumerated.  Enumerating k = 2 instead ran out of a 2 GB
+    # ch = 2 follows from the sparse bound ceil(L) + 1 = 2 on this 2-colorable
+    # input with L = 1 (the gk bound ceil(2D/s) + 1 is 3), so no list system
+    # is enumerated.  Enumerating k = 2 instead ran out of a 2 GB
     # address-space limit without an answer.
     src = str(Path(hyperchoose.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -1,17 +1,18 @@
 """Ground-truth oracles: exact list coloring, choosability, and chromatic number.
 
-Everything here is exact within constant guards (only the color
-universe of ``is_f_choosable`` can be set); exceeding a guard raises instead
-of approximating, because these routines back every other module's
-verification.  The choosability decision enumerates adversarial list systems
-up to color permutation and up to a domination order that discards mergeable
-systems (see the lemma at ``is_f_choosable``), over at most ``MAX_VERTICES``
-vertices and ``FRAME_GUARD`` frames.  The color pairs the partial
-system covers are one int bitmask, so the domination cut is a popcount per
-candidate list, and the last vertex scans only the candidates holding the
-lowest uncovered pair.  Each system that survives the cut is first tried
-with the previous colorable system's coloring: kept whole when every list
-still holds its color, else repaired greedily and counted only after
+Everything here is exact within constant guards (only the color universe of
+``is_f_choosable`` can be set, and it must be positive); exceeding a guard
+raises instead of approximating, because these routines back every other
+module's verification.  The choosability decision enumerates adversarial
+list systems up to color permutation and up to a domination order that
+discards mergeable systems (see the lemma at ``is_f_choosable``), over at
+most ``MAX_VERTICES`` vertices and ``FRAME_GUARD`` frames.  The color pairs
+the partial system covers are one int bitmask, so the domination cut is a
+popcount per candidate list, and every vertex, the last one included, scans
+its candidates under that one cut.  A frame takes its memo key on entry and
+stores it once it returns True.  Each system that survives the cut is first
+tried with the previous colorable system's coloring: kept whole when every
+list still holds its color, else repaired greedily and counted only after
 ``is_proper`` accepts it and its lists admit it.  The list search decides
 the rest, and its colorings are verified the same way.  Every list search
 here stops at ``SEARCH_NODE_GUARD`` decisions beyond one per vertex.
@@ -74,28 +75,6 @@ def _candidates(
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _pair_index(
-    used: int, size: int
-) -> tuple[tuple[tuple[tuple[int, ...], int, int, int], ...], ...]:
-    """``_candidates(used, size)`` by color pair among 1..used, in lex order.
-
-    Entry k holds the candidates whose pair mask has bit k.
-    """
-    index: list[list] = [[] for _ in range(used * (used - 1) // 2)]
-    for cand in _candidates(used, size):
-        # Pairs among 1..used come first in bit order; stop at a fresh color.
-        mask = cand[1]
-        while mask:
-            low = mask & -mask
-            k = low.bit_length() - 1
-            if k >= len(index):
-                break
-            index[k].append(cand)
-            mask ^= low
-    return tuple(map(tuple, index))
-
-
 def is_f_choosable(
     hg: Hypergraph,
     f: Sequence[int],
@@ -126,13 +105,11 @@ def is_f_choosable(
     The covered color pairs are one int bitmask with its popcount, and each
     candidate list carries its precomputed pair mask, so the capacity cut
     costs a popcount per candidate.  Every vertex has one frame of the same
-    shape: a frame takes its memo key at the first candidate that passes
-    the cut, since a frame where none passes settles nothing.  At the last
-    vertex no capacity is left, so a candidate passes only if the system it
-    completes covers every pair; while some pair among the colors in use is
-    uncovered, only the candidates holding the lowest such pair
-    (``_pair_index``) can pass, and only they are scanned, in the same order
-    and under the same cut.  More than ``FRAME_GUARD`` frames raise.
+    shape: it is counted, then takes its memo key and returns at once on a
+    hit, else scans ``_candidates`` under the cut and stores the key when
+    it returns True.  At the last vertex no capacity is left, so the cut
+    admits exactly the candidates that complete a system covering every
+    color pair.  More than ``FRAME_GUARD`` frames raise.
 
     Each passing candidate at the last vertex completes a system, which is
     counted and decided there.  It is first tried with the coloring of the
@@ -156,6 +133,8 @@ def is_f_choosable(
         raise ValueError("f must assign a list length to every vertex")
     if any(x < 1 for x in f):
         raise ValueError("list lengths must be positive")
+    if max_universe < 1:
+        raise ValueError("max_universe must be positive")
     if n > MAX_VERTICES:
         raise GuardExceededError(f"{n} vertices exceeds the guard {MAX_VERTICES}")
     if sum(f) > max_universe:
@@ -237,28 +216,18 @@ def is_f_choosable(
             raise GuardExceededError(
                 f"list-system enumeration exceeded the frame guard {guard}"
             )
+        # Colors 1..used all occur, so these are exactly the nonzero masks.
+        key = (i, tuple(sorted(masks[1 : used + 1])))
+        if key in memo_true:
+            return True
         uncovered = ~covered
         at_leaf = i == n - 1
-        candidates = _candidates(used, f[i])
-        if at_leaf and count < used * (used - 1) // 2:
-            # No list follows, so a system passes the cut only if it covers
-            # every color pair, the lowest uncovered one included.
-            lowest = (uncovered & (covered + 1)).bit_length() - 1
-            candidates = _pair_index(used, f[i])[lowest]
         bit = 1 << i
         budget = count + suffix_capacity[i + 1]
-        key = None
-        for cand, mask, new_used, pairs in candidates:
+        for cand, mask, new_used, pairs in _candidates(used, f[i]):
             newly = (mask & uncovered).bit_count()
             if pairs - newly > budget:
                 continue
-            # A frame where no candidate passes settles nothing, memo hit or
-            # not, so the key waits for the first one that passes.  Colors
-            # 1..used all occur, so these are exactly the nonzero masks.
-            if key is None:
-                key = (i, tuple(sorted(masks[1 : used + 1])))
-                if key in memo_true:
-                    return True
             lists_acc.append(cand)
             if at_leaf:
                 examined += 1
@@ -272,8 +241,7 @@ def is_f_choosable(
             lists_acc.pop()
             if not ok:
                 return False
-        if key is not None:
-            memo_true.add(key)
+        memo_true.add(key)
         return True
 
     ok = rec(0, 0, 0, 0)

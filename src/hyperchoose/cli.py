@@ -103,7 +103,10 @@ def cmd_analyze(args) -> int:
         "warnings": validate(hg),
     }
     if args.exact:
-        report["chromatic_number"] = choosability.chromatic_number(hg)
+        # The input has an edge, so a 2-coloring found by bounds makes chi 2.
+        report["chromatic_number"] = (
+            2 if bounds.two_colorable else choosability.chromatic_number(hg)
+        )
         report["choice_number"] = choosability.choice_number(hg)
     if not args.no_timing:
         report["timing_seconds"] = round(time.perf_counter() - start, 6)

@@ -14,8 +14,9 @@ class HgrFormatError(ValueError):
 class GuardExceededError(RuntimeError):
     """A documented search guard was exceeded. CLI exit code 3.
 
-    Guards are explicit configuration: callers may raise them knowingly,
-    but nothing is ever silently truncated or approximated.
+    Guards are module constants; only the color universe of
+    ``is_f_choosable`` can be set by callers.  Nothing is ever silently
+    truncated or approximated.
     """
 
 

@@ -20,7 +20,6 @@ from hyperchoose import (
     is_f_choosable,
     is_proper,
 )
-from hyperchoose.choosability import _candidates, _pair_index
 from hyperchoose.core import _ListSearch
 from oracles import (
     exhaustive_colorable,
@@ -123,6 +122,13 @@ def test_is_f_choosable_guards(monkeypatch):
         is_f_choosable(hg, [2] * 6)
 
 
+def test_is_f_choosable_rejects_nonpositive_universe():
+    hg = gen_complete(2, 3, 3)[0]
+    for universe in (0, -1):
+        with pytest.raises(ValueError, match="max_universe must be positive"):
+            is_f_choosable(hg, [3] * 6, max_universe=universe)
+
+
 def test_is_f_choosable_monotone_in_f():
     rnd = random.Random(3)
     for _ in range(15):
@@ -178,6 +184,25 @@ def test_is_f_choosable_frame_guard(monkeypatch):
         GuardExceededError, match="list-system enumeration exceeded the frame guard 100"
     ):
         is_f_choosable(gen_fano(), [3] * 7, max_universe=21)
+
+
+@pytest.mark.parametrize(
+    "hg, f, universe, frames, examined",
+    [
+        (gen_complete(2, 3, 3)[0], 3, 18, 2_238, 2_501),
+        (gen_fano(), 3, 21, 53_511, 49_483),
+    ],
+    ids=["k33", "fano"],
+)
+def test_is_f_choosable_frame_count_is_pinned(monkeypatch, hg, f, universe, frames, examined):
+    # Every frame is counted, memo hit or not: the run fits a guard of exactly
+    # its frame count and exceeds one less.
+    monkeypatch.setattr(choosability, "FRAME_GUARD", frames)
+    verdict = is_f_choosable(hg, [f] * hg.n, max_universe=universe)
+    assert verdict.choosable and verdict.lists_examined == examined
+    monkeypatch.setattr(choosability, "FRAME_GUARD", frames - 1)
+    with pytest.raises(GuardExceededError, match=f"frame guard {frames - 1}$"):
+        is_f_choosable(hg, [f] * hg.n, max_universe=universe)
 
 
 def test_is_f_choosable_node_guard(monkeypatch):
@@ -389,16 +414,6 @@ def test_is_f_choosable_reuse_rechecks_every_changed_list():
     assert verdict == reference_is_f_choosable(hg, [1, 1, 2])
     assert verdict.witness == ListAssignment(((1,), (2,), (1, 2)))
     assert verdict.lists_examined == 2
-
-
-def test_pair_index_holds_each_pairs_candidates_in_order():
-    for used in range(22):
-        for size in range(1, 5):
-            index = _pair_index(used, size)
-            assert len(index) == used * (used - 1) // 2
-            for k, entry in enumerate(index):
-                bit = 1 << k
-                assert list(entry) == [c for c in _candidates(used, size) if c[1] & bit]
 
 
 def test_is_f_choosable_frees_its_memo_on_return():

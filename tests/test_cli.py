@@ -216,6 +216,13 @@ def test_choosability_frame_guard_exits_3(capsys, monkeypatch, fano_path):
     assert captured.err == "error: list-system enumeration exceeded the frame guard 100\n"
 
 
+def test_choosability_nonpositive_universe_exits_2(capsys, k33_path):
+    code = main(["choosability", k33_path, "--f", "3", "--max-universe", "0"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: max_universe must be positive\n"
+
+
 def test_choosability_node_guard_exits_3(capsys, monkeypatch, fano_path):
     # Refuting the first Fano system, every list {1, 2}, takes 11 decisions:
     # past a guard of 3 plus one per vertex.
@@ -718,14 +725,20 @@ def test_color_selection_without_gk_exits_2(capsys, tmp_path, k33_path, method):
     assert not sel_file.exists()
 
 
-def test_exact_choice_number_runs_no_second_chromatic_search(capsys, monkeypatch, k33_path):
+def test_exact_choice_number_runs_no_second_chromatic_search(
+    capsys, monkeypatch, k33_path, fano_path
+):
     calls = []
     chromatic = choosability.chromatic_number
     monkeypatch.setattr(
         choosability, "chromatic_number", lambda hg: calls.append(hg) or chromatic(hg)
     )
+    # K3,3 is 2-colorable, so the bounds already give chi = 2.
     code, out = run(capsys, "analyze", k33_path, "--exact", "--no-timing")
     assert code == 0 and json.loads(out)["choice_number"] == 3
+    assert calls == []
+    code, out = run(capsys, "analyze", fano_path, "--exact", "--no-timing")
+    assert code == 0 and json.loads(out)["chromatic_number"] == 3
     assert len(calls) == 1
     calls.clear()
     code, out = run(capsys, "exact", k33_path, "--what", "ch")

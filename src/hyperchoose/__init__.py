@@ -49,7 +49,7 @@ from .density import (
 )
 from .errors import (
     GuardExceededError,
-    HgrFormatError,
+    InputError,
     PreconditionError,
     TheoremContradictionError,
 )

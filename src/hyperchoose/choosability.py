@@ -31,8 +31,8 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .core import Hypergraph, ListAssignment, _color_lists, _ListSearch, is_proper
-from .density import bounds
-from .errors import GuardExceededError, TheoremContradictionError
+from .density import Bounds, bounds
+from .errors import GuardExceededError, InputError, TheoremContradictionError
 
 MAX_VERTICES = 12
 MAX_UNIVERSE = 12
@@ -132,9 +132,9 @@ def is_f_choosable(
     if len(f) != n:
         raise ValueError("f must assign a list length to every vertex")
     if any(x < 1 for x in f):
-        raise ValueError("list lengths must be positive")
+        raise InputError("list lengths must be positive")
     if max_universe < 1:
-        raise ValueError("max_universe must be positive")
+        raise InputError("max_universe must be positive")
     if n > MAX_VERTICES:
         raise GuardExceededError(f"{n} vertices exceeds the guard {MAX_VERTICES}")
     if sum(f) > max_universe:
@@ -268,23 +268,25 @@ def chromatic_number(hg: Hypergraph) -> int:
     raise TheoremContradictionError("rainbow coloring rejected")  # pragma: no cover
 
 
-def choice_number(hg: Hypergraph) -> int:
+def choice_number(hg: Hypergraph, *, proven: Optional[Bounds] = None) -> int:
     """Smallest k such that every system of k-lists is colorable.
 
     The paper's theorems decide the top level U without enumeration:
     ch(H) <= ceil(2D/s) + 1 (the gk bound) for every H, and
     ch(H) <= ceil(L) + 1 (the sparse bound) when H is 2-colorable, so U is
     the smaller of the two there and the gk bound otherwise, both taken from
-    ``density.bounds`` first.  Only k = 2..U-1 are enumerated, upward, each
-    over the full color universe n*k, so ``is_f_choosable``'s vertex and
-    frame guards bound the search, and apply only when U > 2; when none is
-    choosable the answer is U.  Below the chromatic number the
+    ``proven``, the ``density.bounds(hg)`` a caller already holds, or else
+    from ``density.bounds`` first.  Only k = 2..U-1 are enumerated, upward,
+    each over the full color universe n*k, so ``is_f_choosable``'s vertex
+    and frame guards bound the search, and apply only when U > 2; when none
+    is choosable the answer is U.  Below the chromatic number the
     first system enumerated, every list equal, is uncolorable, so one search
     settles each such k.
     """
     if not hg.edges:
         return 1 if hg.n else 0
-    proven = bounds(hg)
+    if proven is None:
+        proven = bounds(hg)
     upper = min(proven.gk, proven.sparse) if proven.two_colorable else proven.gk
     for k in range(2, upper):
         if is_f_choosable(hg, [k] * hg.n, max_universe=hg.n * k).choosable:

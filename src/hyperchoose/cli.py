@@ -1,11 +1,12 @@
 """Command-line entry point with JSON reports and stable exit codes.
 
-Exit codes: 0 success; 2 unreadable or malformed input; 3 guard or budget
+Exit codes: 0 success; 2 unreadable, malformed or undecodable input, or an
+argument out of range (``InputError`` or ``OSError``); 3 guard or budget
 exceeded; 4 method precondition failed; 5 no coloring exists (or the sampling
 budget produced none); 6 internal error (a proven guarantee failed, or any
-other unexpected exception).  Identical invocations print byte-identical JSON
-once timing is suppressed with --no-timing; a randomized command's seed is its
---seed option, 0 when omitted.
+other exception, ``ValueError`` included).  Identical invocations print
+byte-identical JSON once timing is suppressed with --no-timing; a randomized
+command's seed is its --seed option, 0 when omitted.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .core import (
 )
 from .errors import (
     GuardExceededError,
-    HgrFormatError,
+    InputError,
     PreconditionError,
 )
 
@@ -55,28 +56,39 @@ def _emit(doc) -> None:
 def _load_hypergraph(path: str, task: str = "") -> tuple[Hypergraph, bytes]:
     """The hypergraph in ``path`` and its bytes; a ``task`` needs at least one edge."""
     raw = Path(path).read_bytes()
-    hg = parse_hypergraph(raw.decode("utf-8"))
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(str(exc))
+    hg = parse_hypergraph(text)
     if task and not hg.edges:
-        raise HgrFormatError(f"hypergraph has no edges; nothing to {task}")
+        raise InputError(f"hypergraph has no edges; nothing to {task}")
     return hg, raw
 
 
 def _seed(args) -> int:
     """The ``--seed`` option, which numpy's generators take only nonnegative."""
     if args.seed < 0:
-        raise ValueError("--seed must be a nonnegative integer")
+        raise InputError("--seed must be a nonnegative integer")
     return args.seed
 
 
 def _load_lists(path: str) -> ListAssignment:
+    """The list assignment in ``path``; every fault in the file is an InputError.
+
+    Besides malformed JSON, the parser's own ``ValueError`` (an integer too
+    long to convert) and ``RecursionError`` (nesting too deep) are faults of
+    the file, and so are the value faults that ``from_json`` raises as plain
+    ``ValueError``.
+    """
     try:
-        doc = json.loads(Path(path).read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise HgrFormatError(f"{path}: {exc}")
+        text = Path(path).read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(str(exc))
     try:
-        return ListAssignment.from_json(doc)
-    except ValueError as exc:
-        raise HgrFormatError(f"{path}: {exc}")
+        return ListAssignment.from_json(json.loads(text))
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{path}: {exc}")
 
 
 def cmd_analyze(args) -> int:
@@ -107,7 +119,7 @@ def cmd_analyze(args) -> int:
         report["chromatic_number"] = (
             2 if bounds.two_colorable else choosability.chromatic_number(hg)
         )
-        report["choice_number"] = choosability.choice_number(hg)
+        report["choice_number"] = choosability.choice_number(hg, proven=bounds)
     if not args.no_timing:
         report["timing_seconds"] = round(time.perf_counter() - start, 6)
     _emit(report)
@@ -134,7 +146,7 @@ def cmd_orient(args) -> int:
 
 def cmd_color(args) -> int:
     if args.selection and args.method != "gk":
-        raise ValueError(f"--selection applies to --method gk, not {args.method}")
+        raise InputError(f"--selection applies to --method gk, not {args.method}")
     hg, _ = _load_hypergraph(args.path, "" if args.method == "exact" else "color")
     lists = _load_lists(args.lists)
     if args.method == "sparse":
@@ -395,12 +407,12 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ValueError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:
-        # TheoremContradictionError and anything unforeseen: a defect in the
-        # program, never a property of the input.
+        # TheoremContradictionError, any other ValueError and anything
+        # unforeseen: a defect in the program, never a property of the input.
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (
     GuardExceededError,
-    HgrFormatError,
+    InputError,
     PreconditionError,
     TheoremContradictionError,
 )
@@ -156,10 +156,10 @@ class ListAssignment:
             n = doc["n"]
             lists = doc["lists"]
         except (TypeError, KeyError) as exc:
-            raise HgrFormatError(f"list assignment document missing field: {exc}")
+            raise InputError(f"list assignment document missing field: {exc}")
         types = "list assignment needs an integer n and lists of integer colors"
         if not _is_int(n) or not isinstance(lists, list):
-            raise HgrFormatError(types)
+            raise InputError(types)
         # One pass checks and sorts each list.  A type fault anywhere, then a
         # count mismatch, takes precedence over the first list's value fault.
         # Plain ints pass on their types alone; any other type, such as a
@@ -170,13 +170,13 @@ class ListAssignment:
             if not isinstance(lv, list) or not (
                 set(map(type, lv)) <= _INT or all(map(_is_int, lv))
             ):
-                raise HgrFormatError(types)
+                raise InputError(types)
             lv = tuple(sorted(lv))
             if fault is None:
                 fault = _list_fault(i, lv)
             norm.append(lv)
         if len(lists) != n:
-            raise HgrFormatError(
+            raise InputError(
                 f"list assignment declares n={n} but carries {len(lists)} lists"
             )
         if fault:
@@ -284,40 +284,40 @@ def parse_hypergraph(text: str) -> Hypergraph:
         kind = tokens[0]
         if kind == "e":
             if n is None:
-                raise HgrFormatError("edge line before header", lineno)
+                raise InputError("edge line before header", lineno)
             try:
                 e = tuple(sorted(map(int, tokens[1:])))
             except ValueError:
-                raise HgrFormatError(f"non-integer vertex in {raw.strip()!r}", lineno)
+                raise InputError(f"non-integer vertex in {raw.strip()!r}", lineno)
             if len(e) < 2:
-                raise HgrFormatError("edge of size < 2", lineno)
+                raise InputError("edge of size < 2", lineno)
             if len(set(e)) != len(e):
-                raise HgrFormatError("duplicate vertex in edge", lineno)
+                raise InputError("duplicate vertex in edge", lineno)
             if e[0] < 0 or e[-1] >= n:
                 v = next(v for v in map(int, tokens[1:]) if v < 0 or v >= n)
-                raise HgrFormatError(f"vertex index {v} outside 0..{n - 1}", lineno)
+                raise InputError(f"vertex index {v} outside 0..{n - 1}", lineno)
             edges.append(e)
         elif kind.startswith("c"):
             continue
         elif kind == "p":
             if n is not None:
-                raise HgrFormatError("duplicate header line", lineno)
+                raise InputError("duplicate header line", lineno)
             if len(tokens) != 4 or tokens[1] != "hg":
-                raise HgrFormatError(f"malformed header {raw.strip()!r}", lineno)
+                raise InputError(f"malformed header {raw.strip()!r}", lineno)
             try:
                 n, declared = int(tokens[2]), int(tokens[3])
             except ValueError:
-                raise HgrFormatError(
+                raise InputError(
                     f"non-integer header field in {raw.strip()!r}", lineno
                 )
             if n < 0 or declared < 0:
-                raise HgrFormatError("negative count in header", lineno)
+                raise InputError("negative count in header", lineno)
         else:
-            raise HgrFormatError(f"unknown line type {kind!r}", lineno)
+            raise InputError(f"unknown line type {kind!r}", lineno)
     if n is None:
-        raise HgrFormatError("missing header line")
+        raise InputError("missing header line")
     if len(edges) != declared:
-        raise HgrFormatError(
+        raise InputError(
             f"header declares {declared} edges but document has {len(edges)}"
         )
     return Hypergraph._checked(n, tuple(edges))
@@ -552,7 +552,7 @@ def _color_pairs(
 
 def edge_vertex_flow(
     hg: Hypergraph, edge_cap: int, vertex_cap: int, incidence_cap: int
-) -> tuple[int, list[tuple[int, ...]], list[int]]:
+) -> tuple[int, tuple[int, ...], list[int]]:
     """Maximum flow on the network source -> edge -> vertex -> sink.
 
     Every edge node gets ``edge_cap`` from the source, every incidence arc
@@ -593,7 +593,7 @@ def edge_vertex_flow(
     changing a residual.  So leaving it out changes neither the paths nor
     their order.
 
-    The flow found, and with it every witness built from ``chosen``, depends
+    The flow found, and with it every witness built from ``flowing``, depends
     on the order in which the walk tries arcs; that order is fixed as
     follows.  Level-1 edges start walks in edge order.  An edge tries its
     vertices in edge order; a vertex tries the sink, then its slots in
@@ -602,10 +602,10 @@ def edge_vertex_flow(
     that reaches the sink augments and restarts at its level-1 edge with the
     pointers kept, which retraces the path up to its first saturated arc.
 
-    Returns the flow value, per edge the vertices whose incidence arc carries
-    flow (one tuple per edge, aligned with ``hg.edges``, vertices in the
-    edge's order), and the indices of the edges on the source side of the
-    residual network, which is the minimal minimum cut.
+    Returns the flow value, the vertex of each incidence arc that carries
+    flow, in slot order (edge by edge in ``hg.edges`` order, each edge's
+    vertices in its own order), and the indices of the edges on the source
+    side of the residual network, which is the minimal minimum cut.
     """
     edges = hg.edges
     m, n = len(edges), hg.n
@@ -806,11 +806,9 @@ def edge_vertex_flow(
                 j = owner[path.pop()]
                 it_e[j] += 1
 
-    # Slots run in edge order, so one selector stream serves every edge.
-    used = map(incidence_cap.__gt__, res)
-    chosen = [tuple(compress(e, used)) for e in edges]
+    flowing = tuple(compress(vert, map(incidence_cap.__gt__, res)))
     value = edge_cap * m - sum(supply)
-    return value, chosen, [j for j in range(m) if lev_e[j] < 0]
+    return value, flowing, [j for j in range(m) if lev_e[j] < 0]
 
 
 # ---------------------------------------------------------------------------
@@ -825,7 +823,7 @@ def gen_complete(s: int, n: int, m: int) -> tuple[Hypergraph, tuple[str, ...]]:
     s-subsets meeting both sides, in lexicographic order.
     """
     if s < 2 or n < 1 or m < 1 or n + m < s:
-        raise ValueError(f"infeasible parameters s={s}, n={n}, m={m}")
+        raise InputError(f"infeasible parameters s={s}, n={n}, m={m}")
     edges = tuple(
         c for c in combinations(range(n + m), s) if c[0] < n and c[-1] >= n
     )
@@ -862,9 +860,9 @@ def gen_k_regular_k_uniform(k: int, n: int, seed: int) -> Optional[Hypergraph]:
     is always n (k*n incidences at k per edge), and duplicate edges may occur.
     """
     if k < 2:
-        raise ValueError("k must be at least 2")
+        raise InputError("k must be at least 2")
     if n < k:
-        raise ValueError(f"edge size {k} exceeds vertex count {n}")
+        raise InputError(f"edge size {k} exceeds vertex count {n}")
     rng = np.random.Generator(np.random.Philox(seed))
     budget = PROPOSAL_BUDGET
     while budget > 0:

@@ -28,10 +28,11 @@ def build_selection(hg: Hypergraph, k: int) -> Optional[tuple[tuple[int, int], .
     """
     if k < 1:
         raise ValueError("degree cap must be at least 1")
-    value, chosen, _ = edge_vertex_flow(hg, 2, k, 1)
+    value, flowing, _ = edge_vertex_flow(hg, 2, k, 1)
     if value < 2 * len(hg.edges):
         return None
-    return tuple(chosen)
+    it = iter(flowing)
+    return tuple(zip(it, it))
 
 
 def list_color_gk(

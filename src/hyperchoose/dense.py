@@ -36,6 +36,7 @@ from .core import (
 )
 from .errors import (
     GuardExceededError,
+    InputError,
     PreconditionError,
     TheoremContradictionError,
 )
@@ -73,7 +74,7 @@ def split_probability(s: int, l: int) -> float:
     float returned is within one ulp (relative error far below 1e-12).
     """
     if s < 2 or l < 1:
-        raise ValueError("requires s >= 2 and l >= 1")
+        raise InputError("requires s >= 2 and l >= 1")
     with decimal.localcontext(_digits(30)):
         r = _root(s, l)
         return float((r - 1) / (1 + r))
@@ -100,7 +101,7 @@ def cond_ert_upper(s: int, l: int, t: int) -> bool:
     looks suspicious) settles the comparison.
     """
     if s < 2 or l < 1 or t < 1:
-        raise ValueError("requires s >= 2, l >= 1, t >= 1")
+        raise InputError("requires s >= 2, l >= 1, t >= 1")
     r = _integer_root(s, l)
     if r is not None:
         return Fraction(t) < Fraction((1 + r) ** l, 4)
@@ -127,7 +128,7 @@ def cond_corollary(s: int, l: int, t: int) -> bool:
     for s >= 2); this is asserted.
     """
     if s < 2 or l < 2 or t < 1:
-        raise ValueError("requires s >= 2, l >= 2, t >= 1")
+        raise InputError("requires s >= 2, l >= 2, t >= 1")
     square, shift = t * t, 2 * l - 4
     bits = s.bit_length() + shift
     if square.bit_length() != bits:
@@ -149,14 +150,14 @@ def feasibility_margin(s: int, l: int, t: int) -> float:
     lower-bound regime.  Nothing is gated on it.
     """
     if s < 2 or l < 1 or t < 1:
-        raise ValueError("requires s >= 2, l >= 1, t >= 1")
+        raise InputError("requires s >= 2, l >= 1, t >= 1")
     # log T = log(t/2) - l*log(1 + s^(1/l)); (1 + s^(1/l))^l itself overflows
     # a float for large l, while T only underflows harmlessly to 0.
     try:
         log_t = math.log(t / 2) - l * math.log1p(s ** (1.0 / l))
         return l * l * s * (math.log(s) + log_t) - s * math.exp(log_t) + s * l * l
     except OverflowError:
-        raise ValueError(
+        raise InputError(
             "s, l or t out of range: the feasibility margin overflows a float"
         ) from None
 
@@ -291,7 +292,7 @@ def random_split_color_report(
         raise PreconditionError("bipartition is not valid for the hypergraph")
     l = _common_length(lists, "split coloring")
     if max_iters < 1:
-        raise ValueError("max_iters must be positive")
+        raise InputError("max_iters must be positive")
     s = met.uniform
     p = split_probability(s, l)
     palette = lists.palette()
@@ -484,7 +485,7 @@ def lower_bound_experiment(
     would; the draws, and so every report, are the same per seed.
     """
     if s < 2 or l < 1 or t < 2 or trials < 1:
-        raise ValueError("requires s >= 2, l >= 1, t >= 2, trials >= 1")
+        raise InputError("requires s >= 2, l >= 1, t >= 2, trials >= 1")
     if l > LOWER_BOUND_MAX_L or t > LOWER_BOUND_MAX_T or t % 2 != 0:
         raise GuardExceededError(
             f"parameters outside the experiment guard "

@@ -142,8 +142,12 @@ def _peel_density(hg: Hypergraph) -> tuple[Fraction, int]:
 
 def _parametric_cut(
     hg: Hypergraph, lam: Fraction, *, integral: bool
-) -> tuple[Fraction, list[tuple[int, ...]]]:
-    """L, or ceil(L) if ``integral``, with per edge the vertices its last flow used.
+) -> tuple[Fraction, tuple[int, ...]]:
+    """L, or ceil(L) if ``integral``, with the vertices its last flow used.
+
+    The vertices are those of each incidence that carries flow, in slot
+    order (see :func:`core.edge_vertex_flow`); at ``integral`` candidates
+    the unit network's saturating flow gives one per edge, an orientation.
 
     ``lam`` is the first candidate: the density of some edge subset, or its
     ceiling if ``integral``, so it is at most L (or ceil(L)).  For a
@@ -163,9 +167,9 @@ def _parametric_cut(
     m = len(hg.edges)
     for _ in range(m + 1):
         a, b = lam.numerator, lam.denominator
-        value, chosen, subset = edge_vertex_flow(hg, b, a, b)
+        value, flowing, subset = edge_vertex_flow(hg, b, a, b)
         if value >= b * m:
-            return lam, chosen
+            return lam, flowing
         union = {v for j in subset for v in hg.edges[j]}
         better = Fraction(len(subset), len(union))
         if better <= lam:

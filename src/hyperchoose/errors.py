@@ -1,8 +1,17 @@
-"""Shared exception types with stable CLI exit-code semantics."""
+"""Shared exception types with stable CLI exit-code semantics.
+
+Only :class:`InputError` and ``OSError`` exit 2; any other ``ValueError``
+that reaches the CLI is a defect in the program and exits 6.
+"""
 
 
-class HgrFormatError(ValueError):
-    """Malformed input file (HGR, list, or coloring document). CLI exit code 2."""
+class InputError(ValueError):
+    """Malformed or undecodable input, or an argument out of range. CLI exit code 2.
+
+    Raised by the HGR and list readers and by every argument check that a
+    command-line value reaches.  Checks that no command-line input reaches
+    raise plain ``ValueError``.
+    """
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:

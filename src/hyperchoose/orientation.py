@@ -29,7 +29,7 @@ from .core import (
     vertex_counts,
 )
 from .density import _parametric_cut
-from .errors import PreconditionError, TheoremContradictionError
+from .errors import InputError, PreconditionError, TheoremContradictionError
 
 
 def hall_orientation(hg: Hypergraph, k: int) -> Optional[tuple[int, ...]]:
@@ -40,11 +40,11 @@ def hall_orientation(hg: Hypergraph, k: int) -> Optional[tuple[int, ...]]:
     exactly such an orientation, its heads the vertices that took the flow.
     """
     if k < 1:
-        raise ValueError("k must be at least 1")
-    value, chosen, _ = edge_vertex_flow(hg, 1, k, 1)
+        raise InputError("k must be at least 1")
+    value, flowing, _ = edge_vertex_flow(hg, 1, k, 1)
     if value < len(hg.edges):
         return None
-    return tuple(h for (h,) in chosen)
+    return flowing
 
 
 def min_orientation(hg: Hypergraph) -> tuple[int, tuple[int, ...]]:
@@ -64,9 +64,8 @@ def min_orientation(hg: Hypergraph) -> tuple[int, tuple[int, ...]]:
         raise ValueError("min_orientation undefined for an empty edge set")
     union = len({v for e in hg.edges for v in e})
     start = Fraction(-(-len(hg.edges) // union))
-    cap, chosen = _parametric_cut(hg, start, integral=True)
+    cap, phi = _parametric_cut(hg, start, integral=True)
     k = cap.numerator
-    phi = tuple(h for (h,) in chosen)
     if max(vertex_counts(hg.n, phi)) != k:
         raise TheoremContradictionError(
             f"no orientation of max degree exactly ceil(L) = {k}"

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import prod
 from typing import Optional, Sequence
 
@@ -543,3 +543,14 @@ def reference_edge_vertex_flow(
         for f, e in zip(first, hg.edges)
     ]
     return flow, chosen, [j for j in range(m) if level[j] >= 0]
+
+
+def flat_reference_flow(
+    hg: Hypergraph, edge_cap: int, vertex_cap: int, incidence_cap: int
+) -> tuple[int, tuple[int, ...], list[int]]:
+    """``reference_edge_vertex_flow`` with its per-edge witness flattened in
+    edge order: the shape ``core.edge_vertex_flow`` returns."""
+    flow, chosen, cut = reference_edge_vertex_flow(
+        hg, edge_cap, vertex_cap, incidence_cap
+    )
+    return flow, tuple(chain.from_iterable(chosen)), cut

@@ -15,9 +15,10 @@ import pytest
 
 import hyperchoose
 from hyperchoose import gen_complete, gen_fano, is_proper, parse_hypergraph, serialize_hypergraph, vertex_counts
-from hyperchoose import choosability, cli, core, degree_constrained, density, find_bipartition, nullstellensatz, orientation
+from hyperchoose import Hypergraph, ListAssignment, metrics
+from hyperchoose import choosability, cli, core, degree_constrained, dense, density, find_bipartition, nullstellensatz, orientation
 from hyperchoose.cli import build_parser, main
-from hyperchoose.errors import PreconditionError, TheoremContradictionError
+from hyperchoose.errors import InputError, PreconditionError, TheoremContradictionError
 from oracles import random_two_colorable, sympy_target_coefficient
 
 K33 = gen_complete(2, 3, 3)[0]
@@ -817,6 +818,155 @@ def test_internal_error_exits_6(capsys, monkeypatch, k33_path):
     assert captured.err == (
         "error: internal: TheoremContradictionError: parametric search failed to improve\n"
     )
+
+
+@pytest.mark.parametrize(
+    "command, patched",
+    [("analyze", (density, "bounds")), ("orient", (orientation, "min_orientation"))],
+    ids=["analyze", "orient"],
+)
+def test_value_error_inside_a_command_exits_6(capsys, monkeypatch, k33_path, command, patched):
+    # Only InputError (and OSError) means bad input; any other ValueError is
+    # a defect in the program.
+    def boom(*_):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(*patched, boom)
+    argv = [command, k33_path] + (["--no-timing"] if command == "analyze" else [])
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (6, "")
+    assert captured.err == "error: internal: ValueError: boom\n"
+
+
+BAD_ARGUMENT_CASES = [
+    (["orient", "K33", "--k", "0"], "k must be at least 1"),
+    (["choosability", "K33", "--f", "0"], "list lengths must be positive"),
+    (
+        ["dense", "split-color", "K33", "LISTS", "--max-iters", "0"],
+        "max_iters must be positive",
+    ),
+    (
+        ["dense", "lower-bound", "--s", "3", "--l", "2", "--t", "8", "--trials", "0"],
+        "requires s >= 2, l >= 1, t >= 2, trials >= 1",
+    ),
+    (
+        ["dense", "lower-bound", "--s", "1", "--l", "2", "--t", "8"],
+        "requires s >= 2, l >= 1, t >= 2, trials >= 1",
+    ),
+    (["dense", "thresholds", "--s", "1", "--l", "2", "--t", "3"], "requires s >= 2, l >= 1, t >= 1"),
+    (["dense", "thresholds", "--s", "3", "--l", "1", "--t", "3"], "requires s >= 2, l >= 2, t >= 1"),
+    (["generate", "complete", "--s", "1", "--n", "1", "--m", "1"], "infeasible parameters s=1, n=1, m=1"),
+    (["generate", "regular", "--k", "1", "--n", "3"], "k must be at least 2"),
+    (["generate", "regular", "--k", "3", "--n", "2"], "edge size 3 exceeds vertex count 2"),
+    (["analyze", "BAD_HGR"], "'utf-8' codec can't decode byte 0xff in position 13: invalid start byte"),
+    (
+        ["color", "K33", "BAD_LISTS", "--method", "gk"],
+        "'utf-8' codec can't decode byte 0xff in position 20: invalid start byte",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", BAD_ARGUMENT_CASES, ids=[" ".join(a) for a, _ in BAD_ARGUMENT_CASES]
+)
+def test_argument_and_decoding_faults_exit_2(capsys, tmp_path, k33_path, argv, message):
+    bad_hgr = tmp_path / "bad.hgr"
+    bad_hgr.write_bytes(b"p hg 2 1\ne 0 \xff1\n")
+    bad_lists = tmp_path / "bad.json"
+    bad_lists.write_bytes(b'{"n": 1, "lists": [[\xff]]}')
+    paths = {
+        "K33": k33_path,
+        "LISTS": lists_file(tmp_path, [[3 * i + 1, 3 * i + 2, 3 * i + 3] for i in range(6)]),
+        "BAD_HGR": str(bad_hgr),
+        "BAD_LISTS": str(bad_lists),
+    }
+    code = main([paths.get(arg, arg) for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {message}\n"
+
+
+def test_input_checks_raise_input_error_and_the_rest_plain_value_error():
+    # Each check a command-line value reaches raises InputError, still a
+    # ValueError; the checks no command-line value reaches raise plain
+    # ValueError, which the CLI reports as internal.
+    assert issubclass(InputError, ValueError)
+    bip = find_bipartition(K33)
+    lists = ListAssignment(tuple((3 * i + 1, 3 * i + 2, 3 * i + 3) for i in range(6)))
+    user_faults = [
+        lambda: orientation.hall_orientation(K33, 0),
+        lambda: choosability.is_f_choosable(K33, [0] * 6),
+        lambda: choosability.is_f_choosable(K33, [2] * 6, max_universe=0),
+        lambda: dense.random_split_color_report(K33, bip, lists, 0, 1),
+        lambda: dense.lower_bound_experiment(3, 2, 8, 0, 1),
+        lambda: dense.lower_bound_experiment(1, 2, 8, 10, 1),
+        lambda: dense.split_probability(1, 2),
+        lambda: dense.cond_ert_upper(1, 2, 3),
+        lambda: dense.cond_corollary(3, 1, 3),
+        lambda: dense.feasibility_margin(1, 2, 3),
+        lambda: dense.feasibility_margin(10**400, 2, 5),
+        lambda: gen_complete(1, 1, 1),
+        lambda: core.gen_k_regular_k_uniform(1, 3, 0),
+        lambda: core.gen_k_regular_k_uniform(3, 2, 0),
+        lambda: parse_hypergraph("p hg 2 1\ne 0 0\n"),
+        lambda: ListAssignment.from_json({"n": 2, "lists": [[1]]}),
+    ]
+    for fault in user_faults:
+        with pytest.raises(InputError):
+            fault()
+    empty = Hypergraph(2, ())
+    internal_faults = [
+        lambda: Hypergraph(2, ((0, 0),)),
+        lambda: ListAssignment(((),)),
+        lambda: ListAssignment.from_json({"n": 1, "lists": [[]]}),
+        lambda: is_proper(K33, [0]),
+        lambda: metrics(empty),
+        lambda: density.density_flow(empty),
+        lambda: orientation.min_orientation(empty),
+        lambda: degree_constrained.build_selection(K33, 0),
+        lambda: choosability.is_f_choosable(K33, [2]),
+        lambda: dense.complete_proper_exists(1, 1, 1, ListAssignment(((1,), (1,)))),
+        lambda: dense.split_experiment(lists, 2, 0, 1),
+        lambda: dense.DenseExperimentReport(trials=1, categories={}, seed=0),
+    ]
+    for fault in internal_faults:
+        with pytest.raises(ValueError) as exc:
+            fault()
+        assert not isinstance(exc.value, InputError), exc.value
+
+
+def test_deeply_nested_lists_file_exits_2(capsys, tmp_path, k33_path):
+    # The JSON parser gives up on deep nesting with a RecursionError: a fault
+    # of the file, not of the program.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code = main(["color", k33_path, str(deep), "--method", "gk"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"error: {deep}: maximum recursion depth exceeded")
+
+
+def test_analyze_exact_computes_bounds_once(capsys, monkeypatch, k33_path, fano_path):
+    # Wrapped at every package attribute that refers to it, so the choice
+    # number's own call is counted too.
+    calls = []
+    bounds = density.bounds
+    targets = [
+        (module, attr)
+        for name, module in sys.modules.items()
+        if name == "hyperchoose" or name.startswith("hyperchoose.")
+        for attr, value in vars(module).items()
+        if value is bounds
+    ]
+    assert len(targets) >= 2
+    for module, attr in targets:
+        monkeypatch.setattr(module, attr, lambda hg: calls.append(hg) or bounds(hg))
+    for path in (k33_path, fano_path):
+        for argv in (["analyze", path, "--exact", "--no-timing"], ["exact", path, "--what", "ch"]):
+            calls.clear()
+            code, _ = run(capsys, *argv)
+            assert code == 0 and len(calls) == 1, argv
 
 
 def test_analyze_computes_metrics_once(capsys, monkeypatch, k33_path, fano_path):

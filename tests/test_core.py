@@ -5,7 +5,7 @@ import pytest
 from hyperchoose import (
     GuardExceededError,
     Hypergraph,
-    HgrFormatError,
+    InputError,
     ListAssignment,
     PreconditionError,
     bipartition_is_valid,
@@ -29,8 +29,8 @@ from oracles import (
     exhaustive_two_colorable,
     first_bipartition,
     first_list_coloring,
+    flat_reference_flow,
     random_hypergraph,
-    reference_edge_vertex_flow,
     reference_gen_k_regular_k_uniform,
 )
 
@@ -82,7 +82,7 @@ MALFORMED = [
     "text,message", [(t, m) for t, _, m in MALFORMED], ids=[f"{t}-{f}" for t, f, _ in MALFORMED]
 )
 def test_parse_rejects_malformed(text, message):
-    with pytest.raises(HgrFormatError) as err:
+    with pytest.raises(InputError) as err:
         parse_hypergraph(text)
     assert str(err.value) == message
 
@@ -280,7 +280,7 @@ def test_find_bipartition_node_guard_spares_one_decision_per_vertex(monkeypatch)
 
 
 def test_edge_vertex_flow_matches_reference_on_random_hypergraphs():
-    # The whole triple, flow value, per-edge chosen vertices and cut side,
+    # The whole triple, flow value, flowing incidences' vertices and cut side,
     # must equal the explicit-arc Dinic's on every capacity shape in use:
     # (b, a, b) below and above density 1, (1, k, 1) and (2, k, 1).
     rnd = random.Random(13)
@@ -307,7 +307,7 @@ def test_edge_vertex_flow_matches_reference_on_random_hypergraphs():
             (2, k, 1),
         ):
             got = core.edge_vertex_flow(hg, *caps)
-            assert got == reference_edge_vertex_flow(hg, *caps), (hg, caps)
+            assert got == flat_reference_flow(hg, *caps), (hg, caps)
     assert min(seen.values()) >= 50, seen
 
 
@@ -330,7 +330,7 @@ def test_edge_vertex_flow_matches_reference_on_deep_networks():
     networks.append((chain, (1, 1, 1)))
     for hg, caps in networks:
         got = core.edge_vertex_flow(hg, *caps)
-        assert got == reference_edge_vertex_flow(hg, *caps), (hg, caps)
+        assert got == flat_reference_flow(hg, *caps), (hg, caps)
 
 def test_gen_complete_counts():
     assert len(gen_complete(2, 3, 3)[0].edges) == 9
@@ -493,33 +493,42 @@ def test_list_assignment_json_roundtrip():
     la = ListAssignment(((2, 1), (5,)))
     assert la.lists == ((1, 2), (5,))
     assert ListAssignment.from_json(la.to_json()) == la
-    with pytest.raises(HgrFormatError):
+    with pytest.raises(InputError):
         ListAssignment.from_json({"n": 3, "lists": [[1]]})
 
 
 TYPES = "list assignment needs an integer n and lists of integer colors"
 
 
+FROM_JSON_CASES = [
+    ({"lists": [[1]]}, InputError, "list assignment document missing field: 'n'"),
+    ({"n": 1}, InputError, "list assignment document missing field: 'lists'"),
+    ({"n": 1.0, "lists": [[1]]}, InputError, TYPES),
+    ({"n": True, "lists": [[1]]}, InputError, TYPES),
+    ({"n": 1, "lists": [[1.5]]}, InputError, TYPES),
+    ({"n": 1, "lists": [["1"]]}, InputError, TYPES),
+    ({"n": 1, "lists": [[False, 2]]}, InputError, TYPES),
+    ({"n": 1, "lists": {"0": [1]}}, InputError, TYPES),
+    ({"n": 2, "lists": [[1], (2,)]}, InputError, TYPES),
+    ({"n": 3, "lists": [[1]]}, InputError, "list assignment declares n=3 but carries 1 lists"),
+    ({"n": 2, "lists": [[1], []]}, ValueError, "vertex 1: empty color list"),
+    ({"n": 1, "lists": [[2, 1, 2]]}, ValueError, "vertex 0: duplicate color in list (1, 2, 2)"),
+    ({"n": 2, "lists": [[0], [3, -1]]}, ValueError, "vertex 1: negative color in list (-1, 3)"),
+    # A type fault anywhere, then a count mismatch, outranks a value fault.
+    ({"n": 2, "lists": [[], ["a"]]}, InputError, TYPES),
+    ({"n": 3, "lists": [[], [1]]}, InputError, "list assignment declares n=3 but carries 2 lists"),
+    ({"n": 2, "lists": [[1, 1], [-1]]}, ValueError, "vertex 0: duplicate color in list (1, 1)"),
+]
+
+
+# The ids keep HgrFormatError, the input-error type's name before it became
+# InputError, so that these test names stayed the same across the rename.
 @pytest.mark.parametrize(
     "doc, error, message",
-    [
-        ({"lists": [[1]]}, HgrFormatError, "list assignment document missing field: 'n'"),
-        ({"n": 1}, HgrFormatError, "list assignment document missing field: 'lists'"),
-        ({"n": 1.0, "lists": [[1]]}, HgrFormatError, TYPES),
-        ({"n": True, "lists": [[1]]}, HgrFormatError, TYPES),
-        ({"n": 1, "lists": [[1.5]]}, HgrFormatError, TYPES),
-        ({"n": 1, "lists": [["1"]]}, HgrFormatError, TYPES),
-        ({"n": 1, "lists": [[False, 2]]}, HgrFormatError, TYPES),
-        ({"n": 1, "lists": {"0": [1]}}, HgrFormatError, TYPES),
-        ({"n": 2, "lists": [[1], (2,)]}, HgrFormatError, TYPES),
-        ({"n": 3, "lists": [[1]]}, HgrFormatError, "list assignment declares n=3 but carries 1 lists"),
-        ({"n": 2, "lists": [[1], []]}, ValueError, "vertex 1: empty color list"),
-        ({"n": 1, "lists": [[2, 1, 2]]}, ValueError, "vertex 0: duplicate color in list (1, 2, 2)"),
-        ({"n": 2, "lists": [[0], [3, -1]]}, ValueError, "vertex 1: negative color in list (-1, 3)"),
-        # A type fault anywhere, then a count mismatch, outranks a value fault.
-        ({"n": 2, "lists": [[], ["a"]]}, HgrFormatError, TYPES),
-        ({"n": 3, "lists": [[], [1]]}, HgrFormatError, "list assignment declares n=3 but carries 2 lists"),
-        ({"n": 2, "lists": [[1, 1], [-1]]}, ValueError, "vertex 0: duplicate color in list (1, 1)"),
+    FROM_JSON_CASES,
+    ids=[
+        f"doc{i}-{'HgrFormatError' if error is InputError else error.__name__}-{message}"
+        for i, (_, error, message) in enumerate(FROM_JSON_CASES)
     ],
 )
 def test_list_assignment_from_json_messages(doc, error, message):
@@ -527,7 +536,7 @@ def test_list_assignment_from_json_messages(doc, error, message):
         ListAssignment.from_json(doc)
     assert str(exc.value) == message
     if error is ValueError:
-        assert not isinstance(exc.value, HgrFormatError)
+        assert not isinstance(exc.value, InputError)
         with pytest.raises(ValueError) as direct:
             ListAssignment(tuple(map(tuple, doc["lists"])))
         assert str(direct.value) == message

@@ -31,7 +31,7 @@ from hyperchoose import (
 )
 from hyperchoose.cli import main
 from hyperchoose.core import _ListSearch
-from oracles import reference_edge_vertex_flow
+from oracles import flat_reference_flow
 
 N = 3000
 DEADLINE_S = 60
@@ -113,7 +113,7 @@ def test_edge_vertex_flow_matches_reference_at_scale(family, monkeypatch):
     orientation.hall_orientation(hg, 1)
     degree_constrained.build_selection(hg, density.bound_gk(hg) - 1)
     for capacities in dict.fromkeys(caps):
-        assert flow(hg, *capacities) == reference_edge_vertex_flow(hg, *capacities)
+        assert flow(hg, *capacities) == flat_reference_flow(hg, *capacities)
 
 
 @pytest.mark.parametrize("family, flows", [("planted", 1), ("regular", 0)])

@@ -12,6 +12,7 @@ command's seed is its --seed option, 0 when omitted.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -53,13 +54,18 @@ def _emit(doc) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _load_hypergraph(path: str, task: str = "") -> tuple[Hypergraph, bytes]:
-    """The hypergraph in ``path`` and its bytes; a ``task`` needs at least one edge."""
+def _read(path: str) -> tuple[str, bytes]:
+    """The text and bytes of the input file ``path``, which must be UTF-8."""
     raw = Path(path).read_bytes()
     try:
-        text = raw.decode("utf-8")
+        return raw.decode("utf-8"), raw
     except UnicodeDecodeError as exc:
         raise InputError(str(exc))
+
+
+def _load_hypergraph(path: str, task: str = "") -> tuple[Hypergraph, bytes]:
+    """The hypergraph in ``path`` and its bytes; a ``task`` needs at least one edge."""
+    text, raw = _read(path)
     hg = parse_hypergraph(text)
     if task and not hg.edges:
         raise InputError(f"hypergraph has no edges; nothing to {task}")
@@ -79,12 +85,10 @@ def _load_lists(path: str) -> ListAssignment:
     Besides malformed JSON, the parser's own ``ValueError`` (an integer too
     long to convert) and ``RecursionError`` (nesting too deep) are faults of
     the file, and so are the value faults that ``from_json`` raises as plain
-    ``ValueError``.
+    ``ValueError``.  Line ends are translated as a text-mode read would, so
+    a JSON error position counts a CRLF as one character.
     """
-    try:
-        text = Path(path).read_text("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InputError(str(exc))
+    text = _read(path)[0].replace("\r\n", "\n").replace("\r", "\n")
     try:
         return ListAssignment.from_json(json.loads(text))
     except (ValueError, RecursionError) as exc:
@@ -95,17 +99,11 @@ def cmd_analyze(args) -> int:
     start = time.perf_counter()
     hg, raw = _load_hypergraph(args.path, "analyze")
     bounds = density.bounds(hg)
-    met = bounds.metrics
     report = {
         "schema_version": SCHEMA_VERSION,
         "digest": hashlib.sha256(raw).hexdigest(),
         "n": hg.n,
-        "metrics": {
-            "max_degree": met.max_degree,
-            "min_edge_size": met.min_edge_size,
-            "uniform": met.uniform,
-            "edge_count": met.edge_count,
-        },
+        "metrics": dataclasses.asdict(bounds.metrics),
         "two_colorable": bounds.two_colorable,
         "l_num": bounds.density.numerator,
         "l_den": bounds.density.denominator,

@@ -114,9 +114,12 @@ class ListAssignment:
         norm = []
         for i, lv in enumerate(self.lists):
             lv = tuple(sorted(lv))
-            fault = _list_fault(i, lv)
-            if fault:
-                raise ValueError(fault)
+            if not lv:
+                raise ValueError(f"vertex {i}: empty color list")
+            if len(set(lv)) != len(lv):
+                raise ValueError(f"vertex {i}: duplicate color in list {lv}")
+            if lv[0] < 0:
+                raise ValueError(f"vertex {i}: negative color in list {lv}")
             norm.append(lv)
         object.__setattr__(self, "lists", tuple(norm))
 
@@ -151,7 +154,11 @@ class ListAssignment:
 
     @classmethod
     def from_json(cls, doc) -> "ListAssignment":
-        """The list assignment of a parsed ``{"n": ..., "lists": [...]}`` document."""
+        """The list assignment of a parsed ``{"n": ..., "lists": [...]}`` document.
+
+        A type fault anywhere, then a count mismatch, raises ``InputError``;
+        only then does the constructor raise its first value fault.
+        """
         try:
             n = doc["n"]
             lists = doc["lists"]
@@ -160,28 +167,18 @@ class ListAssignment:
         types = "list assignment needs an integer n and lists of integer colors"
         if not _is_int(n) or not isinstance(lists, list):
             raise InputError(types)
-        # One pass checks and sorts each list.  A type fault anywhere, then a
-        # count mismatch, takes precedence over the first list's value fault.
         # Plain ints pass on their types alone; any other type, such as a
         # subclass of int, goes through _is_int.
-        norm = []
-        fault = None
-        for i, lv in enumerate(lists):
+        for lv in lists:
             if not isinstance(lv, list) or not (
                 set(map(type, lv)) <= _INT or all(map(_is_int, lv))
             ):
                 raise InputError(types)
-            lv = tuple(sorted(lv))
-            if fault is None:
-                fault = _list_fault(i, lv)
-            norm.append(lv)
         if len(lists) != n:
             raise InputError(
                 f"list assignment declares n={n} but carries {len(lists)} lists"
             )
-        if fault:
-            raise ValueError(fault)
-        return cls._checked(tuple(norm))
+        return cls(tuple(lists))  # which sorts each list into a tuple
 
 
 _INT = {int}
@@ -189,17 +186,6 @@ _INT = {int}
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _list_fault(i: int, lv: tuple[int, ...]) -> Optional[str]:
-    """Why vertex i's sorted color list ``lv`` is invalid, or None if it is valid."""
-    if not lv:
-        return f"vertex {i}: empty color list"
-    if len(set(lv)) != len(lv):
-        return f"vertex {i}: duplicate color in list {lv}"
-    if lv[0] < 0:
-        return f"vertex {i}: negative color in list {lv}"
-    return None
 
 
 @dataclass(frozen=True)
@@ -846,6 +832,11 @@ def gen_fano() -> Hypergraph:
     return Hypergraph(7, lines)
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """The Philox generator keyed by ``seed``; equal seeds replay equal draws."""
+    return np.random.Generator(np.random.Philox(seed))
+
+
 # Proposals (layer draws and swaps) one call of gen_k_regular_k_uniform may spend.
 PROPOSAL_BUDGET = 100_000
 
@@ -863,7 +854,7 @@ def gen_k_regular_k_uniform(k: int, n: int, seed: int) -> Optional[Hypergraph]:
         raise InputError("k must be at least 2")
     if n < k:
         raise InputError(f"edge size {k} exceeds vertex count {n}")
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = _rng(seed)
     budget = PROPOSAL_BUDGET
     while budget > 0:
         layers = np.stack([rng.permutation(n) for _ in range(k)])

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -30,6 +30,7 @@ from .core import (
     Hypergraph,
     ListAssignment,
     SIDE_A,
+    _rng,
     bipartition_is_valid,
     is_proper,
     metrics,
@@ -49,15 +50,12 @@ LOWER_BOUND_MAX_T = 24
 LOWER_BOUND_BLOCK_TRIALS = 1024
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))
-
-
 def _digits(prec: int) -> decimal.Context:
     """A decimal context of ``prec`` significant digits.
 
-    The exponent range is the widest decimal allows: (1 + s^(1/l))^l
-    exceeds the default Emax at l = 10^7.
+    The exponent range is the widest decimal allows, so that the threshold
+    for a huge s or t stays in range.  A huge l does not reach it: a t below
+    2^(l-2), as at l = 10^7, is decided before the decimal route.
     """
     return decimal.Context(prec=prec, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
@@ -70,12 +68,13 @@ def _root(s: int, l: int) -> decimal.Decimal:
 def split_probability(s: int, l: int) -> float:
     """Neutral probability (s^(1/l) - 1) / (1 + s^(1/l)).
 
-    Computed with 30 significant decimal digits and rounded once, so the
-    float returned is within one ulp (relative error far below 1e-12).
+    Computed with 30 significant decimal digits more than the leading zeros
+    of s^(1/l) - 1 ~ ln(s) / l, of which there are at most l.bit_length() // 3
+    + 1, and rounded once, so the float returned is within one ulp at any l.
     """
     if s < 2 or l < 1:
         raise InputError("requires s >= 2 and l >= 1")
-    with decimal.localcontext(_digits(30)):
+    with decimal.localcontext(_digits(30 + l.bit_length() // 3 + 1)):
         r = _root(s, l)
         return float((r - 1) / (1 + r))
 
@@ -95,13 +94,17 @@ def _integer_root(s: int, l: int) -> Optional[int]:
 def cond_ert_upper(s: int, l: int, t: int) -> bool:
     """Whether t < (1 + s^(1/l))^l / 4, decided exactly at rational thresholds.
 
-    When s is a perfect l-th power the threshold is rational and compared
-    exactly; otherwise it is irrational, and a decimal evaluation to 60
-    digits past the units digit of t (widened to 200 digits if the margin
-    looks suspicious) settles the comparison.
+    A t of at most l - 2 bits is below 2^(l-2) < (1 + s^(1/l))^l / 4, since
+    s^(1/l) > 1, so it passes with no power formed.  Otherwise, when s is a
+    perfect l-th power the threshold is rational and compared exactly; else
+    it is irrational, and a decimal evaluation to 60 digits past the units
+    digit of t (widened to 200 digits if the margin looks suspicious)
+    settles the comparison.
     """
     if s < 2 or l < 1 or t < 1:
         raise InputError("requires s >= 2, l >= 1, t >= 1")
+    if t.bit_length() <= l - 2:
+        return True
     r = _integer_root(s, l)
     if r is not None:
         return Fraction(t) < Fraction((1 + r) ** l, 4)
@@ -245,23 +248,13 @@ class DenseExperimentReport:
             raise ValueError("category counts must sum to the trial count")
 
     def to_json(self) -> dict:
+        """The report's fields that are set, with the witness as its list document."""
         doc = {
-            "trials": self.trials,
-            "categories": dict(self.categories),
-            "seed": self.seed,
+            f.name: value
+            for f in fields(self)
+            if (value := getattr(self, f.name)) is not None
         }
-        for name in (
-            "empirical_a",
-            "empirical_b",
-            "empirical_a_stderr",
-            "empirical_b_stderr",
-            "closed_a",
-            "closed_b",
-            "witness_fraction",
-        ):
-            value = getattr(self, name)
-            if value is not None:
-                doc[name] = value
+        doc["categories"] = dict(self.categories)
         if self.witness is not None:
             doc["witness"] = self.witness.to_json()
         return doc

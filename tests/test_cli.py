@@ -491,7 +491,7 @@ def test_dense_thresholds_large_l(capsys, l):
 
 @pytest.mark.parametrize(
     "s, l, t",
-    [(10, 2, 4), (9, 2, 4), (16, 3, 5), (3, 2000, 5), (3, 10**7, 5)],
+    [(10, 2, 4), (9, 2, 4), (16, 3, 5), (3, 2000, 5), (3, 10**7, 5), (3, 10**30, 5)],
 )
 def test_dense_thresholds_match_golden_output(capsys, s, l, t):
     # An irrational near-tie, a perfect-power tie, and thresholds past a float.
@@ -945,6 +945,22 @@ def test_deeply_nested_lists_file_exits_2(capsys, tmp_path, k33_path):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err.startswith(f"error: {deep}: maximum recursion depth exceeded")
+
+
+@pytest.mark.parametrize(
+    "data", [b'{"n": 1,\r\n "lists": [[1]],}', b'{"n": 1,\r "lists": [[1]],}'], ids=["CRLF", "CR"]
+)
+def test_lists_file_json_error_counts_line_ends_as_text_mode_does(capsys, tmp_path, k33_path, data):
+    # A CRLF or a lone CR is one newline character, as in a text-mode read.
+    path = tmp_path / "lists.json"
+    path.write_bytes(data)
+    code = main(["color", k33_path, str(path), "--method", "gk"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        f"error: {path}: Expecting property name enclosed in double quotes:"
+        " line 2 column 17 (char 25)\n"
+    )
 
 
 def test_analyze_exact_computes_bounds_once(capsys, monkeypatch, k33_path, fano_path):

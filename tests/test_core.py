@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -540,3 +541,76 @@ def test_list_assignment_from_json_messages(doc, error, message):
         with pytest.raises(ValueError) as direct:
             ListAssignment(tuple(map(tuple, doc["lists"])))
         assert str(direct.value) == message
+
+
+def test_from_json_follows_its_precedence_rule_on_random_documents():
+    # Faults of every kind at random places: a type fault anywhere wins, then
+    # a count mismatch, then the constructor's first value fault.
+    class Color(int):
+        pass
+
+    def integer(value):
+        return isinstance(value, int) and type(value) is not bool
+
+    not_ints = [True, False, 1.0, 2.5, "1", None]
+    rng = random.Random(20261017)
+    seen = set()
+    for _ in range(3000):
+        lists = []
+        for _ in range(rng.randint(0, 5)):
+            # Empty lists, duplicates and negative colors come from the draws.
+            lv = [rng.randint(-2, 6) for _ in range(rng.randint(0, 4))]
+            if rng.random() < 0.1:
+                lv.insert(rng.randint(0, len(lv)), rng.choice(not_ints))
+            if rng.random() < 0.1:
+                lv.insert(rng.randint(0, len(lv)), Color(rng.randint(-1, 6)))
+            if rng.random() < 0.05:
+                lv = rng.choice([tuple(lv), {"0": lv}, 3])
+            lists.append(lv)
+        doc = {"n": len(lists) + rng.choice([0, 0, 0, 1, -1]), "lists": lists}
+        if rng.random() < 0.05:
+            doc["n"] = rng.choice(not_ints + [Color(len(lists))])
+        if rng.random() < 0.03:
+            doc["lists"] = tuple(lists)
+        if rng.random() < 0.03:
+            del doc[rng.choice(["n", "lists"])]
+
+        if "n" not in doc or "lists" not in doc:
+            field = "n" if "n" not in doc else "lists"
+            expected = InputError(f"list assignment document missing field: '{field}'")
+        elif not (
+            integer(doc["n"])
+            and type(doc["lists"]) is list
+            and all(type(lv) is list and all(map(integer, lv)) for lv in lists)
+        ):
+            expected = InputError(TYPES)
+        elif len(lists) != doc["n"]:
+            expected = InputError(
+                f"list assignment declares n={doc['n']} but carries {len(lists)} lists"
+            )
+        else:
+            try:
+                expected = ListAssignment(tuple(map(tuple, lists)))
+            except ValueError as exc:
+                expected = exc
+        try:
+            got = ListAssignment.from_json(doc)
+        except ValueError as exc:
+            got = exc
+        if isinstance(expected, ListAssignment):
+            assert got == expected, doc
+            seen.add("valid")
+        else:
+            assert (type(got), str(got)) == (type(expected), str(expected)), doc
+            seen.add(re.sub(r"-?\d+|\(.*\)", "#", str(expected)))
+    # Every outcome occurs, a valid document among them.
+    assert seen == {
+        "list assignment document missing field: 'n'",
+        "list assignment document missing field: 'lists'",
+        TYPES,
+        "list assignment declares n=# but carries # lists",
+        "vertex #: empty color list",
+        "vertex #: duplicate color in list #",
+        "vertex #: negative color in list #",
+        "valid",
+    }

@@ -78,6 +78,17 @@ def test_thresholds_match_mpmath_at_large_l(l):
             assert cond_ert_upper(s, l, t) == mpmath_cond_ert_upper(s, l, t), (s, t)
 
 
+@pytest.mark.parametrize("l", [10**16, 10**18, 10**30, 10**100])
+def test_split_probability_matches_a_250_digit_reference_at_huge_l(l):
+    # s^(1/l) - 1 ~ ln(s) / l has about log10(l) leading zeros: at a fixed 30
+    # digits it loses its digits past l ~ 10^15, and rounds to 0 at 10^30.
+    for s in (2, 3, 10, 199, 2**100):
+        with mpmath.workdps(250):
+            r = mpmath.root(s, l)
+            reference = float((r - 1) / (1 + r))
+        assert split_probability(s, l) == reference, s
+
+
 @pytest.mark.parametrize("s, l", [(3, 150), (3, 300), (5, 200), (3, 1000)])
 def test_cond_ert_upper_decides_ties_above_1e30(s, l):
     # t = floor(threshold) and t + 1, with the threshold far past 10^30: 60

@@ -95,6 +95,14 @@ def _load_lists(path: str) -> ListAssignment:
         raise InputError(f"{path}: {exc}")
 
 
+def _bipartition(hg: Hypergraph, what: str) -> tuple[str, ...]:
+    """The 2-coloring that ``what`` requires; PreconditionError when none exists."""
+    bip = find_bipartition(hg)
+    if bip is None:
+        raise PreconditionError(f"{what} requires a 2-colorable hypergraph")
+    return bip
+
+
 def cmd_analyze(args) -> int:
     start = time.perf_counter()
     hg, raw = _load_hypergraph(args.path, "analyze")
@@ -148,9 +156,7 @@ def cmd_color(args) -> int:
     hg, _ = _load_hypergraph(args.path, "" if args.method == "exact" else "color")
     lists = _load_lists(args.lists)
     if args.method == "sparse":
-        bip = find_bipartition(hg)
-        if bip is None:
-            raise PreconditionError("sparse method requires a 2-colorable hypergraph")
+        bip = _bipartition(hg, "sparse method")
         color = orientation.list_color_sparse(hg, bip, lists)
     elif args.method == "gk":
         color, pairs = degree_constrained.list_color_gk(hg, lists)
@@ -201,9 +207,7 @@ def cmd_coefficient(args) -> int:
     from .nullstellensatz import coefficient_count
 
     hg, _ = _load_hypergraph(args.path, "certify")
-    bip = find_bipartition(hg)
-    if bip is None:
-        raise PreconditionError("coefficient requires a 2-colorable hypergraph")
+    bip = _bipartition(hg, "coefficient")
     # min_orientation has checked that the max head degree equals k.
     k, phi = orientation.min_orientation(hg)
     coef = coefficient_count(hg, bip, phi)
@@ -230,9 +234,7 @@ def cmd_dense_thresholds(args) -> int:
 def cmd_dense_split_color(args) -> int:
     hg, _ = _load_hypergraph(args.path, "color")
     lists = _load_lists(args.lists)
-    bip = find_bipartition(hg)
-    if bip is None:
-        raise PreconditionError("split coloring requires a 2-colorable hypergraph")
+    bip = _bipartition(hg, "split coloring")
     coloring, report = dense.random_split_color_report(
         hg, bip, lists, args.max_iters, _seed(args)
     )

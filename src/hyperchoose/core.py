@@ -9,8 +9,8 @@ are immutable after construction and safe to share across threads.
 Certificates are plain tuples aligned with the vertices or the edges: a
 coloring holds one color per vertex, a 2-coloring one ``"A"``/``"B"`` side
 label per vertex, an orientation one head per edge.  Every list coloring a
-command prints, of the hypergraph or of a pair graph (sparse or gk), is one
-run of the list-coloring search, verified in one place.
+command prints is verified in one place: the gk pair coloring is a first fit
+in vertex order, every other one is a run of the list-coloring search.
 """
 
 from __future__ import annotations
@@ -159,10 +159,12 @@ class ListAssignment:
         A type fault anywhere, then a count mismatch, raises ``InputError``;
         only then does the constructor raise its first value fault.
         """
+        if not isinstance(doc, dict):
+            raise InputError("list assignment document must be a JSON object")
         try:
             n = doc["n"]
             lists = doc["lists"]
-        except (TypeError, KeyError) as exc:
+        except KeyError as exc:
             raise InputError(f"list assignment document missing field: {exc}")
         types = "list assignment needs an integer n and lists of integer colors"
         if not _is_int(n) or not isinstance(lists, list):
@@ -482,6 +484,14 @@ def find_bipartition(hg: Hypergraph) -> Optional[tuple[str, ...]]:
     return None if side is None else tuple(side)
 
 
+def _verified(hg: Hypergraph, color: list, lists: ListAssignment) -> tuple[int, ...]:
+    """``color`` as a tuple, checked proper for ``hg`` and within ``lists``."""
+    color = tuple(color)
+    if not is_proper(hg, color) or not lists.admits(color):
+        raise TheoremContradictionError("list coloring failed verification")
+    return color
+
+
 def _color_lists(
     hg: Hypergraph, edges: Sequence[Sequence[int]], lists: ListAssignment
 ) -> Optional[tuple[int, ...]]:
@@ -489,46 +499,12 @@ def _color_lists(
 
     ``edges`` are the hypergraph's own or one vertex pair inside each of
     them, so a coloring proper on them is proper on ``hg``.  A list count
-    other than ``hg.n`` raises PreconditionError, and a coloring that
-    ``is_proper`` or the lists reject raises TheoremContradictionError.
+    other than ``hg.n`` raises PreconditionError.
     """
     if lists.n != hg.n:
         raise PreconditionError("list assignment size differs from vertex count")
     color = _ListSearch(hg.n, edges).solve(lists.lists)
-    if color is None:
-        return None
-    color = tuple(color)
-    if not is_proper(hg, color) or not lists.admits(color):
-        raise TheoremContradictionError("list coloring failed verification")
-    return color
-
-
-def _color_pairs(
-    hg: Hypergraph,
-    pairs: tuple[tuple[int, int], ...],
-    lists: ListAssignment,
-    need: Sequence[int],
-    why: str,
-) -> tuple[int, ...]:
-    """List coloring of the graph of ``pairs``, one vertex pair per edge of ``hg``.
-
-    Both pair-graph colorings rest on one list rule: at least ``need[v]``
-    colors for each vertex v, where ``why`` names the bound; a short list
-    raises PreconditionError.  Lists that meet the rule always admit a
-    coloring, so a missing one raises TheoremContradictionError.
-    """
-    if lists.n == hg.n:  # else _color_lists reports the count first
-        for v, (lv, k) in enumerate(zip(lists.lists, need)):
-            if len(lv) < k:
-                raise PreconditionError(
-                    f"vertex {v}: list of size {len(lv)} is below the required {k} ({why})"
-                )
-    color = _color_lists(hg, pairs, lists)
-    if color is None:
-        raise TheoremContradictionError(
-            "pair graph admitted no list coloring despite sufficient lists"
-        )
-    return color
+    return None if color is None else _verified(hg, color, lists)
 
 
 # ---------------------------------------------------------------------------
@@ -839,6 +815,8 @@ def _rng(seed: int) -> np.random.Generator:
 
 # Proposals (layer draws and swaps) one call of gen_k_regular_k_uniform may spend.
 PROPOSAL_BUDGET = 100_000
+# Incidences (k*n) that gen_k_regular_k_uniform may draw.
+REGULAR_INCIDENCE_GUARD = 10**7
 
 
 def gen_k_regular_k_uniform(k: int, n: int, seed: int) -> Optional[Hypergraph]:
@@ -849,11 +827,17 @@ def gen_k_regular_k_uniform(k: int, n: int, seed: int) -> Optional[Hypergraph]:
     by random in-layer swaps; each swap or restart consumes one of
     ``PROPOSAL_BUDGET`` proposals, and None means they ran out.  Edge count
     is always n (k*n incidences at k per edge), and duplicate edges may occur.
+    More than ``REGULAR_INCIDENCE_GUARD`` incidences raise GuardExceededError
+    before any draw.
     """
     if k < 2:
         raise InputError("k must be at least 2")
     if n < k:
         raise InputError(f"edge size {k} exceeds vertex count {n}")
+    if k * n > REGULAR_INCIDENCE_GUARD:
+        raise GuardExceededError(
+            f"k*n = {k * n} incidences exceeds the guard {REGULAR_INCIDENCE_GUARD}"
+        )
     rng = _rng(seed)
     budget = PROPOSAL_BUDGET
     while budget > 0:

@@ -5,17 +5,18 @@ edge keeps exactly two of its incidences and every vertex keeps at most k.
 It is a flow on source -> edge (cap 2) -> incident vertex (cap 1) -> sink
 (cap k), computed by the shared max-flow :func:`core.edge_vertex_flow`.  At
 the cap 2*max_degree/min_size (rounded up) such a selection always exists, and
-the list-coloring search colors the selected pairs with cap+1 list entries
-without ever backtracking.
+a first fit in vertex order colors the selected pairs from cap+1 list entries:
+no vertex has more than cap pair neighbors, so it never gets stuck.
 """
 
 from __future__ import annotations
 
+from itertools import filterfalse
 from typing import Optional
 
-from .core import Hypergraph, ListAssignment, _color_pairs, edge_vertex_flow
+from .core import Hypergraph, ListAssignment, _verified, edge_vertex_flow
 from .density import bound_gk
-from .errors import TheoremContradictionError
+from .errors import PreconditionError, TheoremContradictionError
 
 
 def build_selection(hg: Hypergraph, k: int) -> Optional[tuple[tuple[int, int], ...]]:
@@ -23,8 +24,8 @@ def build_selection(hg: Hypergraph, k: int) -> Optional[tuple[tuple[int, int], .
 
     A max flow on source -> edge (cap 2) -> incident vertex (cap 1) -> sink
     (cap k); a flow that saturates every edge keeps the two vertices that
-    took its units.  Returns None when no such flow exists, which can only
-    happen below the guaranteed cap.
+    took its units, in the edge's own (ascending) order.  Returns None when
+    no such flow exists, which can only happen below the guaranteed cap.
     """
     if k < 1:
         raise ValueError("degree cap must be at least 1")
@@ -41,18 +42,30 @@ def list_color_gk(
     """Proper list coloring of an arbitrary hypergraph with cap+1 list entries.
 
     Builds the selection at the guaranteed cap ceil(2*max_degree/min_size)
-    and colors its pairs with the list-coloring search.  Every vertex has at
-    most cap pair neighbors and at least cap+1 entries, so a value is always
-    left and the search never backtracks: it returns the greedy coloring in
-    vertex order, each vertex taking the first list entry that no
-    lower-index neighbor holds.  Returns the coloring and the selection it
-    colored.
+    and gives each vertex, in index order, the first entry of its list that
+    no lower-index pair neighbor holds: it has at most cap pair neighbors and
+    at least cap+1 entries.  Returns the coloring and the selection it colored.
     """
     k = bound_gk(hg) - 1
+    if lists.n != hg.n:
+        raise PreconditionError("list assignment size differs from vertex count")
+    for v, lv in enumerate(lists.lists):
+        if len(lv) <= k:
+            raise PreconditionError(
+                f"vertex {v}: list of size {len(lv)} is below the required {k + 1} "
+                "(2*max_degree/min_size rounded up, plus 1)"
+            )
     pairs = build_selection(hg, k)
     if pairs is None:
         raise TheoremContradictionError(
             f"no degree-{k} selection found at the guaranteed cap"
         )
-    why = "2*max_degree/min_size rounded up, plus 1"
-    return _color_pairs(hg, pairs, lists, [k + 1] * hg.n, why), pairs
+    lower: list[list[int]] = [[] for _ in range(hg.n)]
+    for v, u in pairs:  # v < u, as build_selection keeps them
+        lower[u].append(v)
+    color: list = []
+    for lv, below in zip(lists.lists, lower):
+        taken = {color[u] for u in below}
+        # None, which the verification rejects, if the theorem ever failed.
+        color.append(next(filterfalse(taken.__contains__, lv), None))
+    return _verified(hg, color, lists), pairs

@@ -22,7 +22,7 @@ from typing import Optional
 from .core import (
     Hypergraph,
     ListAssignment,
-    _color_pairs,
+    _color_lists,
     bipartition_is_valid,
     edge_vertex_flow,
     orientation_is_valid,
@@ -107,6 +107,17 @@ def list_color_sparse(
     GuardExceededError after more than ``SEARCH_NODE_GUARD`` branching decisions.
     """
     _, phi = min_orientation(hg)
-    need = [d + 1 for d in vertex_counts(hg.n, phi)]
     pairs = reduce_to_pairgraph(hg, bip, phi)
-    return _color_pairs(hg, pairs, lists, need, "head degree + 1")
+    if lists.n == hg.n:  # else _color_lists reports the count first
+        for v, (lv, d) in enumerate(zip(lists.lists, vertex_counts(hg.n, phi))):
+            if len(lv) <= d:
+                raise PreconditionError(
+                    f"vertex {v}: list of size {len(lv)} is below the required {d + 1} "
+                    "(head degree + 1)"
+                )
+    color = _color_lists(hg, pairs, lists)
+    if color is None:
+        raise TheoremContradictionError(
+            "pair graph admitted no list coloring despite sufficient lists"
+        )
+    return color

@@ -18,7 +18,12 @@ from hyperchoose import gen_complete, gen_fano, is_proper, parse_hypergraph, ser
 from hyperchoose import Hypergraph, ListAssignment, metrics
 from hyperchoose import choosability, cli, core, degree_constrained, dense, density, find_bipartition, nullstellensatz, orientation
 from hyperchoose.cli import build_parser, main
-from hyperchoose.errors import InputError, PreconditionError, TheoremContradictionError
+from hyperchoose.errors import (
+    GuardExceededError,
+    InputError,
+    PreconditionError,
+    TheoremContradictionError,
+)
 from oracles import random_two_colorable, sympy_target_coefficient
 
 K33 = gen_complete(2, 3, 3)[0]
@@ -662,6 +667,45 @@ def test_generate_regular_budget_exhausted_exits_3(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err == "error: search budget exhausted without a valid instance\n"
+
+
+@pytest.mark.parametrize("k, n", [(2, 10**20), (10**14, 10**14)])
+def test_generate_regular_past_the_incidence_guard_exits_3(capsys, monkeypatch, k, n):
+    def refuse(seed):
+        raise AssertionError("the generator drew before its guard")
+
+    monkeypatch.setattr(core, "_rng", refuse)
+    code = main(["generate", "regular", "--k", str(k), "--n", str(n), "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == (
+        f"error: k*n = {k * n} incidences exceeds the guard {core.REGULAR_INCIDENCE_GUARD}\n"
+    )
+
+
+def test_generate_regular_incidence_guard_is_inclusive(monkeypatch):
+    monkeypatch.setattr(core, "REGULAR_INCIDENCE_GUARD", 20)
+    assert core.gen_k_regular_k_uniform(2, 10, 1).degrees() == [2] * 10  # k*n = 20
+    with pytest.raises(GuardExceededError):
+        core.gen_k_regular_k_uniform(3, 7, 1)  # k*n = 21
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["color", "FANO", "LISTS", "--method", "sparse"], "sparse method"),
+        (["coefficient", "FANO"], "coefficient"),
+        (["dense", "split-color", "FANO", "LISTS"], "split coloring"),
+    ],
+)
+def test_two_coloring_precondition_names_the_command(
+    capsys, tmp_path, fano_path, argv, message
+):
+    files = {"FANO": fano_path, "LISTS": lists_file(tmp_path, [[1, 2, 3]] * 7)}
+    code = main([files.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert captured.err == f"error: {message} requires a 2-colorable hypergraph\n"
 
 
 # Lists for K3,3 that break the pair-graph list rule: vertex 2's list one color

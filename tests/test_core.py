@@ -519,6 +519,10 @@ FROM_JSON_CASES = [
     ({"n": 2, "lists": [[], ["a"]]}, InputError, TYPES),
     ({"n": 3, "lists": [[], [1]]}, InputError, "list assignment declares n=3 but carries 2 lists"),
     ({"n": 2, "lists": [[1, 1], [-1]]}, ValueError, "vertex 0: duplicate color in list (1, 1)"),
+    ([1, 2], InputError, "list assignment document must be a JSON object"),
+    ("x", InputError, "list assignment document must be a JSON object"),
+    (None, InputError, "list assignment document must be a JSON object"),
+    (3, InputError, "list assignment document must be a JSON object"),
 ]
 
 

@@ -7,8 +7,11 @@ import pytest
 
 from hyperchoose import (
     Hypergraph,
+    core,
+    degree_constrained,
     ListAssignment,
     PreconditionError,
+    TheoremContradictionError,
     build_selection,
     gen_complete,
     gen_fano,
@@ -151,3 +154,52 @@ def test_list_color_gk_is_the_vertex_order_greedy():
         )
         col, pairs = list_color_gk(hg, lists)
         assert col == greedy_pair_coloring(hg.n, pairs, lists.lists)
+
+
+def gk_lists(rnd, n, k):
+    """Lists of mixed sizes k+1..k+3 from a palette of k+3 colors, so that pair
+    neighbors' lists overlap and the first fit has to skip entries."""
+    return ListAssignment(
+        tuple(tuple(rnd.sample(range(k + 3), rnd.randint(k + 1, k + 3))) for _ in range(n))
+    )
+
+
+def test_list_color_gk_matches_the_list_search_on_its_pairs():
+    # The first fit and the list search that colored the pairs before it
+    # agree on every system that meets the cap+1 rule.
+    rnd = random.Random(62)
+    for _ in range(600):
+        hg = random_hypergraph(rnd, rnd.randint(2, 10), rnd.randint(1, 12))
+        met = metrics(hg)
+        k = ceil(Fraction(2 * met.max_degree, met.min_edge_size))
+        lists = gk_lists(rnd, hg.n, k)
+        col, pairs = list_color_gk(hg, lists)
+        assert all(v < u for v, u in pairs)  # the order the first fit relies on
+        assert col == tuple(core._ListSearch(hg.n, pairs).solve(lists.lists))
+
+
+def test_list_color_gk_runs_no_list_search(monkeypatch):
+    def refuse(self, lists):
+        raise AssertionError("list_color_gk ran the list search")
+
+    monkeypatch.setattr(core._ListSearch, "solve", refuse)
+    rnd = random.Random(63)
+    for _ in range(100):
+        hg = random_hypergraph(rnd, rnd.randint(2, 9), rnd.randint(1, 9))
+        met = metrics(hg)
+        k = ceil(Fraction(2 * met.max_degree, met.min_edge_size))
+        lists = gk_lists(rnd, hg.n, k)
+        col, _ = list_color_gk(hg, lists)
+        assert is_proper(hg, col) and lists.admits(col)
+
+
+def test_list_color_gk_reports_a_stuck_first_fit(monkeypatch):
+    # A selection past the cap (vertex 3 in three pairs at cap 2) can leave a
+    # vertex no entry; the verification turns that into a theorem failure.
+    path = Hypergraph(4, ((0, 1), (1, 2), (2, 3)))
+    monkeypatch.setattr(
+        degree_constrained, "build_selection", lambda hg, k: ((0, 3), (1, 3), (2, 3))
+    )
+    lists = ListAssignment(((1, 4, 5), (2, 4, 5), (3, 4, 5), (1, 2, 3)))
+    with pytest.raises(TheoremContradictionError, match="failed verification"):
+        list_color_gk(path, lists)

@@ -184,3 +184,15 @@ def test_cli_color_gk_regular(capsys, monkeypatch, tmp_path):
     # no branching decision beyond one per vertex.
     monkeypatch.setattr(core, "SEARCH_NODE_GUARD", 0)
     check_coloring(capsys, tmp_path, "regular", "gk", 3)  # ceil(2 * 3 / 3) + 1
+
+
+@pytest.mark.parametrize("family", ["planted", "regular"])
+def test_list_color_gk_matches_the_list_search_at_scale(family):
+    hg = instance(family)
+    k = density.bound_gk(hg) - 1
+    rnd = random.Random(3)
+    lists = ListAssignment(
+        tuple(tuple(rnd.sample(range(k + 3), rnd.randint(k + 1, k + 3))) for _ in range(N))
+    )
+    color, pairs = degree_constrained.list_color_gk(hg, lists)
+    assert color == tuple(_ListSearch(N, pairs).solve(lists.lists))

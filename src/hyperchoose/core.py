@@ -9,15 +9,16 @@ are immutable after construction and safe to share across threads.
 Certificates are plain tuples aligned with the vertices or the edges: a
 coloring holds one color per vertex, a 2-coloring one ``"A"``/``"B"`` side
 label per vertex, an orientation one head per edge.  Every list coloring a
-command prints is verified in one place: the gk pair coloring is a first fit
-in vertex order, every other one is a run of the list-coloring search.
+command prints, the gk first fit, the split coloring and the list search's,
+passes :func:`_verified`, after :meth:`ListAssignment.require_count` has
+checked that there is one list per vertex.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations, compress
+from itertools import accumulate, chain, combinations, compress, takewhile
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -145,6 +146,11 @@ class ListAssignment:
     def palette(self) -> list[int]:
         return sorted({c for lv in self.lists for c in lv})
 
+    def require_count(self, n: int) -> None:
+        """PreconditionError unless this holds one list per vertex of 0..n-1."""
+        if self.n != n:
+            raise PreconditionError("list assignment size differs from vertex count")
+
     def admits(self, color: Sequence[int]) -> bool:
         """True iff ``color`` gives every vertex a color from its own list."""
         return len(color) == self.n and all(c in lv for c, lv in zip(color, self.lists))
@@ -253,6 +259,10 @@ def validate(hg: Hypergraph) -> list[str]:
 # 0-based vertex indices, whitespace-separated, LF line endings.  Exactly one
 # header line, placed before every edge line.
 
+# Vertices an HGR header may declare: the most that `generate regular` writes
+# within its own guard.  Every per-vertex array is sized from n.
+HGR_VERTEX_GUARD = 5 * 10**6
+
 
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse an HGR document, rejecting malformed input with a line number.
@@ -300,6 +310,10 @@ def parse_hypergraph(text: str) -> Hypergraph:
                 )
             if n < 0 or declared < 0:
                 raise InputError("negative count in header", lineno)
+            if n > HGR_VERTEX_GUARD:
+                raise GuardExceededError(
+                    f"header n = {n} vertices exceeds the guard {HGR_VERTEX_GUARD}"
+                )
         else:
             raise InputError(f"unknown line type {kind!r}", lineno)
     if n is None:
@@ -501,8 +515,7 @@ def _color_lists(
     them, so a coloring proper on them is proper on ``hg``.  A list count
     other than ``hg.n`` raises PreconditionError.
     """
-    if lists.n != hg.n:
-        raise PreconditionError("list assignment size differs from vertex count")
+    lists.require_count(hg.n)
     color = _ListSearch(hg.n, edges).solve(lists.lists)
     return None if color is None else _verified(hg, color, lists)
 
@@ -778,20 +791,35 @@ def edge_vertex_flow(
 # ---------------------------------------------------------------------------
 
 
+# Edges that gen_complete may build.
+COMPLETE_EDGE_GUARD = 10**6
+
+
 def gen_complete(s: int, n: int, m: int) -> tuple[Hypergraph, tuple[str, ...]]:
     """Complete 2-colorable s-uniform hypergraph on parts of sizes n and m.
 
     Vertices 0..n-1 form side A, vertices n..n+m-1 side B; edges are all
-    s-subsets meeting both sides, in lexicographic order.
+    s-subsets meeting both sides, in lexicographic order: each (s-1)-subset
+    that starts in A, in order, followed by each larger vertex in B.  More than
+    ``COMPLETE_EDGE_GUARD`` edges raise GuardExceededError before any is built.
     """
     if s < 2 or n < 1 or m < 1 or n + m < s:
         raise InputError(f"infeasible parameters s={s}, n={n}, m={m}")
-    edges = tuple(
-        c for c in combinations(range(n + m), s) if c[0] < n and c[-1] >= n
-    )
-    expected = math.comb(n + m, s) - math.comb(n, s) - math.comb(m, s)
+    # Each s-subset holding vertices 0 and n+m-1 is an edge, so there are at
+    # least C(n+m-2, s-2) >= 2^min(s-2, n+m-s) edges; past the guard that way,
+    # a huge s costs no binomial.
+    small = min(s - 2, n + m - s) < COMPLETE_EDGE_GUARD.bit_length()
+    expected = small and math.comb(n + m, s) - math.comb(n, s) - math.comb(m, s)
+    if not small or expected > COMPLETE_EDGE_GUARD:
+        raise GuardExceededError(
+            f"C({n + m}, {s}) - C({n}, {s}) - C({m}, {s}) edges exceeds the guard "
+            f"{COMPLETE_EDGE_GUARD}"
+        )
+    pool = tuple(range(n + m))
+    heads = takewhile(lambda h: h[0] < n, combinations(pool, s - 1))
+    edges = tuple(h + (v,) for h in heads for v in pool[max(h[-1] + 1, n) :])
     assert len(edges) == expected
-    return Hypergraph(n + m, edges), (SIDE_A,) * n + (SIDE_B,) * m
+    return Hypergraph._checked(n + m, edges), (SIDE_A,) * n + (SIDE_B,) * m
 
 
 def gen_fano() -> Hypergraph:

@@ -46,9 +46,8 @@ def list_color_gk(
     no lower-index pair neighbor holds: it has at most cap pair neighbors and
     at least cap+1 entries.  Returns the coloring and the selection it colored.
     """
+    lists.require_count(hg.n)
     k = bound_gk(hg) - 1
-    if lists.n != hg.n:
-        raise PreconditionError("list assignment size differs from vertex count")
     for v, lv in enumerate(lists.lists):
         if len(lv) <= k:
             raise PreconditionError(

@@ -7,10 +7,11 @@ dangerous-to-monochromatic expectation ratio equals the edge size, rejection
 sampling of splits yields proper colorings of uniform 2-colorable hypergraphs
 whenever no list is monochromatic and fewer than edge-size lists are
 dangerous.  The sampler and the split experiment share one vectorized tally
-of monochromatic and dangerous lists over a block of splits, the sampler one
-row at a time.  The mirrored-random-lists experiment below probes the opposite
-regime: sampled list systems on a complete 2-colorable hypergraph that admit
-no proper coloring certify a choice-number lower bound.
+of monochromatic and dangerous lists over a block of splits and one verdict
+on it, the sampler one row at a time, and a sampled coloring is verified
+like every other list coloring.  The mirrored-random-lists experiment below
+probes the opposite regime: sampled list systems on a complete 2-colorable
+hypergraph that admit no proper coloring certify a choice-number lower bound.
 
 All randomness flows through Philox counter-based generators keyed by an
 explicit 64-bit seed; identical seeds replay identical reports.
@@ -31,8 +32,8 @@ from .core import (
     ListAssignment,
     SIDE_A,
     _rng,
+    _verified,
     bipartition_is_valid,
-    is_proper,
     metrics,
 )
 from .errors import (
@@ -227,6 +228,15 @@ def _tally(
     return mono.sum(axis=1), tally, no_blue | no_red
 
 
+def _verdicts(mono: np.ndarray, dangerous: np.ndarray, s: int) -> tuple[int, int, int]:
+    """Of a block of splits with these ``_tally`` results: how many leave a list
+    monochromatic, how many of the rest leave at least s lists dangerous, and
+    how many are left, which color."""
+    n_mono = int((mono > 0).sum())
+    n_over = int(((mono == 0) & (dangerous.sum(axis=1) >= s)).sum())
+    return n_mono, n_over, len(mono) - n_mono - n_over
+
+
 @dataclass(frozen=True)
 class DenseExperimentReport:
     """Aggregated trial outcomes of a seeded dense-regime experiment."""
@@ -279,8 +289,7 @@ def random_split_color_report(
     met = metrics(hg)
     if met.uniform is None:
         raise PreconditionError("split coloring requires a uniform hypergraph")
-    if lists.n != hg.n:
-        raise PreconditionError("list assignment size differs from vertex count")
+    lists.require_count(hg.n)
     if not bipartition_is_valid(hg, bip):
         raise PreconditionError("bipartition is not valid for the hypergraph")
     l = _common_length(lists, "split coloring")
@@ -301,11 +310,9 @@ def random_split_color_report(
         mono, tally, dangerous = _tally(member, is_blue, is_red)
         mono_counts.append(int(mono[0]))
         dang_counts.append(int(tally[0]))
-        if mono[0] > 0:
-            counts["rejected_monochromatic"] += 1
-            continue
-        if dangerous[0].sum() >= s:
-            counts["rejected_dangerous"] += 1
+        for key, hits in zip(counts, _verdicts(mono, dangerous, s)):
+            counts[key] += hits
+        if not counts["colored"]:
             continue
         # Dangerous vertices take a neutral color, side A blue and side B red.
         label = dict(zip(palette, (is_blue[0] + 2 * is_red[0]).tolist()))
@@ -313,10 +320,7 @@ def random_split_color_report(
         for v, lv in enumerate(lists.lists):
             want = 0 if dangerous[0, v] else 1 if bip[v] == SIDE_A else 2
             color.append(next(c for c in lv if label[c] == want))
-        coloring = tuple(color)
-        if not is_proper(hg, coloring) or not lists.admits(coloring):
-            raise TheoremContradictionError("split coloring failed verification")
-        counts["colored"] += 1
+        coloring = _verified(hg, color, lists)
         break
     return coloring, _split_report(
         seed, counts, mono_counts, dang_counts, expected_counts(lists, p)
@@ -344,15 +348,8 @@ def split_experiment(
     mono_counts, dang_counts, dangerous = _tally(
         _member(lists, palette), *_split(draws, p)
     )
-    dang_set_counts = dangerous.sum(axis=1)
-
-    n_mono = int((mono_counts > 0).sum())
-    n_over = int(((mono_counts == 0) & (dang_set_counts >= s)).sum())
-    categories = {
-        "rejected_monochromatic": n_mono,
-        "rejected_dangerous": n_over,
-        "colorable_split": trials - n_mono - n_over,
-    }
+    names = ("rejected_monochromatic", "rejected_dangerous", "colorable_split")
+    categories = dict(zip(names, _verdicts(mono_counts, dangerous, s)))
     return _split_report(
         seed, categories, mono_counts, dang_counts, expected_counts(lists, p)
     )
@@ -396,8 +393,7 @@ def complete_proper_exists(
     """
     if s < 2 or n_a < 1 or n_b < 1:
         raise ValueError("requires s >= 2 and nonempty sides")
-    if lists.n != n_a + n_b:
-        raise PreconditionError("list assignment size differs from n_a + n_b")
+    lists.require_count(n_a + n_b)
     count_a: dict[int, int] = {}
     count_b: dict[int, int] = {}
     color: list[int] = []  # colors of vertices 0..v-1

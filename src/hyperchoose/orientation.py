@@ -106,15 +106,15 @@ def list_color_sparse(
     The pair graph is colored by the list-coloring search, which raises
     GuardExceededError after more than ``SEARCH_NODE_GUARD`` branching decisions.
     """
+    lists.require_count(hg.n)
     _, phi = min_orientation(hg)
     pairs = reduce_to_pairgraph(hg, bip, phi)
-    if lists.n == hg.n:  # else _color_lists reports the count first
-        for v, (lv, d) in enumerate(zip(lists.lists, vertex_counts(hg.n, phi))):
-            if len(lv) <= d:
-                raise PreconditionError(
-                    f"vertex {v}: list of size {len(lv)} is below the required {d + 1} "
-                    "(head degree + 1)"
-                )
+    for v, (lv, d) in enumerate(zip(lists.lists, vertex_counts(hg.n, phi))):
+        if len(lv) <= d:
+            raise PreconditionError(
+                f"vertex {v}: list of size {len(lv)} is below the required {d + 1} "
+                "(head degree + 1)"
+            )
     color = _color_lists(hg, pairs, lists)
     if color is None:
         raise TheoremContradictionError(

@@ -9,6 +9,8 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -688,6 +690,77 @@ def test_generate_regular_incidence_guard_is_inclusive(monkeypatch):
     assert core.gen_k_regular_k_uniform(2, 10, 1).degrees() == [2] * 10  # k*n = 20
     with pytest.raises(GuardExceededError):
         core.gen_k_regular_k_uniform(3, 7, 1)  # k*n = 21
+
+
+def test_dense_split_color_one_list_short_exits_4(capsys, tmp_path, k33_path):
+    lists = lists_file(tmp_path, [[3 * i + 1, 3 * i + 2, 3 * i + 3] for i in range(5)])
+    code = main(["dense", "split-color", k33_path, lists, "--seed", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert captured.err == "error: list assignment size differs from vertex count\n"
+
+
+def test_dense_lower_bound_several_t_print_one_report_each(capsys):
+    argv = ["dense", "lower-bound", "--s", "3", "--l", "2", "--trials", "50", "--seed", "1"]
+    code, out = run(capsys, *argv, "--t", "8", "16")
+    reports = json.loads(out)
+    assert code == 0 and [doc.pop("t") for doc in reports] == [8, 16]
+    for t, doc in zip((8, 16), reports):
+        assert doc == json.loads(run(capsys, *argv, "--t", str(t))[1])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "HUGE", "--no-timing"], "header n = 10000000000 vertices exceeds the guard {v}"),
+        (["orient", "HUGE"], "header n = 10000000000 vertices exceeds the guard {v}"),
+        (
+            ["generate", "complete", "--s", "3", "--n", "100000000", "--m", "100000000"],
+            "C(200000000, 3) - C(100000000, 3) - C(100000000, 3) edges exceeds the guard {e}",
+        ),
+        (
+            ["generate", "complete", "--s", "500000", "--n", "500000", "--m", "500000"],
+            "C(1000000, 500000) - C(500000, 500000) - C(500000, 500000) edges exceeds the guard {e}",
+        ),
+    ],
+)
+def test_past_a_size_guard_exits_3_before_it_allocates(capsys, tmp_path, argv, message):
+    huge = tmp_path / "huge.hgr"
+    huge.write_text("p hg 10000000000 1\ne 0 1\n")
+    tracemalloc.start()
+    start = time.perf_counter()
+    code = main([str(huge) if a == "HUGE" else a for a in argv])
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    captured = capsys.readouterr()
+    message = message.format(v=core.HGR_VERTEX_GUARD, e=core.COMPLETE_EDGE_GUARD)
+    assert (code, captured.out, captured.err) == (3, "", f"error: {message}\n")
+    assert elapsed < 1 and peak < 2**20
+
+
+def test_hgr_vertex_guard_is_inclusive(monkeypatch):
+    monkeypatch.setattr(core, "HGR_VERTEX_GUARD", 4)
+    assert parse_hypergraph("p hg 4 1\ne 0 3\n").n == 4
+    with pytest.raises(GuardExceededError, match="header n = 5 vertices"):
+        parse_hypergraph("p hg 5 1\ne 0 3\n")
+
+
+def test_complete_edge_guard_is_inclusive_and_exact(monkeypatch):
+    # At guard 9, K3,3's 9 edges pass and K2,5's 10 do not.  From s = 6 at
+    # guard 9, the bound that spares a large s its binomials decides, and it
+    # must refuse no count within the guard.
+    for guard in (9, 20, 100):
+        monkeypatch.setattr(core, "COMPLETE_EDGE_GUARD", guard)
+        for s, n, m in product(range(2, 9), range(1, 9), range(1, 9)):
+            if n + m < s:
+                continue
+            count = math.comb(n + m, s) - math.comb(n, s) - math.comb(m, s)
+            if count <= guard:
+                assert len(gen_complete(s, n, m)[0].edges) == count
+            else:
+                with pytest.raises(GuardExceededError):
+                    gen_complete(s, n, m)
 
 
 @pytest.mark.parametrize(

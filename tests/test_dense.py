@@ -274,6 +274,30 @@ def test_split_experiment_matches_closed_forms():
     assert sum(report.categories.values()) == report.trials
 
 
+def test_sampler_verdicts_sum_to_the_experiments_categories():
+    # The sampler stops at its first coloring split, so its rows are the
+    # experiment's block of as many trials from the same seed.
+    rnd = random.Random(41)
+    for _ in range(60):
+        n, m = rnd.randint(1, 3), rnd.randint(1, 3)
+        s, l = rnd.randint(2, min(3, n + m)), rnd.randint(1, 3)
+        hg, bip = gen_complete(s, n, m)
+        colors = range(rnd.randint(l, 2 * l + 2))
+        lists = ListAssignment(tuple(tuple(rnd.sample(colors, l)) for _ in range(hg.n)))
+        seed = rnd.randrange(2**32)
+        _, report = random_split_color_report(hg, bip, lists, 40, seed)
+        block = split_experiment(lists, s, report.trials, seed)
+        counts = dict(report.categories)
+        counts["colorable_split"] = counts.pop("colored")
+        assert counts == block.categories
+        assert (report.empirical_a, report.empirical_b) == (block.empirical_a, block.empirical_b)
+
+
+def test_complete_proper_exists_rejects_a_wrong_list_count():
+    with pytest.raises(PreconditionError, match="^list assignment size differs from vertex count$"):
+        complete_proper_exists(2, 3, 3, ListAssignment(((1, 2),) * 5))
+
+
 def test_complete_proper_exists_classic_bad_system():
     bad = ListAssignment(((1, 2), (1, 3), (2, 3), (1, 2), (1, 3), (2, 3)))
     assert complete_proper_exists(2, 3, 3, bad) is None

@@ -125,6 +125,11 @@ def test_density_guard():
         density_exact(hg)
 
 
+def test_density_exact_rejects_an_edgeless_input():
+    with pytest.raises(ValueError, match="empty edge set"):
+        density_exact(Hypergraph(3, ()))
+
+
 def test_density_at_most_degree_ratio():
     rnd = random.Random(5)
     for _ in range(60):

@@ -62,6 +62,13 @@ def test_crossing_tree_rejects_one_sided_edge():
         crossing_tree((0, 1), ("A", "A"))
 
 
+def test_coefficient_count_rejects_a_head_outside_its_edge():
+    hg, bip = gen_complete(2, 3, 3)
+    phi = (1,) + min_orientation(hg)[1][1:]  # edge 0 is (0, 3)
+    with pytest.raises(PreconditionError, match="orientation is not valid"):
+        coefficient_count(hg, bip, phi)
+
+
 def test_single_edge_coefficients():
     hg = Hypergraph(2, ((0, 1),))
     bip = ("A", "B")

@@ -150,6 +150,13 @@ def test_reduce_to_pairgraph_single_edge():
     assert pairs == ((0, 2),)  # smallest opposite-side vertex
 
 
+def test_reduce_to_pairgraph_rejects_a_head_outside_its_edge():
+    hg, bip = gen_complete(2, 3, 3)
+    phi = (1,) + min_orientation(hg)[1][1:]  # edge 0 is (0, 3)
+    with pytest.raises(PreconditionError, match="orientation is not valid"):
+        reduce_to_pairgraph(hg, bip, phi)
+
+
 def test_reduce_to_pairgraph_k33_identity():
     hg, bip = gen_complete(2, 3, 3)
     _, phi = min_orientation(hg)

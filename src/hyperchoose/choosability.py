@@ -13,9 +13,10 @@ its candidates under that one cut.  A frame takes its memo key on entry and
 stores it once it returns True.  Each system that survives the cut is first
 tried with the previous colorable system's coloring: kept whole when every
 list still holds its color, else repaired greedily and counted only after
-``is_proper`` accepts it and its lists admit it.  The list search decides
-the rest, and its colorings are verified the same way.  Every list search
-here stops at ``SEARCH_NODE_GUARD`` decisions beyond one per vertex.
+``core._fits`` accepts it.  The list search decides the rest, and its
+colorings pass ``core._verified``, which applies the same check.  Every
+list search here stops at ``SEARCH_NODE_GUARD`` decisions beyond one per
+vertex.
 
 ``choice_number`` enumerates only the levels below the paper's proven upper
 bound and leaves the top level to the theorem; ``is_f_choosable`` itself
@@ -30,7 +31,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .core import Hypergraph, ListAssignment, _color_lists, _ListSearch, is_proper
+from .core import Hypergraph, ListAssignment, _color_lists, _fits, _ListSearch, _verified
 from .density import Bounds, bounds
 from .errors import GuardExceededError, InputError, TheoremContradictionError
 
@@ -118,9 +119,9 @@ def is_f_choosable(
     just found in its list.  Otherwise every vertex that lost its color
     takes, in index order, the first color of its list that no edge through
     it bans (an edge bans c when all its other vertices have c), and the
-    repaired coloring counts only once ``is_proper`` accepts it and every
-    vertex's color is in its list.  Failing that, the list search decides
-    the system, and its coloring passes the same two checks.  The systems
+    repaired coloring counts only once ``core._fits`` finds it proper and
+    every vertex's color in its list.  Failing that, the list search decides
+    the system, and its coloring must pass ``core._verified``.  The systems
     are plain tuples of sorted lists, and a ``ListAssignment`` is built only
     for the witness.
 
@@ -162,9 +163,6 @@ def is_f_choosable(
     last: Optional[list[int]] = None  # coloring of the last colorable system
     frames, guard = 0, FRAME_GUARD
 
-    def fits(color: list[int]) -> bool:
-        return is_proper(hg, color) and all(c in lv for c, lv in zip(color, lists_acc))
-
     def reuse() -> Optional[list[int]]:
         """``last`` itself if every vertex keeps its color, else a greedy repair.
 
@@ -197,15 +195,14 @@ def is_f_choosable(
         nonlocal witness, last
         if last is not None:
             color = reuse()
-            if color is last or (color is not None and fits(color)):
+            if color is last or (color is not None and _fits(hg, color, lists_acc)):
                 last = color
                 return True
         color = search.solve(lists_acc)
         if color is None:
             witness = ListAssignment(tuple(lists_acc))
             return False
-        if not fits(color):
-            raise TheoremContradictionError("list coloring failed verification")
+        _verified(hg, color, lists_acc)
         last = color
         return True
 

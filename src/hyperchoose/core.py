@@ -11,7 +11,8 @@ coloring holds one color per vertex, a 2-coloring one ``"A"``/``"B"`` side
 label per vertex, an orientation one head per edge.  Every list coloring a
 command prints, the gk first fit, the split coloring and the list search's,
 passes :func:`_verified`, after :meth:`ListAssignment.require_count` has
-checked that there is one list per vertex.
+checked that there is one list per vertex; the exact choosability search
+checks its colorings with the same :func:`_fits`.
 """
 
 from __future__ import annotations
@@ -498,10 +499,17 @@ def find_bipartition(hg: Hypergraph) -> Optional[tuple[str, ...]]:
     return None if side is None else tuple(side)
 
 
-def _verified(hg: Hypergraph, color: list, lists: ListAssignment) -> tuple[int, ...]:
-    """``color`` as a tuple, checked proper for ``hg`` and within ``lists``."""
+def _fits(hg: Hypergraph, color: Sequence, lists: Sequence[Sequence[int]]) -> bool:
+    """True iff ``color`` is proper for ``hg`` and takes each color from its list."""
+    return is_proper(hg, color) and all(c in lv for c, lv in zip(color, lists))
+
+
+def _verified(
+    hg: Hypergraph, color: Sequence, lists: Sequence[Sequence[int]]
+) -> tuple[int, ...]:
+    """``color`` as a tuple, checked by :func:`_fits` against one list per vertex."""
     color = tuple(color)
-    if not is_proper(hg, color) or not lists.admits(color):
+    if not _fits(hg, color, lists):
         raise TheoremContradictionError("list coloring failed verification")
     return color
 
@@ -517,7 +525,7 @@ def _color_lists(
     """
     lists.require_count(hg.n)
     color = _ListSearch(hg.n, edges).solve(lists.lists)
-    return None if color is None else _verified(hg, color, lists)
+    return None if color is None else _verified(hg, color, lists.lists)
 
 
 # ---------------------------------------------------------------------------

@@ -67,4 +67,4 @@ def list_color_gk(
         taken = {color[u] for u in below}
         # None, which the verification rejects, if the theorem ever failed.
         color.append(next(filterfalse(taken.__contains__, lv), None))
-    return _verified(hg, color, lists), pairs
+    return _verified(hg, color, lists.lists), pairs

@@ -45,6 +45,10 @@ from .errors import (
 
 LOWER_BOUND_MAX_L = 3
 LOWER_BOUND_MAX_T = 24
+# Trials per run.  Each new side multiset adds about 0.5 KB to the memo, so
+# a run's memo stays under 50 MB; a trial takes up to 16 ms (s = 2, l = 3,
+# t = 24), so a run ends within half an hour.
+LOWER_BOUND_MAX_TRIALS = 10**5
 # Trials whose lists one `integers` call draws.  Within the guard a trial
 # draws at most 12 lists of 5 values, so a block's draws stay under 0.5 MB
 # whatever the trial count.
@@ -320,7 +324,7 @@ def random_split_color_report(
         for v, lv in enumerate(lists.lists):
             want = 0 if dangerous[0, v] else 1 if bip[v] == SIDE_A else 2
             color.append(next(c for c in lv if label[c] == want))
-        coloring = _verified(hg, color, lists)
+        coloring = _verified(hg, color, lists.lists)
         break
     return coloring, _split_report(
         seed, counts, mono_counts, dang_counts, expected_counts(lists, p)
@@ -471,7 +475,9 @@ def lower_bound_experiment(
     The lists of up to ``LOWER_BOUND_BLOCK_TRIALS`` trials come from one
     ``integers`` call (see ``_draw_lists``), which consumes the stream
     exactly as one ``rng.choice(l*l, size=l, replace=False)`` call per list
-    would; the draws, and so every report, are the same per seed.
+    would; the draws, and so every report, are the same per seed.  More than
+    ``LOWER_BOUND_MAX_TRIALS`` trials raise GuardExceededError before the
+    first draw.
     """
     if s < 2 or l < 1 or t < 2 or trials < 1:
         raise InputError("requires s >= 2, l >= 1, t >= 2, trials >= 1")
@@ -479,6 +485,10 @@ def lower_bound_experiment(
         raise GuardExceededError(
             f"parameters outside the experiment guard "
             f"(l <= {LOWER_BOUND_MAX_L}, t <= {LOWER_BOUND_MAX_T}, t even)"
+        )
+    if trials > LOWER_BOUND_MAX_TRIALS:
+        raise GuardExceededError(
+            f"{trials} trials exceeds the guard {LOWER_BOUND_MAX_TRIALS}"
         )
     rng = _rng(seed)
     witnesses = 0

@@ -219,9 +219,10 @@ def random_two_colorable(
 def reference_transfer_count(
     hg: Hypergraph, bip: tuple[str, ...], target: Sequence[int]
 ) -> int:
-    """``nullstellensatz._transfer_count`` before its pick tables: every term
-    recomputes its forced and free edges and their weights.  It reads the
-    package's ``TERM_GUARD`` at call time, so a patched guard applies here too."""
+    """The coefficient count as an edge-mask transfer over vertices: a term is
+    the set of open edges that already have a head, and every term recomputes
+    its forced and free edges and their weights.  It reads the package's
+    ``TERM_GUARD`` at call time, so a patched guard applies here too."""
     mults = [_tree_multiplicity(crossing_tree(e, bip)) for e in hg.edges]
     incident: list[list[int]] = [[] for _ in range(hg.n)]
     for j, e in enumerate(hg.edges):
@@ -256,6 +257,88 @@ def reference_transfer_count(
             return 0
         terms = nxt
     return terms.get(0, 0)
+
+
+def _reference_edge_order(hg: Hypergraph) -> list[int]:
+    """Edges by the first, then the last position of their vertices in
+    ``_vertex_order``, then by index."""
+    incident: list[list[int]] = [[] for _ in range(hg.n)]
+    for j, e in enumerate(hg.edges):
+        for v in e:
+            incident[v].append(j)
+    position = {v: i for i, v in enumerate(_vertex_order(hg, incident))}
+    return sorted(
+        range(len(hg.edges)),
+        key=lambda j: (min(position[v] for v in hg.edges[j]),
+                       max(position[v] for v in hg.edges[j]), j),
+    )
+
+
+def _degenerate_target(hg: Hypergraph, target: Sequence[int]) -> bool:
+    """True for targets whose count is 0 before any step: a count outside
+    0..deg(v), or a sum other than the edge count."""
+    degs = hg.degrees()
+    return sum(target) != len(hg.edges) or any(
+        not 0 <= t <= d for t, d in zip(target, degs)
+    )
+
+
+def reference_edge_transfer(
+    hg: Hypergraph, bip: tuple[str, ...], target: Sequence[int]
+) -> tuple[int, list[int]]:
+    """The count as a transfer over the edges in ``_reference_edge_order``, and
+    its live states after each edge.
+
+    A state is the whole head-count vector as a tuple.  Each edge tries every
+    one of its vertices as head, then drops the states where a vertex of the
+    edge exceeds its target or can no longer reach it with the edges it has
+    left.  No guard."""
+    if _degenerate_target(hg, target):
+        return 0, []
+    rem = hg.degrees()
+    states = {(0,) * hg.n: 1}
+    live = []
+    for j in _reference_edge_order(hg):
+        e = hg.edges[j]
+        mult = _tree_multiplicity(crossing_tree(e, bip))
+        for v in e:
+            rem[v] -= 1
+        nxt: dict[tuple[int, ...], int] = {}
+        for state, w in states.items():
+            for h in e:
+                heads = list(state)
+                heads[h] += 1
+                if all(target[v] - rem[v] <= heads[v] <= target[v] for v in e):
+                    key = tuple(heads)
+                    nxt[key] = nxt.get(key, 0) + w * mult[h]
+        states = nxt
+        live.append(len(states))
+    return states.get(tuple(target), 0), live
+
+
+def reference_state_bounds(hg: Hypergraph, target: Sequence[int]) -> list[int]:
+    """By brute force, the bound on the live states after each edge in
+    ``_reference_edge_order``: the head-count vectors over the open vertices
+    (seen, with edges left) where each v holds between max(0, t_v - rem_v)
+    and min(t_v, seen_v) heads and the open vertices hold the step's heads
+    less the targets of the closed ones.  Empty for a degenerate target."""
+    if _degenerate_target(hg, target):
+        return []
+    rem = hg.degrees()
+    seen = [0] * hg.n
+    bounds = []
+    for i, j in enumerate(_reference_edge_order(hg), 1):
+        for v in hg.edges[j]:
+            seen[v] += 1
+            rem[v] -= 1
+        opened = [v for v in range(hg.n) if seen[v] and rem[v]]
+        held = i - sum(target[v] for v in range(hg.n) if seen[v] and not rem[v])
+        ranges = [
+            range(max(0, target[v] - rem[v]), min(target[v], seen[v]) + 1)
+            for v in opened
+        ]
+        bounds.append(sum(sum(c) == held for c in product(*ranges)))
+    return bounds
 
 
 @lru_cache(maxsize=None)

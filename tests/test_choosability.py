@@ -390,15 +390,16 @@ def test_is_f_choosable_reuses_colorings(monkeypatch):
         return solve(self, lists)
 
     monkeypatch.setattr(_ListSearch, "solve", counted)
-    # Most systems keep the previous coloring outright, with no is_proper call.
+    # Most systems keep the previous coloring outright, with no is_proper call
+    # (the search checks its colorings through core._fits).
     checked = []
-    proper = choosability.is_proper
+    proper = core.is_proper
 
     def counted_proper(hg, color):
         checked.append(color)
         return proper(hg, color)
 
-    monkeypatch.setattr(choosability, "is_proper", counted_proper)
+    monkeypatch.setattr(core, "is_proper", counted_proper)
     verdict = is_f_choosable(gen_fano(), [3] * 7, max_universe=21)
     assert verdict.choosable and verdict.lists_examined == 49483
     assert len(calls) < verdict.lists_examined / 100

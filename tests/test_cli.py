@@ -352,6 +352,7 @@ def test_exact_oracles_match_golden_output(capsys, k33_path, fano_path, golden, 
         ("color_k33_gk", ["color", "K33", "LISTS_GK", "--method", "gk", "--selection", "SEL"]),
         ("coefficient_k33", ["coefficient", "K33"]),
         ("coefficient_planted_m16", ["coefficient", "PLANTED16"]),
+        ("coefficient_planted_m44", ["coefficient", "PLANTED44"]),
     ],
 )
 def test_certificates_match_golden_output(
@@ -365,6 +366,7 @@ def test_certificates_match_golden_output(
         "LISTS_GK": lists_file(tmp_path, K33_LISTS_GK, "lists_gk.json"),
         "SEL": str(sel),
         "PLANTED16": str(GOLDEN / "coefficient_planted_m16.hgr"),
+        "PLANTED44": str(GOLDEN / "coefficient_planted_m44.hgr"),
     }
     code, out = run(capsys, *(paths.get(arg, arg) for arg in argv))
     assert code == 0
@@ -482,6 +484,26 @@ def test_coefficient_guard_exits_3(capsys, monkeypatch, k33_path):
     assert code == 3 and out == ""
 
 
+def test_coefficient_state_bound_exits_3_before_it_allocates(capsys, monkeypatch, tmp_path):
+    """A 2000-edge planted instance exits 3 at the state bound, before the
+    count builds any state."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    edges = workloads.planted_edges(1000, 2000, workloads._rng(1, workloads.FAMILY_IDS["planted"], 1000, 0))
+    path = tmp_path / "planted.hgr"
+    path.write_text(serialize_hypergraph(Hypergraph(1000, tuple(edges))))
+    tracemalloc.start()
+    start = time.perf_counter()
+    code = main(["coefficient", str(path)])
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    captured = capsys.readouterr()
+    message = f"more than {nullstellensatz.TERM_GUARD} states may live in the coefficient count"
+    assert (code, captured.out, captured.err) == (3, "", f"error: {message}\n")
+    assert elapsed < 1 and peak < 20 * 2**20, (elapsed, peak)
+
+
 def test_dense_thresholds(capsys):
     code, out = run(capsys, "dense", "thresholds", "--s", "16", "--l", "2", "--t", "6")
     doc = json.loads(out)
@@ -552,6 +574,21 @@ def test_dense_lower_bound_guard_exits_3(capsys):
     code, _ = run(capsys, "dense", "lower-bound", "--s", "2", "--l", "2", "--t", "7",
                   "--trials", "10", "--seed", "0")
     assert code == 3
+
+
+def test_dense_lower_bound_trial_guard_exits_3(capsys, monkeypatch):
+    argv = ["dense", "lower-bound", "--s", "3", "--l", "2", "--t", "8", "--seed", "1"]
+    start = time.perf_counter()
+    code = main([*argv, "--trials", str(10**20)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    message = f"{10**20} trials exceeds the guard {dense.LOWER_BOUND_MAX_TRIALS}"
+    assert (code, captured.out, captured.err) == (3, "", f"error: {message}\n")
+    assert elapsed < 1
+    # The guard is inclusive.
+    monkeypatch.setattr(dense, "LOWER_BOUND_MAX_TRIALS", 5)
+    assert run(capsys, *argv, "--trials", "5")[0] == 0
+    assert run(capsys, *argv, "--trials", "6")[0] == 3
 
 
 def test_dense_split_color(capsys, tmp_path, k33_path):

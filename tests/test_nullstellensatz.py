@@ -20,6 +20,8 @@ from hyperchoose import (
 from oracles import (
     b_side_sign,
     random_two_colorable,
+    reference_edge_transfer,
+    reference_state_bounds,
     reference_transfer_count,
     sympy_coefficients,
     sympy_target_coefficient,
@@ -198,6 +200,7 @@ def test_transfer_count_matches_reference(monkeypatch):
         assert coefficient_count(hg, bip, phi) == reference_transfer_count(hg, bip, target)
         coef = monomial_coefficient(hg, bip, exponent)
         assert coef == reference_transfer_count(hg, bip, exponent)
+        assert reference_edge_transfer(hg, bip, exponent)[0] == coef
         zero += coef == 0
         positive += coef > 0
     assert zero and positive
@@ -213,15 +216,25 @@ def test_transfer_count_matches_reference(monkeypatch):
 
 @pytest.mark.parametrize("guard", [1, 2, 5, 50])
 def test_transfer_count_guard_matches_reference(monkeypatch, guard):
+    """The count raises exactly where the brute-force state bound passes the
+    guard, and that bound holds a plain edge transfer's live states."""
     monkeypatch.setattr(nullstellensatz, "TERM_GUARD", guard)
     rnd = random.Random(28)
+    cases = [
+        (hg, bip, (vertex_counts(hg.n, phi), exponent))
+        for hg, bip, phi, exponent in reference_cases(rnd, 60)
+    ]
+    # The random cases' bounds stay at or below 25; this one's, 267, passes every guard.
+    complete, sides = gen_complete(3, 3, 3)
+    cases.append((complete, sides, (vertex_counts(complete.n, min_orientation(complete)[1]),)))
     outcomes = set()
-    for hg, bip, phi, exponent in reference_cases(rnd, 60):
-        for target in (vertex_counts(hg.n, phi), exponent):
-            try:
-                expected = reference_transfer_count(hg, bip, target)
-            except GuardExceededError:
-                expected = GuardExceededError
+    for hg, bip, targets in cases:
+        for target in targets:
+            count, live = reference_edge_transfer(hg, bip, target)
+            bounds = reference_state_bounds(hg, target)
+            assert len(bounds) == len(live)
+            assert all(bound >= states for bound, states in zip(bounds, live))
+            expected = GuardExceededError if max(bounds, default=0) > guard else count
             try:
                 got = monomial_coefficient(hg, bip, target)
             except GuardExceededError:

@@ -152,9 +152,14 @@ class ListAssignment:
         if self.n != n:
             raise PreconditionError("list assignment size differs from vertex count")
 
-    def admits(self, color: Sequence[int]) -> bool:
-        """True iff ``color`` gives every vertex a color from its own list."""
-        return len(color) == self.n and all(c in lv for c, lv in zip(color, self.lists))
+    def require_sizes(self, floors: Iterable[int], rule: str) -> None:
+        """PreconditionError at the first vertex whose list is below its floor."""
+        for v, (lv, floor) in enumerate(zip(self.lists, floors)):
+            if len(lv) < floor:
+                raise PreconditionError(
+                    f"vertex {v}: list of size {len(lv)} is below the required "
+                    f"{floor} ({rule})"
+                )
 
     def to_json(self) -> dict:
         return {"n": self.n, "lists": [list(lv) for lv in self.lists]}

@@ -11,12 +11,12 @@ no vertex has more than cap pair neighbors, so it never gets stuck.
 
 from __future__ import annotations
 
-from itertools import filterfalse
+from itertools import filterfalse, repeat
 from typing import Optional
 
 from .core import Hypergraph, ListAssignment, _verified, edge_vertex_flow
 from .density import bound_gk
-from .errors import PreconditionError, TheoremContradictionError
+from .errors import TheoremContradictionError
 
 
 def build_selection(hg: Hypergraph, k: int) -> Optional[tuple[tuple[int, int], ...]]:
@@ -48,12 +48,7 @@ def list_color_gk(
     """
     lists.require_count(hg.n)
     k = bound_gk(hg) - 1
-    for v, lv in enumerate(lists.lists):
-        if len(lv) <= k:
-            raise PreconditionError(
-                f"vertex {v}: list of size {len(lv)} is below the required {k + 1} "
-                "(2*max_degree/min_size rounded up, plus 1)"
-            )
+    lists.require_sizes(repeat(k + 1), "2*max_degree/min_size rounded up, plus 1")
     pairs = build_selection(hg, k)
     if pairs is None:
         raise TheoremContradictionError(

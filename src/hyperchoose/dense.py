@@ -6,9 +6,9 @@ if it misses blue or misses red.  With the neutral probability tuned so the
 dangerous-to-monochromatic expectation ratio equals the edge size, rejection
 sampling of splits yields proper colorings of uniform 2-colorable hypergraphs
 whenever no list is monochromatic and fewer than edge-size lists are
-dangerous.  The sampler and the split experiment share one vectorized tally
-of monochromatic and dangerous lists over a block of splits and one verdict
-on it, the sampler one row at a time, and a sampled coloring is verified
+dangerous.  The sampler and the split experiment run one seeded loop over
+blocks of splits, with one vectorized tally and one verdict per split; the
+sampler stops at the first split that colors, and its coloring is verified
 like every other list coloring.  The mirrored-random-lists experiment below
 probes the opposite regime: sampled list systems on a complete 2-colorable
 hypergraph that admit no proper coloring certify a choice-number lower bound.
@@ -45,14 +45,20 @@ from .errors import (
 
 LOWER_BOUND_MAX_L = 3
 LOWER_BOUND_MAX_T = 24
-# Trials per run.  Each new side multiset adds about 0.5 KB to the memo, so
-# a run's memo stays under 50 MB; a trial takes up to 16 ms (s = 2, l = 3,
-# t = 24), so a run ends within half an hour.
-LOWER_BOUND_MAX_TRIALS = 10**5
+# Lower-bound trials, or sampler splits, per run.  Each new side multiset
+# adds about 0.5 KB to the lower bound's memo, so a run's memo stays under
+# 50 MB; a trial takes up to 16 ms (s = 2, l = 3, t = 24), so a run ends
+# within half an hour.  A split keeps three tally entries, 24 bytes.
+TRIAL_GUARD = 10**5
 # Trials whose lists one `integers` call draws.  Within the guard a trial
 # draws at most 12 lists of 5 values, so a block's draws stay under 0.5 MB
 # whatever the trial count.
 LOWER_BOUND_BLOCK_TRIALS = 1024
+# Cells of a block of palette splits, its (rows x palette) draws and (rows x
+# lists) tallies, at rows = max(1, SPLIT_BLOCK_CELLS // max(lists, palette)).
+SPLIT_BLOCK_CELLS = 2**12
+# A split leaves a list monochromatic, else edge-size lists dangerous, else colors.
+MONOCHROMATIC, TOO_DANGEROUS, COLORS = range(3)
 
 
 def _digits(prec: int) -> decimal.Context:
@@ -232,13 +238,10 @@ def _tally(
     return mono.sum(axis=1), tally, no_blue | no_red
 
 
-def _verdicts(mono: np.ndarray, dangerous: np.ndarray, s: int) -> tuple[int, int, int]:
-    """Of a block of splits with these ``_tally`` results: how many leave a list
-    monochromatic, how many of the rest leave at least s lists dangerous, and
-    how many are left, which color."""
-    n_mono = int((mono > 0).sum())
-    n_over = int(((mono == 0) & (dangerous.sum(axis=1) >= s)).sum())
-    return n_mono, n_over, len(mono) - n_mono - n_over
+def _verdicts(mono: np.ndarray, dangerous: np.ndarray, s: int) -> np.ndarray:
+    """The verdict of each split of a block with these ``_tally`` results."""
+    too_dangerous = np.where(dangerous.sum(axis=1) >= s, TOO_DANGEROUS, COLORS)
+    return np.where(mono > 0, MONOCHROMATIC, too_dangerous)
 
 
 @dataclass(frozen=True)
@@ -274,6 +277,57 @@ class DenseExperimentReport:
         return doc
 
 
+def _split_run(
+    lists: ListAssignment, s: int, l: int, trials: int, seed: int, stop: bool
+) -> tuple[DenseExperimentReport, Optional[tuple[dict[int, int], np.ndarray]]]:
+    """The report of ``trials`` seeded splits of the l-lists at the sampler's
+    neutral probability for edge size s, or if ``stop`` of those up to the
+    first that colors, with that split's color classes (0 neutral, 1 blue,
+    2 red) and dangerous-list mask; None in their place if no split colored.
+
+    A block's splits come from one ``random`` call, which consumes the stream
+    as one call per split would, so the block size changes no report.
+    """
+    p = split_probability(s, l)
+    palette = lists.palette()
+    member = _member(lists, palette)
+    rng = _rng(seed)
+    rows = max(1, SPLIT_BLOCK_CELLS // max(lists.n, len(palette)))
+    blocks = []  # per block, its splits' (monochromatic, tally, verdict) rows
+    first = None
+    for start in range(0, trials, rows):
+        draws = rng.random((min(rows, trials - start), len(palette)))
+        is_blue, is_red = _split(draws, p)
+        mono, tally, dangerous = _tally(member, is_blue, is_red)
+        block = np.stack([mono, tally, _verdicts(mono, dangerous, s)])
+        if stop and (colors := np.flatnonzero(block[2] == COLORS)).size:
+            i = colors[0]
+            label = dict(zip(palette, (is_blue[i] + 2 * is_red[i]).tolist()))
+            first = label, dangerous[i]
+            block = block[:, : i + 1]
+        blocks.append(block)
+        if first is not None:
+            break
+    mono, dang, verdicts = np.concatenate(blocks, axis=1)
+    mono, dang = mono.astype(float), dang.astype(float)
+    colored = "colored" if stop else "colorable_split"
+    names = ("rejected_monochromatic", "rejected_dangerous", colored)
+    counts = np.bincount(verdicts, minlength=len(names)).tolist()
+    closed_a, closed_b = expected_counts(lists, p)
+    report = DenseExperimentReport(
+        trials=len(mono),
+        categories=dict(zip(names, counts)),
+        seed=seed,
+        empirical_a=float(mono.mean()),
+        empirical_b=float(dang.mean()),
+        empirical_a_stderr=float(mono.std() / math.sqrt(len(mono))),
+        empirical_b_stderr=float(dang.std() / math.sqrt(len(dang))),
+        closed_a=closed_a,
+        closed_b=closed_b,
+    )
+    return report, first
+
+
 def random_split_color_report(
     hg: Hypergraph,
     bip: tuple[str, ...],
@@ -281,14 +335,16 @@ def random_split_color_report(
     max_iters: int,
     seed: int,
 ) -> tuple[Optional[tuple[int, ...]], DenseExperimentReport]:
-    """Las-Vegas split coloring with a per-iteration rejection trace.
+    """Las-Vegas split coloring with a rejection trace.
 
-    Each iteration draws a palette split at the tuned neutral probability and
-    rejects it if any list is monochromatic or at least edge-size many lists
-    are dangerous; otherwise side-A vertices take blue colors, side-B vertices
-    red colors, and dangerous vertices neutral colors, which is proper because
-    every edge still contains a non-dangerous vertex whose color class differs
-    from its neighbors'.  Returns (None, report) if the budget runs out.
+    Draws palette splits at the tuned neutral probability and rejects each
+    that leaves a list monochromatic or at least edge-size many lists
+    dangerous; at the first split not rejected, side-A vertices take blue
+    colors, side-B vertices red colors, and dangerous vertices neutral
+    colors, which is proper because every edge still contains a
+    non-dangerous vertex whose color class differs from its neighbors'.
+    Returns (None, report) if ``max_iters`` splits all fail.  More than
+    ``TRIAL_GUARD`` splits raise GuardExceededError before the first draw.
     """
     met = metrics(hg)
     if met.uniform is None:
@@ -299,36 +355,18 @@ def random_split_color_report(
     l = _common_length(lists, "split coloring")
     if max_iters < 1:
         raise InputError("max_iters must be positive")
-    s = met.uniform
-    p = split_probability(s, l)
-    palette = lists.palette()
-    member = _member(lists, palette)
-    rng = _rng(seed)
-    counts = {"rejected_monochromatic": 0, "rejected_dangerous": 0, "colored": 0}
-    mono_counts: list[int] = []
-    dang_counts: list[int] = []
-    coloring = None
-    for _ in range(max_iters):
-        draws = rng.random(len(palette))
-        is_blue, is_red = _split(draws[None, :], p)
-        mono, tally, dangerous = _tally(member, is_blue, is_red)
-        mono_counts.append(int(mono[0]))
-        dang_counts.append(int(tally[0]))
-        for key, hits in zip(counts, _verdicts(mono, dangerous, s)):
-            counts[key] += hits
-        if not counts["colored"]:
-            continue
-        # Dangerous vertices take a neutral color, side A blue and side B red.
-        label = dict(zip(palette, (is_blue[0] + 2 * is_red[0]).tolist()))
-        color = []
-        for v, lv in enumerate(lists.lists):
-            want = 0 if dangerous[0, v] else 1 if bip[v] == SIDE_A else 2
-            color.append(next(c for c in lv if label[c] == want))
-        coloring = _verified(hg, color, lists.lists)
-        break
-    return coloring, _split_report(
-        seed, counts, mono_counts, dang_counts, expected_counts(lists, p)
-    )
+    if max_iters > TRIAL_GUARD:
+        raise GuardExceededError(f"{max_iters} splits exceeds the guard {TRIAL_GUARD}")
+    report, first = _split_run(lists, met.uniform, l, max_iters, seed, True)
+    if first is None:
+        return None, report
+    # Dangerous vertices take a neutral color, side A blue and side B red.
+    label, dangerous = first
+    color = []
+    for v, lv in enumerate(lists.lists):
+        want = 0 if dangerous[v] else 1 if bip[v] == SIDE_A else 2
+        color.append(next(c for c in lv if label[c] == want))
+    return _verified(hg, color, lists.lists), report
 
 
 def split_experiment(
@@ -337,50 +375,16 @@ def split_experiment(
     """Sample many palette splits and tally monochromatic/dangerous lists.
 
     Every split uses the sampler's neutral probability, split_probability(s, l)
-    for the common list length l.  Vectorized over trials; the empirical means
-    estimate the closed forms and the report carries their standard errors for
-    tolerance checks.  The dangerous tally is two-sided (missing blue plus
-    missing red, matching the closed form); the rejection categories use the
-    plain dangerous count.
+    for the common list length l, and the sampler's loop.  The empirical
+    means estimate the closed forms and the report carries their standard
+    errors for tolerance checks.  The dangerous tally is two-sided (missing
+    blue plus missing red, matching the closed form); the rejection
+    categories use the plain dangerous count.
     """
     l = _common_length(lists, "split_experiment")
     if trials < 1:
         raise ValueError("trials must be positive")
-    p = split_probability(s, l)
-    palette = lists.palette()
-    draws = _rng(seed).random((trials, len(palette)))
-    mono_counts, dang_counts, dangerous = _tally(
-        _member(lists, palette), *_split(draws, p)
-    )
-    names = ("rejected_monochromatic", "rejected_dangerous", "colorable_split")
-    categories = dict(zip(names, _verdicts(mono_counts, dangerous, s)))
-    return _split_report(
-        seed, categories, mono_counts, dang_counts, expected_counts(lists, p)
-    )
-
-
-def _split_report(
-    seed: int,
-    categories: dict[str, int],
-    mono: list[int] | np.ndarray,
-    dang: list[int] | np.ndarray,
-    closed: tuple[float, float],
-) -> DenseExperimentReport:
-    """The report of a run of palette splits, one tally entry per split."""
-    mono = np.asarray(mono, dtype=float)
-    dang = np.asarray(dang, dtype=float)
-    trials = len(mono)
-    return DenseExperimentReport(
-        trials=trials,
-        categories=categories,
-        seed=seed,
-        empirical_a=float(mono.mean()),
-        empirical_b=float(dang.mean()),
-        empirical_a_stderr=float(mono.std() / math.sqrt(trials)),
-        empirical_b_stderr=float(dang.std() / math.sqrt(trials)),
-        closed_a=closed[0],
-        closed_b=closed[1],
-    )
+    return _split_run(lists, s, l, trials, seed, False)[0]
 
 
 def complete_proper_exists(
@@ -476,7 +480,7 @@ def lower_bound_experiment(
     ``integers`` call (see ``_draw_lists``), which consumes the stream
     exactly as one ``rng.choice(l*l, size=l, replace=False)`` call per list
     would; the draws, and so every report, are the same per seed.  More than
-    ``LOWER_BOUND_MAX_TRIALS`` trials raise GuardExceededError before the
+    ``TRIAL_GUARD`` trials raise GuardExceededError before the
     first draw.
     """
     if s < 2 or l < 1 or t < 2 or trials < 1:
@@ -486,10 +490,8 @@ def lower_bound_experiment(
             f"parameters outside the experiment guard "
             f"(l <= {LOWER_BOUND_MAX_L}, t <= {LOWER_BOUND_MAX_T}, t even)"
         )
-    if trials > LOWER_BOUND_MAX_TRIALS:
-        raise GuardExceededError(
-            f"{trials} trials exceeds the guard {LOWER_BOUND_MAX_TRIALS}"
-        )
+    if trials > TRIAL_GUARD:
+        raise GuardExceededError(f"{trials} trials exceeds the guard {TRIAL_GUARD}")
     rng = _rng(seed)
     witnesses = 0
     first_witness: Optional[ListAssignment] = None

@@ -109,12 +109,7 @@ def list_color_sparse(
     lists.require_count(hg.n)
     _, phi = min_orientation(hg)
     pairs = reduce_to_pairgraph(hg, bip, phi)
-    for v, (lv, d) in enumerate(zip(lists.lists, vertex_counts(hg.n, phi))):
-        if len(lv) <= d:
-            raise PreconditionError(
-                f"vertex {v}: list of size {len(lv)} is below the required {d + 1} "
-                "(head degree + 1)"
-            )
+    lists.require_sizes((d + 1 for d in vertex_counts(hg.n, phi)), "head degree + 1")
     color = _color_lists(hg, pairs, lists)
     if color is None:
         raise TheoremContradictionError(

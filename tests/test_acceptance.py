@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 import hyperchoose as hc
+from hyperchoose.core import _fits
 from oracles import (
     b_side_sign,
     brute_min_orientation,
@@ -130,7 +131,7 @@ def test_criterion_5_gk_constructive_on_fano():
             tuple(tuple(rnd.sample(range(1, 10), 3)) for _ in range(7))
         )
         col, _ = hc.list_color_gk(fano, lists)
-        assert hc.is_proper(fano, col) and lists.admits(col)
+        assert _fits(fano, col, lists.lists)
     assert hc.chromatic_number(fano) == 3  # so 3 <= ch(Fano) <= bound_gk = 3
     _report(
         5,
@@ -215,7 +216,7 @@ def test_criterion_8_split_coloring_mechanism():
     for seed in range(1000):
         col = hc.random_split_color_report(hg, bip, lists, max_iters=1, seed=seed)[0]
         if col is not None:
-            assert hc.is_proper(hg, col) and lists.admits(col)
+            assert _fits(hg, col, lists.lists)
             successes += 1
     assert successes > 0
     _report(

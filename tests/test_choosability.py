@@ -18,9 +18,8 @@ from hyperchoose import (
     gen_fano,
     gen_k_regular_k_uniform,
     is_f_choosable,
-    is_proper,
 )
-from hyperchoose.core import _ListSearch
+from hyperchoose.core import _ListSearch, _fits
 from oracles import (
     exhaustive_colorable,
     first_list_coloring,
@@ -69,7 +68,7 @@ def test_color_from_lists_verifies_and_is_deterministic():
         first = color_from_lists(hg, lists)
         assert first == color_from_lists(hg, lists)
         if first is not None:
-            assert is_proper(hg, first) and lists.admits(first)
+            assert _fits(hg, first, lists.lists)
 
 
 def test_color_from_lists_is_lex_first():

@@ -582,13 +582,29 @@ def test_dense_lower_bound_trial_guard_exits_3(capsys, monkeypatch):
     code = main([*argv, "--trials", str(10**20)])
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
-    message = f"{10**20} trials exceeds the guard {dense.LOWER_BOUND_MAX_TRIALS}"
+    message = f"{10**20} trials exceeds the guard {dense.TRIAL_GUARD}"
     assert (code, captured.out, captured.err) == (3, "", f"error: {message}\n")
     assert elapsed < 1
     # The guard is inclusive.
-    monkeypatch.setattr(dense, "LOWER_BOUND_MAX_TRIALS", 5)
+    monkeypatch.setattr(dense, "TRIAL_GUARD", 5)
     assert run(capsys, *argv, "--trials", "5")[0] == 0
     assert run(capsys, *argv, "--trials", "6")[0] == 3
+
+
+def test_dense_split_color_iteration_guard_exits_3(capsys, tmp_path, monkeypatch, k33_path):
+    # No split colors one-color lists, so every run within the guard exits 5.
+    argv = ["dense", "split-color", k33_path, lists_file(tmp_path, [[1]] * 6), "--seed", "1"]
+    start = time.perf_counter()
+    code = main([*argv, "--max-iters", str(10**20)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    message = f"{10**20} splits exceeds the guard {dense.TRIAL_GUARD}"
+    assert (code, captured.out, captured.err) == (3, "", f"error: {message}\n")
+    assert elapsed < 1
+    # The guard is inclusive.
+    monkeypatch.setattr(dense, "TRIAL_GUARD", 5)
+    assert run(capsys, *argv, "--max-iters", "5")[0] == 5
+    assert run(capsys, *argv, "--max-iters", "6")[0] == 3
 
 
 def test_dense_split_color(capsys, tmp_path, k33_path):

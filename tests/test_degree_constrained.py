@@ -15,11 +15,11 @@ from hyperchoose import (
     build_selection,
     gen_complete,
     gen_fano,
-    is_proper,
     list_color_gk,
     metrics,
     vertex_counts,
 )
+from hyperchoose.core import _fits
 from oracles import brute_selection_exists, greedy_pair_coloring, random_hypergraph
 
 
@@ -92,7 +92,7 @@ def test_list_color_gk_fano():
     fano = gen_fano()
     lists = ListAssignment(tuple((1, 2, 3) for _ in range(7)))
     col, _ = list_color_gk(fano, lists)
-    assert is_proper(fano, col) and lists.admits(col)
+    assert _fits(fano, col, lists.lists)
 
 
 def test_list_color_gk_fano_random_lists():
@@ -103,14 +103,14 @@ def test_list_color_gk_fano_random_lists():
             tuple(tuple(rnd.sample(range(1, 10), 3)) for _ in range(7))
         )
         col, _ = list_color_gk(fano, lists)
-        assert is_proper(fano, col) and lists.admits(col)
+        assert _fits(fano, col, lists.lists)
 
 
 def test_list_color_gk_triangle():
     hg = Hypergraph(3, ((0, 1), (1, 2), (0, 2)))
     lists = ListAssignment(tuple((1, 2, 3) for _ in range(3)))  # ceil(2*2/2)+1
     col, _ = list_color_gk(hg, lists)
-    assert is_proper(hg, col) and lists.admits(col)
+    assert _fits(hg, col, lists.lists)
 
 
 def test_list_color_gk_rejects_short_lists():
@@ -130,7 +130,7 @@ def test_list_color_gk_random_instances():
             tuple(tuple(rnd.sample(range(1, 2 * k + 4), k + 1)) for _ in range(hg.n))
         )
         col, pairs = list_color_gk(hg, lists)
-        assert is_proper(hg, col) and lists.admits(col)
+        assert _fits(hg, col, lists.lists)
         assert max(vertex_counts(hg.n, chain.from_iterable(pairs))) <= k
         assert len(pairs) == len(hg.edges) and all(
             p[0] in e and p[1] in e and p[0] != p[1] for p, e in zip(pairs, hg.edges)
@@ -190,7 +190,7 @@ def test_list_color_gk_runs_no_list_search(monkeypatch):
         k = ceil(Fraction(2 * met.max_degree, met.min_edge_size))
         lists = gk_lists(rnd, hg.n, k)
         col, _ = list_color_gk(hg, lists)
-        assert is_proper(hg, col) and lists.admits(col)
+        assert _fits(hg, col, lists.lists)
 
 
 def test_list_color_gk_reports_a_stuck_first_fit(monkeypatch):

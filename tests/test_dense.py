@@ -26,6 +26,7 @@ from hyperchoose import (
     split_experiment,
     split_probability,
 )
+from hyperchoose.core import _fits
 from oracles import (
     mpmath_cond_ert_upper,
     mpmath_split_probability,
@@ -226,7 +227,7 @@ def test_random_split_color_k33():
     hg, bip = gen_complete(2, 3, 3)
     col = random_split_color_report(hg, bip, DISJOINT_3LISTS, max_iters=1000, seed=7)[0]
     assert col is not None
-    assert is_proper(hg, col) and DISJOINT_3LISTS.admits(col)
+    assert _fits(hg, col, DISJOINT_3LISTS.lists)
 
 
 def test_random_split_color_wide_lists():
@@ -274,9 +275,8 @@ def test_split_experiment_matches_closed_forms():
     assert sum(report.categories.values()) == report.trials
 
 
-def test_sampler_verdicts_sum_to_the_experiments_categories():
-    # The sampler stops at its first coloring split, so its rows are the
-    # experiment's block of as many trials from the same seed.
+def random_split_cases():
+    """60 small complete hypergraphs with random equal-length lists and seeds."""
     rnd = random.Random(41)
     for _ in range(60):
         n, m = rnd.randint(1, 3), rnd.randint(1, 3)
@@ -284,13 +284,46 @@ def test_sampler_verdicts_sum_to_the_experiments_categories():
         hg, bip = gen_complete(s, n, m)
         colors = range(rnd.randint(l, 2 * l + 2))
         lists = ListAssignment(tuple(tuple(rnd.sample(colors, l)) for _ in range(hg.n)))
-        seed = rnd.randrange(2**32)
+        yield hg, bip, lists, s, rnd.randrange(2**32)
+
+
+def test_sampler_verdicts_sum_to_the_experiments_categories():
+    # The sampler stops at its first coloring split, so its rows are the
+    # experiment's block of as many trials from the same seed.
+    for hg, bip, lists, s, seed in random_split_cases():
         _, report = random_split_color_report(hg, bip, lists, 40, seed)
         block = split_experiment(lists, s, report.trials, seed)
         counts = dict(report.categories)
         counts["colorable_split"] = counts.pop("colored")
         assert counts == block.categories
         assert (report.empirical_a, report.empirical_b) == (block.empirical_a, block.empirical_b)
+
+
+def test_split_blocks_replay_the_stream(monkeypatch):
+    # Blocks of 1, 2 and 7 splits split each run into several random calls;
+    # the stream, and so the coloring and both reports, must not notice the
+    # seams.  On K3,3 with disjoint 3-lists, seeds 1 and 22 first color at
+    # splits 14 and 20, past the first block of 7.
+    k33, k33_bip = gen_complete(2, 3, 3)
+    cases = [
+        *random_split_cases(),
+        (k33, k33_bip, DISJOINT_3LISTS, 2, 1),
+        (k33, k33_bip, DISJOINT_3LISTS, 2, 22),
+    ]
+
+    def runs(case):
+        hg, bip, lists, s, seed = case
+        coloring, report = random_split_color_report(hg, bip, lists, 40, seed)
+        return coloring, report.to_json(), split_experiment(lists, s, 40, seed).to_json()
+
+    default = [runs(case) for case in cases]
+    assert [d[1]["trials"] for d in default[-2:]] == [14, 20]
+    for rows in (1, 2, 7):
+        for case, want in zip(cases, default):
+            lists = case[2]
+            cells = rows * max(lists.n, len(lists.palette()))
+            monkeypatch.setattr(dense, "SPLIT_BLOCK_CELLS", cells)
+            assert runs(case) == want, (rows, case)
 
 
 def test_complete_proper_exists_rejects_a_wrong_list_count():
@@ -327,7 +360,7 @@ def test_complete_proper_exists_agrees_with_edge_oracle():
         slow = color_from_lists(hg, lists)
         assert (fast is None) == (slow is None)
         if fast is not None:
-            assert is_proper(hg, fast) and lists.admits(fast)
+            assert _fits(hg, fast, lists.lists)
 
 
 def test_lower_bound_experiment_finds_witnesses():

@@ -15,7 +15,6 @@ from hyperchoose import (
     gen_fano,
     gen_k_regular_k_uniform,
     hall_orientation,
-    is_proper,
     list_color_sparse,
     min_orientation,
     orientation,
@@ -23,6 +22,7 @@ from hyperchoose import (
     reduce_to_pairgraph,
     vertex_counts,
 )
+from hyperchoose.core import _fits
 from oracles import brute_min_orientation, random_hypergraph
 
 
@@ -180,7 +180,7 @@ def test_list_color_sparse_k33():
     hg, bip = gen_complete(2, 3, 3)
     lists = ListAssignment(tuple((1, 2, 3) for _ in range(6)))
     col = list_color_sparse(hg, bip, lists)
-    assert is_proper(hg, col) and lists.admits(col)
+    assert _fits(hg, col, lists.lists)
 
 
 def test_list_color_sparse_two_lists_when_degree_one():
@@ -188,7 +188,7 @@ def test_list_color_sparse_two_lists_when_degree_one():
     bip = find_bipartition(hg)
     lists = ListAssignment(tuple((1, 2) for _ in range(4)))
     col = list_color_sparse(hg, bip, lists)
-    assert is_proper(hg, col) and lists.admits(col)
+    assert _fits(hg, col, lists.lists)
 
 
 def test_list_color_sparse_rejects_short_lists():
@@ -232,4 +232,4 @@ def test_list_color_sparse_on_regular_instance_random_lists():
             tuple(tuple(rnd.sample(range(1, 10), 2)) for _ in range(8))
         )
         col = list_color_sparse(hg, bip, lists)
-        assert is_proper(hg, col) and lists.admits(col)
+        assert _fits(hg, col, lists.lists)

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 from .core import Hypergraph, ListAssignment, _color_lists, _fits, _ListSearch, _verified
 from .density import Bounds, bounds
-from .errors import GuardExceededError, InputError, TheoremContradictionError
+from .errors import GuardExceededError, InputError, TheoremContradictionError, check_guard
 
 MAX_VERTICES = 12
 MAX_UNIVERSE = 12
@@ -136,12 +136,8 @@ def is_f_choosable(
         raise InputError("list lengths must be positive")
     if max_universe < 1:
         raise InputError("max_universe must be positive")
-    if n > MAX_VERTICES:
-        raise GuardExceededError(f"{n} vertices exceeds the guard {MAX_VERTICES}")
-    if sum(f) > max_universe:
-        raise GuardExceededError(
-            f"color universe {sum(f)} exceeds the guard {max_universe}"
-        )
+    check_guard(n, MAX_VERTICES, f"{n} vertices")
+    check_guard(sum(f), max_universe, f"color universe {sum(f)}")
 
     degs = hg.degrees()
     if all(f[v] >= degs[v] + 1 for v in range(n)):

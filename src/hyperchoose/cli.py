@@ -121,11 +121,12 @@ def cmd_analyze(args) -> int:
         "warnings": validate(hg),
     }
     if args.exact:
-        # The input has an edge, so a 2-coloring found by bounds makes chi 2.
+        # The choice number's guards come before the chromatic search; the
+        # input has an edge, so a 2-coloring found by bounds makes chi 2.
+        report["choice_number"] = choosability.choice_number(hg, proven=bounds)
         report["chromatic_number"] = (
             2 if bounds.two_colorable else choosability.chromatic_number(hg)
         )
-        report["choice_number"] = choosability.choice_number(hg, proven=bounds)
     if not args.no_timing:
         report["timing_seconds"] = round(time.perf_counter() - start, 6)
     _emit(report)
@@ -401,15 +402,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except GuardExceededError as exc:
+    except (GuardExceededError, PreconditionError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (InputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        if isinstance(exc, GuardExceededError):
+            return EXIT_GUARD
+        return EXIT_PRECONDITION if isinstance(exc, PreconditionError) else EXIT_INPUT
     except Exception as exc:
         # TheoremContradictionError, any other ValueError and anything
         # unforeseen: a defect in the program, never a property of the input.

@@ -29,6 +29,7 @@ from .errors import (
     InputError,
     PreconditionError,
     TheoremContradictionError,
+    check_guard,
 )
 
 SIDE_A = "A"
@@ -104,6 +105,12 @@ def _incidence(n: int, edges: Sequence[Sequence[int]]) -> list[list[int]]:
 def orientation_is_valid(hg: Hypergraph, phi: Sequence[int]) -> bool:
     """True iff ``phi`` holds one head per edge, each a vertex of its edge."""
     return len(phi) == len(hg.edges) and all(h in e for h, e in zip(phi, hg.edges))
+
+
+def require_orientation(hg: Hypergraph, phi: Sequence[int]) -> None:
+    """PreconditionError unless :func:`orientation_is_valid` holds."""
+    if not orientation_is_valid(hg, phi):
+        raise PreconditionError("orientation is not valid for the hypergraph")
 
 
 @dataclass(frozen=True)
@@ -210,10 +217,15 @@ class Metrics:
     edge_count: int
 
 
+def require_edges(hg: Hypergraph, what: str) -> None:
+    """ValueError "<what> undefined for an empty edge set" unless ``hg`` has an edge."""
+    if not hg.edges:
+        raise ValueError(f"{what} undefined for an empty edge set")
+
+
 def metrics(hg: Hypergraph) -> Metrics:
     """Max degree, min edge size, uniformity, and edge count of a hypergraph."""
-    if not hg.edges:
-        raise ValueError("metrics undefined for an empty edge set")
+    require_edges(hg, "metrics")
     sizes = {len(e) for e in hg.edges}
     return Metrics(
         max_degree=max(hg.degrees()),
@@ -240,6 +252,12 @@ def is_proper(hg: Hypergraph, color: Sequence[int]) -> bool:
 def bipartition_is_valid(hg: Hypergraph, bip: Sequence[str]) -> bool:
     """True iff ``bip`` labels every vertex A or B and every edge meets both sides."""
     return len(bip) == hg.n and set(bip) <= {SIDE_A, SIDE_B} and is_proper(hg, bip)
+
+
+def require_bipartition(hg: Hypergraph, bip: Sequence[str]) -> None:
+    """PreconditionError unless :func:`bipartition_is_valid` holds."""
+    if not bipartition_is_valid(hg, bip):
+        raise PreconditionError("bipartition is not valid for the hypergraph")
 
 
 def validate(hg: Hypergraph) -> list[str]:
@@ -316,10 +334,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
                 )
             if n < 0 or declared < 0:
                 raise InputError("negative count in header", lineno)
-            if n > HGR_VERTEX_GUARD:
-                raise GuardExceededError(
-                    f"header n = {n} vertices exceeds the guard {HGR_VERTEX_GUARD}"
-                )
+            check_guard(n, HGR_VERTEX_GUARD, f"header n = {n} vertices")
         else:
             raise InputError(f"unknown line type {kind!r}", lineno)
     if n is None:
@@ -799,6 +814,15 @@ def edge_vertex_flow(
     return value, flowing, [j for j in range(m) if lev_e[j] < 0]
 
 
+def _capped_heads(hg: Hypergraph, units: int, k: int) -> Optional[tuple[int, ...]]:
+    """Per edge, the ``units`` vertices that take its unit flow, at most k per
+    vertex, or None if no flow saturates every edge; InputError if k < 1."""
+    if k < 1:
+        raise InputError("k must be at least 1")
+    value, flowing, _ = edge_vertex_flow(hg, units, k, 1)
+    return flowing if value == units * len(hg.edges) else None
+
+
 # ---------------------------------------------------------------------------
 # Instance generators
 # ---------------------------------------------------------------------------
@@ -821,13 +845,11 @@ def gen_complete(s: int, n: int, m: int) -> tuple[Hypergraph, tuple[str, ...]]:
     # Each s-subset holding vertices 0 and n+m-1 is an edge, so there are at
     # least C(n+m-2, s-2) >= 2^min(s-2, n+m-s) edges; past the guard that way,
     # a huge s costs no binomial.
-    small = min(s - 2, n + m - s) < COMPLETE_EDGE_GUARD.bit_length()
-    expected = small and math.comb(n + m, s) - math.comb(n, s) - math.comb(m, s)
-    if not small or expected > COMPLETE_EDGE_GUARD:
-        raise GuardExceededError(
-            f"C({n + m}, {s}) - C({n}, {s}) - C({m}, {s}) edges exceeds the guard "
-            f"{COMPLETE_EDGE_GUARD}"
-        )
+    expected = math.inf
+    if min(s - 2, n + m - s) < COMPLETE_EDGE_GUARD.bit_length():
+        expected = math.comb(n + m, s) - math.comb(n, s) - math.comb(m, s)
+    what = f"C({n + m}, {s}) - C({n}, {s}) - C({m}, {s}) edges"
+    check_guard(expected, COMPLETE_EDGE_GUARD, what)
     pool = tuple(range(n + m))
     heads = takewhile(lambda h: h[0] < n, combinations(pool, s - 1))
     edges = tuple(h + (v,) for h in heads for v in pool[max(h[-1] + 1, n) :])
@@ -875,10 +897,7 @@ def gen_k_regular_k_uniform(k: int, n: int, seed: int) -> Optional[Hypergraph]:
         raise InputError("k must be at least 2")
     if n < k:
         raise InputError(f"edge size {k} exceeds vertex count {n}")
-    if k * n > REGULAR_INCIDENCE_GUARD:
-        raise GuardExceededError(
-            f"k*n = {k * n} incidences exceeds the guard {REGULAR_INCIDENCE_GUARD}"
-        )
+    check_guard(k * n, REGULAR_INCIDENCE_GUARD, f"k*n = {k * n} incidences")
     rng = _rng(seed)
     budget = PROPOSAL_BUDGET
     while budget > 0:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import filterfalse, repeat
 from typing import Optional
 
-from .core import Hypergraph, ListAssignment, _verified, edge_vertex_flow
+from .core import Hypergraph, ListAssignment, _capped_heads, _verified
 from .density import bound_gk
 from .errors import TheoremContradictionError
 
@@ -27,13 +27,8 @@ def build_selection(hg: Hypergraph, k: int) -> Optional[tuple[tuple[int, int], .
     took its units, in the edge's own (ascending) order.  Returns None when
     no such flow exists, which can only happen below the guaranteed cap.
     """
-    if k < 1:
-        raise ValueError("degree cap must be at least 1")
-    value, flowing, _ = edge_vertex_flow(hg, 2, k, 1)
-    if value < 2 * len(hg.edges):
-        return None
-    it = iter(flowing)
-    return tuple(zip(it, it))
+    flowing = _capped_heads(hg, 2, k)
+    return None if flowing is None else tuple(zip(flowing[::2], flowing[1::2]))
 
 
 def list_color_gk(

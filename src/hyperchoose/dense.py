@@ -33,14 +33,15 @@ from .core import (
     SIDE_A,
     _rng,
     _verified,
-    bipartition_is_valid,
     metrics,
+    require_bipartition,
 )
 from .errors import (
     GuardExceededError,
     InputError,
     PreconditionError,
     TheoremContradictionError,
+    check_guard,
 )
 
 LOWER_BOUND_MAX_L = 3
@@ -102,6 +103,12 @@ def _integer_root(s: int, l: int) -> Optional[int]:
         x = y
 
 
+def _require_threshold_args(s: int, l: int, t: int) -> None:
+    """InputError unless s >= 2, l >= 1 and t >= 1, as the threshold formulas need."""
+    if s < 2 or l < 1 or t < 1:
+        raise InputError("requires s >= 2, l >= 1, t >= 1")
+
+
 def cond_ert_upper(s: int, l: int, t: int) -> bool:
     """Whether t < (1 + s^(1/l))^l / 4, decided exactly at rational thresholds.
 
@@ -112,8 +119,7 @@ def cond_ert_upper(s: int, l: int, t: int) -> bool:
     digit of t (widened to 200 digits if the margin looks suspicious)
     settles the comparison.
     """
-    if s < 2 or l < 1 or t < 1:
-        raise InputError("requires s >= 2, l >= 1, t >= 1")
+    _require_threshold_args(s, l, t)
     if t.bit_length() <= l - 2:
         return True
     r = _integer_root(s, l)
@@ -163,8 +169,7 @@ def feasibility_margin(s: int, l: int, t: int) -> float:
     dropped, so this is a diagnostic only; negative values merely suggest the
     lower-bound regime.  Nothing is gated on it.
     """
-    if s < 2 or l < 1 or t < 1:
-        raise InputError("requires s >= 2, l >= 1, t >= 1")
+    _require_threshold_args(s, l, t)
     # log T = log(t/2) - l*log(1 + s^(1/l)); (1 + s^(1/l))^l itself overflows
     # a float for large l, while T only underflows harmlessly to 0.
     try:
@@ -350,13 +355,11 @@ def random_split_color_report(
     if met.uniform is None:
         raise PreconditionError("split coloring requires a uniform hypergraph")
     lists.require_count(hg.n)
-    if not bipartition_is_valid(hg, bip):
-        raise PreconditionError("bipartition is not valid for the hypergraph")
+    require_bipartition(hg, bip)
     l = _common_length(lists, "split coloring")
     if max_iters < 1:
         raise InputError("max_iters must be positive")
-    if max_iters > TRIAL_GUARD:
-        raise GuardExceededError(f"{max_iters} splits exceeds the guard {TRIAL_GUARD}")
+    check_guard(max_iters, TRIAL_GUARD, f"{max_iters} splits")
     report, first = _split_run(lists, met.uniform, l, max_iters, seed, True)
     if first is None:
         return None, report
@@ -490,8 +493,7 @@ def lower_bound_experiment(
             f"parameters outside the experiment guard "
             f"(l <= {LOWER_BOUND_MAX_L}, t <= {LOWER_BOUND_MAX_T}, t even)"
         )
-    if trials > TRIAL_GUARD:
-        raise GuardExceededError(f"{trials} trials exceeds the guard {TRIAL_GUARD}")
+    check_guard(trials, TRIAL_GUARD, f"{trials} trials")
     rng = _rng(seed)
     witnesses = 0
     first_witness: Optional[ListAssignment] = None

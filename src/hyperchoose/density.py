@@ -26,6 +26,7 @@ from .core import (
     edge_vertex_flow,
     find_bipartition,
     metrics,
+    require_edges,
 )
 from .errors import GuardExceededError, TheoremContradictionError
 
@@ -34,15 +35,14 @@ EXACT_EDGE_GUARD = 24
 
 def density_exact(hg: Hypergraph) -> Fraction:
     """Maximize |E'|/|union E'| by branch-and-bound over edge subsets."""
+    require_edges(hg, "density")
     m = len(hg.edges)
-    if m == 0:
-        raise ValueError("density undefined for an empty edge set")
     if m > EXACT_EDGE_GUARD:
         raise GuardExceededError(
             f"{m} edges exceeds the enumeration guard {EXACT_EDGE_GUARD}; "
             "use density_flow"
         )
-    masks = [_edge_mask(e) for e in hg.edges]
+    masks = [sum(1 << v for v in e) for e in hg.edges]  # an edge's vertices differ
 
     best_num, best_den = 1, len(hg.edges[0])
 
@@ -64,13 +64,6 @@ def density_exact(hg: Hypergraph) -> Fraction:
     return Fraction(best_num, best_den)
 
 
-def _edge_mask(edge: tuple[int, ...]) -> int:
-    mask = 0
-    for v in edge:
-        mask |= 1 << v
-    return mask
-
-
 def density_flow(hg: Hypergraph) -> Fraction:
     """Same value as density_exact: a peel, then at most the cut loop's flows.
 
@@ -82,8 +75,7 @@ def density_flow(hg: Hypergraph) -> Fraction:
     there proves it is L, and a flow that falls short moves on to a strictly
     denser subset.
     """
-    if not hg.edges:
-        raise ValueError("density undefined for an empty edge set")
+    require_edges(hg, "density")
     lam, max_degree = _peel_density(hg)
     if lam == Fraction(max_degree, min(map(len, hg.edges))):
         return lam

@@ -29,6 +29,12 @@ class GuardExceededError(RuntimeError):
     """
 
 
+def check_guard(value: float, limit: int, what: str) -> None:
+    """GuardExceededError "<what> exceeds the guard <limit>" if value > limit."""
+    if value > limit:
+        raise GuardExceededError(f"{what} exceeds the guard {limit}")
+
+
 class PreconditionError(ValueError):
     """A method precondition does not hold for the given input. CLI exit code 4."""
 

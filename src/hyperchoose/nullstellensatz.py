@@ -31,8 +31,8 @@ from .core import (
     Hypergraph,
     SIDE_A,
     _incidence,
-    bipartition_is_valid,
-    orientation_is_valid,
+    require_bipartition,
+    require_orientation,
     vertex_counts,
 )
 from .errors import GuardExceededError, PreconditionError
@@ -81,8 +81,7 @@ def coefficient_count(
     GuardExceededError, before any state is built, when a step may hold more
     than TERM_GUARD states.
     """
-    if not orientation_is_valid(hg, phi):
-        raise PreconditionError("orientation is not valid for the hypergraph")
+    require_orientation(hg, phi)
     return monomial_coefficient(hg, bip, vertex_counts(hg.n, phi))
 
 
@@ -90,8 +89,7 @@ def monomial_coefficient(
     hg: Hypergraph, bip: tuple[str, ...], exponent: Sequence[int]
 ) -> int:
     """Unsigned-product coefficient of an arbitrary exponent vector."""
-    if not bipartition_is_valid(hg, bip):
-        raise PreconditionError("bipartition is not valid for the hypergraph")
+    require_bipartition(hg, bip)
     if len(exponent) != hg.n:
         raise PreconditionError("exponent vector size differs from vertex count")
     return _transfer_count(hg, bip, exponent)

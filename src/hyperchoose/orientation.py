@@ -22,14 +22,15 @@ from typing import Optional
 from .core import (
     Hypergraph,
     ListAssignment,
+    _capped_heads,
     _color_lists,
-    bipartition_is_valid,
-    edge_vertex_flow,
-    orientation_is_valid,
+    require_bipartition,
+    require_edges,
+    require_orientation,
     vertex_counts,
 )
 from .density import _parametric_cut
-from .errors import InputError, PreconditionError, TheoremContradictionError
+from .errors import TheoremContradictionError
 
 
 def hall_orientation(hg: Hypergraph, k: int) -> Optional[tuple[int, ...]]:
@@ -39,12 +40,7 @@ def hall_orientation(hg: Hypergraph, k: int) -> Optional[tuple[int, ...]]:
     passes at most k units to the sink; a flow that saturates every edge is
     exactly such an orientation, its heads the vertices that took the flow.
     """
-    if k < 1:
-        raise InputError("k must be at least 1")
-    value, flowing, _ = edge_vertex_flow(hg, 1, k, 1)
-    if value < len(hg.edges):
-        return None
-    return flowing
+    return _capped_heads(hg, 1, k)
 
 
 def min_orientation(hg: Hypergraph) -> tuple[int, tuple[int, ...]]:
@@ -60,8 +56,7 @@ def min_orientation(hg: Hypergraph) -> tuple[int, tuple[int, ...]]:
     gives |E'| > k|union E'|, and the next cap is ceil(|E'| / |union E'|):
     at least k + 1, at most ceil(L).
     """
-    if not hg.edges:
-        raise ValueError("min_orientation undefined for an empty edge set")
+    require_edges(hg, "min_orientation")
     union = len({v for e in hg.edges for v in e})
     start = Fraction(-(-len(hg.edges) // union))
     cap, phi = _parametric_cut(hg, start, integral=True)
@@ -82,10 +77,8 @@ def reduce_to_pairgraph(
     smallest-index vertex of the edge opposite the head; one always exists
     because every edge meets both sides.
     """
-    if not bipartition_is_valid(hg, bip):
-        raise PreconditionError("bipartition is not valid for the hypergraph")
-    if not orientation_is_valid(hg, phi):
-        raise PreconditionError("orientation is not valid for the hypergraph")
+    require_bipartition(hg, bip)
+    require_orientation(hg, phi)
     pairs = []
     for e, head in zip(hg.edges, phi):
         partner = next(v for v in e if bip[v] != bip[head])

@@ -917,15 +917,22 @@ def test_exact_choice_number_runs_no_second_chromatic_search(
     assert calls == []
 
 
-def test_analyze_exact_guard_exits_3(capsys, tmp_path):
+def test_analyze_exact_guard_exits_3(capsys, monkeypatch, tmp_path):
     # A triangle among 25 vertices: U = 3, so k = 2 must be enumerated, over
-    # the 12-vertex enumeration guard.
+    # the 12-vertex enumeration guard.  The guard fires before the chromatic
+    # search would repeat the 2-coloring search that bounds already failed.
+    calls = []
+    chromatic_number = choosability.chromatic_number
+    monkeypatch.setattr(
+        choosability, "chromatic_number", lambda hg: calls.append(hg) or chromatic_number(hg)
+    )
     triangle = tmp_path / "triangle.hgr"
     triangle.write_text("p hg 25 3\ne 0 1\ne 1 2\ne 0 2\n")
     code = main(["analyze", str(triangle), "--exact"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")
     assert captured.err == "error: 25 vertices exceeds the guard 12\n"
+    assert calls == []
     # A 25-vertex path is 2-colorable with L < 1: the bound decides ch = 2.
     path = tmp_path / "path.hgr"
     edges = [f"e {i} {i + 1}" for i in range(24)]
@@ -1066,6 +1073,7 @@ def test_input_checks_raise_input_error_and_the_rest_plain_value_error():
     lists = ListAssignment(tuple((3 * i + 1, 3 * i + 2, 3 * i + 3) for i in range(6)))
     user_faults = [
         lambda: orientation.hall_orientation(K33, 0),
+        lambda: degree_constrained.build_selection(K33, 0),
         lambda: choosability.is_f_choosable(K33, [0] * 6),
         lambda: choosability.is_f_choosable(K33, [2] * 6, max_universe=0),
         lambda: dense.random_split_color_report(K33, bip, lists, 0, 1),
@@ -1094,7 +1102,6 @@ def test_input_checks_raise_input_error_and_the_rest_plain_value_error():
         lambda: metrics(empty),
         lambda: density.density_flow(empty),
         lambda: orientation.min_orientation(empty),
-        lambda: degree_constrained.build_selection(K33, 0),
         lambda: choosability.is_f_choosable(K33, [2]),
         lambda: dense.complete_proper_exists(1, 1, 1, ListAssignment(((1,), (1,)))),
         lambda: dense.split_experiment(lists, 2, 0, 1),

@@ -169,6 +169,15 @@ def test_monomial_coefficient_arbitrary_queries():
         monomial_coefficient(hg, ("A",), (1, 1, 1, 1))
 
 
+def test_monomial_coefficient_with_no_state_left_is_zero():
+    # Two disjoint edges and the target (1, 1, 0, 0): the first edge's step has
+    # nothing to bound (need < 0), and the second leaves no state, as vertex 0
+    # has its one head and vertex 1 must take the edge it is not in.
+    hg, bip, target = Hypergraph(4, ((0, 1), (2, 3))), ("A", "B", "A", "B"), (1, 1, 0, 0)
+    assert monomial_coefficient(hg, bip, target) == 0
+    assert sympy_target_coefficient(hg, bip, target, signed=False) == 0
+
+
 def lab_coefficient_rungs(monkeypatch, ms):
     """The benchmark's ``lab`` coefficient instances at seed 1 with m in ``ms``."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))

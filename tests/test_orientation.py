@@ -208,13 +208,13 @@ def test_list_color_sparse_rejects_bad_bipartition():
 
 def test_list_color_sparse_checks_the_bipartition_once(monkeypatch):
     calls = []
-    check = orientation.bipartition_is_valid
+    check = orientation.require_bipartition
 
     def counted(hg, bip):
         calls.append(bip)
         return check(hg, bip)
 
-    monkeypatch.setattr(orientation, "bipartition_is_valid", counted)
+    monkeypatch.setattr(orientation, "require_bipartition", counted)
     hg, bip = gen_complete(2, 3, 3)
     lists = ListAssignment(tuple((1, 2, 3) for _ in range(6)))
     for expected in (1, 2):

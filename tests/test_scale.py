@@ -105,7 +105,7 @@ def test_edge_vertex_flow_matches_reference_at_scale(family, monkeypatch):
         caps.append(capacities)
         return flow(graph, *capacities)
 
-    for module in (density, orientation, degree_constrained):
+    for module in (density, core):  # core runs the orientation and selection flows
         monkeypatch.setattr(module, "edge_vertex_flow", record)
     density.density_flow(hg)
     orientation.min_orientation(hg)

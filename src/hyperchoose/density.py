@@ -76,13 +76,13 @@ def density_flow(hg: Hypergraph) -> Fraction:
     denser subset.
     """
     require_edges(hg, "density")
-    lam, max_degree = _peel_density(hg)
+    lam, max_degree, _ = _peel_density(hg)
     if lam == Fraction(max_degree, min(map(len, hg.edges))):
         return lam
     return _parametric_cut(hg, lam, integral=False)[0]
 
 
-def _peel_density(hg: Hypergraph) -> tuple[Fraction, int]:
+def _peel_density(hg: Hypergraph) -> tuple[Fraction, int, list[int]]:
     """The densest |E'| / |union E'| met while peeling min-degree vertices.
 
     Greedy peeling (Charikar): repeatedly remove a vertex of least degree
@@ -94,16 +94,18 @@ def _peel_density(hg: Hypergraph) -> tuple[Fraction, int]:
     by degree holds every (degree, vertex) entry ever made; an entry whose
     degree is out of date is skipped.  The best ratio is kept as an integer
     pair and compared by cross-multiplication.  Returns it with the max
-    degree.
+    degree and the edge indices in the order the peel removes them, the
+    elimination order the coefficient count takes.
     """
     edges = hg.edges
     inc = _incidence(hg.n, edges)
     deg = [len(js) for js in inc]
-    max_degree = max(deg)
+    max_degree = max(deg, default=0)
     buckets: list[list[int]] = [[] for _ in range(max_degree + 1)]
     for v, d in enumerate(deg):
         buckets[d].append(v)
     alive = [True] * len(edges)
+    removed: list[int] = []
     live_e, live_v = len(edges), hg.n
     best_num, best_den = 0, 1
     d = 0
@@ -120,6 +122,7 @@ def _peel_density(hg: Hypergraph) -> tuple[Fraction, int]:
             for j in inc[v]:
                 if alive[j]:
                     alive[j] = False
+                    removed.append(j)
                     live_e -= 1
                     for u in edges[j]:
                         if u != v:
@@ -129,7 +132,7 @@ def _peel_density(hg: Hypergraph) -> tuple[Fraction, int]:
                             if x < d:
                                 d = x
         live_v -= 1
-    return Fraction(best_num, best_den), max_degree
+    return Fraction(best_num, best_den), max_degree, removed
 
 
 def _parametric_cut(

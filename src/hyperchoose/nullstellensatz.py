@@ -10,31 +10,32 @@ color than each head degree; the two products agree up to a sign determined
 by the total head degree on side B.
 
 One iterative transfer count computes every coefficient.  It takes the
-edges one at a time, in an order that follows a greedy vertex order, and
-keeps, per vector of heads taken by the open vertices (seen, with edges
-left), the weighted number of partial head choices; each vector is one int
-with a bit field per open vertex.  Before the first state is built, an
-a-priori bound on every step's state count is checked against TERM_GUARD,
-so the count never holds more states than the guard and needs no check of
-its own.  On planted 3-uniform instances with m = 2n edges the bound is
-3 858 states at m = 36 (2 730 live at the peak), 19 095 at m = 40 (17 533)
-and 101 530 at m = 44 (76 442); on planted and regular instances of 10^4
-vertices it fires before any state exists.
+edges one at a time, in the order the density peel removes them (min-degree
+vertices first, each with its remaining edges), and keeps, per vector of
+heads taken by the open vertices (seen, with edges left), the weighted
+number of partial head choices; each vector is one int with a bit field per
+open vertex.  The order decides only how many states the count holds, never
+its value.  Before the first state is built, an a-priori bound on every
+step's state count is checked against TERM_GUARD, so the count never holds
+more states than the guard and needs no check of its own.  On planted
+3-uniform instances with m = 2n edges the bound is 3 088 states at m = 36
+(2 884 live at the peak), 15 363 at m = 40 (15 236) and 28 314 at m = 44
+(19 227); on planted and regular instances of 10^4 vertices it fires before
+any state exists.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Sequence
 
 from .core import (
     Hypergraph,
     SIDE_A,
-    _incidence,
     require_bipartition,
     require_orientation,
     vertex_counts,
 )
+from .density import _peel_density
 from .errors import GuardExceededError, PreconditionError
 
 TERM_GUARD = 10**6
@@ -95,49 +96,6 @@ def monomial_coefficient(
     return _transfer_count(hg, bip, exponent)
 
 
-def _vertex_order(hg: Hypergraph, incident: list[list[int]]) -> list[int]:
-    """Greedy order: next is the vertex opening the fewest edges net of those it closes.
-
-    A vertex opens an edge none of whose vertices came before it and closes
-    an edge whose other vertices all came before it.  Ties go to the lower
-    index.  Scores only fall, so a heap whose stale entries are skipped on
-    pop keeps the order near-linear.
-    """
-    left = [len(e) for e in hg.edges]  # vertices of each edge not yet ordered
-    score = [len(inc) for inc in incident]  # at first every edge is one to open
-    heap = [(s, v) for v, s in enumerate(score)]
-    heapq.heapify(heap)
-    done = [False] * hg.n
-    order: list[int] = []
-    while heap:
-        s, v = heapq.heappop(heap)
-        if done[v] or s != score[v]:
-            continue
-        done[v] = True
-        order.append(v)
-        for j in incident[v]:
-            e = hg.edges[j]
-            left[j] -= 1
-            # v opened j for all the others, and a single vertex left closes j.
-            drop = (left[j] == len(e) - 1) + (left[j] == 1)
-            if drop:
-                for w in e:
-                    if not done[w]:
-                        score[w] -= drop
-                        heapq.heappush(heap, (score[w], w))
-    return order
-
-
-def _edge_order(hg: Hypergraph) -> list[int]:
-    """Edge indices by the first, then the last position of their vertices in
-    ``_vertex_order``, then by index."""
-    position = [0] * hg.n
-    for i, v in enumerate(_vertex_order(hg, _incidence(hg.n, hg.edges))):
-        position[v] = i
-    ends = [(min(p), max(p)) for p in ([position[v] for v in e] for e in hg.edges)]
-    return sorted(range(len(hg.edges)), key=lambda j: (ends[j], j))
-
-
 def _require_state_bound(
     edges: Sequence[tuple[int, ...]],
     order: list[int],
@@ -196,9 +154,10 @@ def _transfer_count(
 ) -> int:
     """Weighted number of head choices whose head-degree vector equals target.
 
-    The edges are taken in ``_edge_order``, and a state is the number of
-    heads each open vertex holds, packed into one int with one bit field per
-    open vertex; a closed vertex's field is cleared and its slot reused.  A
+    The edges are taken in the order the density peel removes them (see
+    :func:`density._peel_density`), and a state is the number of heads each
+    open vertex holds, packed into one int with one bit field per open
+    vertex; a closed vertex's field is cleared and its slot reused.  A
     head adds its vertex's tree multiplicity as a factor of the weight.  A
     vertex that must head the edge to still reach its target (it holds
     t_v - rem_v) takes it, two such vertices leave no successor, and a
@@ -209,7 +168,7 @@ def _transfer_count(
     degs = hg.degrees()
     if sum(target) != len(edges) or any(not 0 <= t <= d for t, d in zip(target, degs)):
         return 0
-    order = _edge_order(hg)
+    order = _peel_density(hg)[2]
     _require_state_bound(edges, order, target, degs)
     width = max(target, default=0).bit_length()
     field = (1 << width) - 1

@@ -6,6 +6,7 @@ library's own algorithms so that agreement is meaningful.
 
 from __future__ import annotations
 
+import heapq
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -26,9 +27,9 @@ from hyperchoose.choosability import (
 )
 from hyperchoose.core import _ListSearch
 from hyperchoose.dense import DenseExperimentReport, _rng, complete_proper_exists
-from hyperchoose.density import bound_gk
+from hyperchoose.density import _peel_density, bound_gk
 from hyperchoose.errors import GuardExceededError
-from hyperchoose.nullstellensatz import _tree_multiplicity, _vertex_order, crossing_tree
+from hyperchoose.nullstellensatz import _tree_multiplicity, crossing_tree
 
 
 def exhaustive_two_colorable(hg: Hypergraph) -> bool:
@@ -216,6 +217,40 @@ def random_two_colorable(
     return Hypergraph(n_a + n_b, tuple(edges)), ("A",) * n_a + ("B",) * n_b
 
 
+def _vertex_order(hg: Hypergraph, incident: list[list[int]]) -> list[int]:
+    """The vertex order of ``reference_transfer_count``, greedy: next is the
+    vertex opening the fewest edges net of those it closes.
+
+    A vertex opens an edge none of whose vertices came before it and closes
+    an edge whose other vertices all came before it.  Ties go to the lower
+    index.  Scores only fall, so a heap whose stale entries are skipped on
+    pop keeps the order near-linear.
+    """
+    left = [len(e) for e in hg.edges]  # vertices of each edge not yet ordered
+    score = [len(inc) for inc in incident]  # at first every edge is one to open
+    heap = [(s, v) for v, s in enumerate(score)]
+    heapq.heapify(heap)
+    done = [False] * hg.n
+    order: list[int] = []
+    while heap:
+        s, v = heapq.heappop(heap)
+        if done[v] or s != score[v]:
+            continue
+        done[v] = True
+        order.append(v)
+        for j in incident[v]:
+            e = hg.edges[j]
+            left[j] -= 1
+            # v opened j for all the others, and a single vertex left closes j.
+            drop = (left[j] == len(e) - 1) + (left[j] == 1)
+            if drop:
+                for w in e:
+                    if not done[w]:
+                        score[w] -= drop
+                        heapq.heappush(heap, (score[w], w))
+    return order
+
+
 def reference_transfer_count(
     hg: Hypergraph, bip: tuple[str, ...], target: Sequence[int]
 ) -> int:
@@ -260,18 +295,8 @@ def reference_transfer_count(
 
 
 def _reference_edge_order(hg: Hypergraph) -> list[int]:
-    """Edges by the first, then the last position of their vertices in
-    ``_vertex_order``, then by index."""
-    incident: list[list[int]] = [[] for _ in range(hg.n)]
-    for j, e in enumerate(hg.edges):
-        for v in e:
-            incident[v].append(j)
-    position = {v: i for i, v in enumerate(_vertex_order(hg, incident))}
-    return sorted(
-        range(len(hg.edges)),
-        key=lambda j: (min(position[v] for v in hg.edges[j]),
-                       max(position[v] for v in hg.edges[j]), j),
-    )
+    """The package's edge order: the edges as the density peel removes them."""
+    return _peel_density(hg)[2]
 
 
 def _degenerate_target(hg: Hypergraph, target: Sequence[int]) -> bool:

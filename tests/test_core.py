@@ -323,7 +323,7 @@ def test_edge_vertex_flow_matches_reference_on_deep_networks():
     for n in range(30, 121, 15):
         for m in (n, 2 * n):
             hg = random_hypergraph(rnd, n, m, 3, 3)
-            lam, _ = density._peel_density(hg)
+            lam = density._peel_density(hg)[0]
             networks.append((hg, (lam.denominator, lam.numerator, lam.denominator)))
         hg = gen_k_regular_k_uniform(3, n, seed=n)
         networks += [(hg, (1, 1, 1)), (hg, (2, 2, 1))]

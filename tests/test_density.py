@@ -105,7 +105,8 @@ def test_peel_bounds_density_and_flow_matches_exact():
     below = degree_exit = one_flow = 0
     for _ in range(2000):
         hg = random_hypergraph(rnd, rnd.randint(2, 10), rnd.randint(1, 12))
-        peel = density._peel_density(hg)[0]
+        peel, _, removed = density._peel_density(hg)
+        assert sorted(removed) == list(range(len(hg.edges)))  # each edge once
         exact = density_exact(hg)
         assert peel <= exact == density_flow(hg), hg
         met = metrics(hg)

@@ -15,9 +15,11 @@ from hyperchoose import (
     min_orientation,
     monomial_coefficient,
     nullstellensatz,
+    parse_hypergraph,
     vertex_counts,
 )
 from oracles import (
+    _reference_edge_order,
     b_side_sign,
     random_two_colorable,
     reference_edge_transfer,
@@ -178,14 +180,32 @@ def test_monomial_coefficient_with_no_state_left_is_zero():
     assert sympy_target_coefficient(hg, bip, target, signed=False) == 0
 
 
-def lab_coefficient_rungs(monkeypatch, ms):
-    """The benchmark's ``lab`` coefficient instances at seed 1 with m in ``ms``."""
+def test_edgeless_coefficient_is_one():
+    # The empty product is 1, so its one monomial, x^0, has coefficient 1.
+    assert monomial_coefficient(Hypergraph(0, ()), (), ()) == 1
+    assert monomial_coefficient(Hypergraph(3, ()), ("A", "B", "A"), (0, 0, 0)) == 1
+    assert coefficient_count(Hypergraph(3, ()), ("A", "B", "A"), ()) == 1
+
+
+def benchmark_workloads(monkeypatch):
+    """The benchmark's instance generators, ``perfbench/workloads.py``."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    workloads = importlib.import_module("workloads")
+    return importlib.import_module("workloads")
+
+
+def lab_planted(workloads, seed, m, c):
+    """The planted 2-colorable instance of m edges on m // 2 vertices that the
+    ``lab`` workload draws for its coefficient rung m, copy c."""
+    rng = workloads._rng(seed, workloads.FAMILY_IDS["lab"], 2, m, c)
+    return Hypergraph(m // 2, tuple(workloads.planted_edges(m // 2, m, rng)))
+
+
+def lab_coefficient_rungs(monkeypatch, ms, seed=1):
+    """The benchmark's ``lab`` coefficient instances at ``seed`` with m in ``ms``."""
+    workloads = benchmark_workloads(monkeypatch)
     for m in ms:
         for c in range(workloads.COEFFICIENT_COPIES[m]):
-            rng = workloads._rng(1, workloads.FAMILY_IDS["lab"], 2, m, c)
-            yield Hypergraph(m // 2, tuple(workloads.planted_edges(m // 2, m, rng)))
+            yield lab_planted(workloads, seed, m, c)
 
 
 def reference_cases(rnd, count):
@@ -294,3 +314,35 @@ def test_guard_raises_before_building_a_long_pick_table(monkeypatch):
     bip = find_bipartition(hg)
     target = vertex_counts(hg.n, min_orientation(hg)[1])
     assert traced_peak(lambda: expect_guard(hg, bip, target)) < 2**20
+
+
+def under_the_guard(hg):
+    """Whether the state bound of hg's first min orientation, in the count's
+    edge order, stays within TERM_GUARD."""
+    target = vertex_counts(hg.n, min_orientation(hg)[1])
+    order = _reference_edge_order(hg)
+    try:
+        nullstellensatz._require_state_bound(hg.edges, order, target, hg.degrees())
+    except GuardExceededError:
+        return False
+    return True
+
+
+def test_coefficient_reach_in_the_peel_order(monkeypatch):
+    """The planted instances of 36 to 60 edges, at seeds 1 to 12, whose state
+    bound stays under the guard in the peel's edge order: 76 of 84 (the
+    former greedy vertex order passed 71).  Every ``lab`` rung, at seeds 1
+    and 20261017, and the 44-edge golden instance stay under it."""
+    workloads = benchmark_workloads(monkeypatch)
+    sweep = [
+        lab_planted(workloads, seed, m, 1)
+        for m in range(36, 61, 4)
+        for seed in range(1, 13)
+    ]
+    assert sum(map(under_the_guard, sweep)) == 76
+    golden = Path(__file__).resolve().parent / "golden" / "coefficient_planted_m44.hgr"
+    pinned = [parse_hypergraph(golden.read_text())]
+    for seed in (1, 20261017):
+        pinned += lab_coefficient_rungs(monkeypatch, workloads.COEFFICIENT_COPIES, seed)
+    assert len(pinned) == 1 + 2 * sum(workloads.COEFFICIENT_COPIES.values())
+    assert all(map(under_the_guard, pinned))

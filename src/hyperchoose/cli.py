@@ -22,6 +22,7 @@ from pathlib import Path
 
 from . import choosability, degree_constrained, dense, density, orientation
 from .core import (
+    _INT,
     SIDE_B,
     Hypergraph,
     ListAssignment,
@@ -51,7 +52,38 @@ SCHEMA_VERSION = 1
 
 
 def _emit(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(_indented(doc, "\n"))
+
+
+def _indented(doc, newline: str) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, nested after ``newline``.
+
+    json's indenting encoder is pure Python.  Here a list of plain ints is
+    joined at once, and every other leaf goes through the default
+    ``json.dumps``, whose encoder is built once and written in C.
+    """
+    inner = newline + "  "
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        if set(map(type, doc)) <= _INT:
+            items = map(str, doc)
+        else:
+            items = (_indented(x, inner) for x in doc)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        items = (
+            _key(k) + ": " + _indented(v, inner) for k, v in sorted(doc.items())
+        )
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(doc)
+
+
+def _key(key) -> str:
+    """A dict key as json writes it, non-string keys converted as json does."""
+    return json.dumps(key) if isinstance(key, str) else json.dumps({key: 0})[1:-4]
 
 
 def _read(path: str) -> tuple[str, bytes]:

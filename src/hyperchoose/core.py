@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, compress, takewhile
+from operator import lt
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -176,7 +177,9 @@ class ListAssignment:
         """The list assignment of a parsed ``{"n": ..., "lists": [...]}`` document.
 
         A type fault anywhere, then a count mismatch, raises ``InputError``;
-        only then does the constructor raise its first value fault.
+        only then does the constructor raise its first value fault.  Lists
+        all of one size, each already strictly ascending and nonnegative, are
+        checked a column at a time and skip the constructor.
         """
         if not isinstance(doc, dict):
             raise InputError("list assignment document must be a JSON object")
@@ -186,23 +189,44 @@ class ListAssignment:
         except KeyError as exc:
             raise InputError(f"list assignment document missing field: {exc}")
         types = "list assignment needs an integer n and lists of integer colors"
-        if not _is_int(n) or not isinstance(lists, list):
+        if not (
+            _is_int(n)
+            and isinstance(lists, list)
+            and all(isinstance(lv, list) for lv in lists)
+        ):
             raise InputError(types)
         # Plain ints pass on their types alone; any other type, such as a
         # subclass of int, goes through _is_int.
-        for lv in lists:
-            if not isinstance(lv, list) or not (
-                set(map(type, lv)) <= _INT or all(map(_is_int, lv))
-            ):
-                raise InputError(types)
+        flat = list(chain.from_iterable(lists))
+        if not (set(map(type, flat)) <= _INT or all(map(_is_int, flat))):
+            raise InputError(types)
         if len(lists) != n:
             raise InputError(
                 f"list assignment declares n={n} but carries {len(lists)} lists"
             )
+        sizes = set(map(len, lists))
+        if len(sizes) == 1 and (size := sizes.pop()):
+            columns = _ascending_columns(flat, size)
+            if columns is not None:
+                return cls._checked(tuple(zip(*columns)))
         return cls(tuple(lists))  # which sorts each list into a tuple
 
 
 _INT = {int}
+
+
+def _ascending_columns(values: list[int], width: int) -> Optional[list[list[int]]]:
+    """The columns of ``values`` read as rows of ``width``, or None unless
+    every row ascends strictly from a nonnegative first entry.
+
+    Each comparison runs over a whole column pair at once, in C.
+    """
+    columns = [values[i::width] for i in range(width)]
+    if min(columns[0]) < 0:
+        return None
+    if not all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:])):
+        return None
+    return columns
 
 
 def _is_int(value) -> bool:
@@ -287,9 +311,89 @@ def validate(hg: Hypergraph) -> list[str]:
 # within its own guard.  Every per-vertex array is sized from n.
 HGR_VERTEX_GUARD = 5 * 10**6
 
+# Characters the HGR block reader splits and converts at a time, up to the end
+# of the line holding the last of them: a few thousand edge lines, enough to
+# leave the per-line work to C, few enough that a block's tokens stay small
+# next to the edges (splitting a 10^6-edge text whole doubled the memory).
+HGR_BLOCK_CHARS = 1 << 16
+
+# The ASCII characters other than "\n" at which str.splitlines ends a line.
+_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
+
 
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse an HGR document, rejecting malformed input with a line number.
+
+    A document in the form :func:`serialize_hypergraph` writes is read a block
+    of lines at a time by :func:`_parse_blocks`.  Every other document, and
+    every fault, goes to the line reader :func:`_parse_lines`, which gives
+    the same hypergraph on what both accept and is the only source of error
+    messages.
+    """
+    hg = _parse_blocks(text)
+    return _parse_lines(text) if hg is None else hg
+
+
+def _parse_blocks(text: str) -> Optional[Hypergraph]:
+    """The hypergraph of a document in serialized form, or None for any other.
+
+    The form: ASCII with "\\n" as the only line break; the header ``p hg n m``
+    first, with 0 <= n <= ``HGR_VERTEX_GUARD`` and m >= 1; then exactly m
+    lines, each starting "e ", where every line of a block has the same
+    count of at least three tokens, and each edge's vertices are integers
+    strictly ascending within 0..n-1.  These are the checks the line reader
+    makes, done a column of a block at a time.  A block ends with the line
+    that holds its ``HGR_BLOCK_CHARS``-th character, or with the document.
+    """
+    if not text.isascii() or any(c in text for c in _LINE_BREAKS):
+        return None
+    head, _, body = text.partition("\n")
+    fields = head.split()
+    if len(fields) != 4 or fields[:2] != ["p", "hg"]:
+        return None
+    try:
+        n, m = int(fields[2]), int(fields[3])
+    except ValueError:
+        return None
+    if not 0 <= n <= HGR_VERTEX_GUARD or m < 1:
+        return None
+    size = len(body)
+    edges: list[tuple[int, ...]] = []
+    pos = 0
+    while pos < size:
+        end = body.find("\n", pos + HGR_BLOCK_CHARS - 1) + 1 or size
+        block = body[pos:end]
+        pos = end
+        lines = block.count("\n") + (block[-1] != "\n")
+        # Every line starts "e ".  With the token count a multiple of the
+        # line count, deleting every width-th token then leaves an "e", which
+        # int() rejects, unless each line has exactly ``width`` tokens.
+        tokens = block.split()
+        width, extra = divmod(len(tokens), lines)
+        if (
+            extra
+            or width < 3
+            or not block.startswith("e ")
+            or block.count("\ne ") != lines - 1
+        ):
+            return None
+        del tokens[::width]
+        try:
+            vertices = list(map(int, tokens))
+        except ValueError:
+            return None
+        columns = _ascending_columns(vertices, width - 1)
+        if columns is None or max(columns[-1]) >= n:
+            return None
+        edges.extend(zip(*columns))
+    if len(edges) != m:
+        return None
+    return Hypergraph._checked(n, tuple(edges))
+
+
+def _parse_lines(text: str) -> Hypergraph:
+    """Parse any HGR document a line at a time, rejecting malformed input
+    with a line number.
 
     Each line is split once.  Each edge is sorted and checked once, here,
     and the hypergraph is built from the checked edges without a second

@@ -81,7 +81,10 @@ def reduce_to_pairgraph(
     require_orientation(hg, phi)
     pairs = []
     for e, head in zip(hg.edges, phi):
-        partner = next(v for v in e if bip[v] != bip[head])
+        side = bip[head]
+        for partner in e:
+            if bip[partner] != side:
+                break
         pairs.append((head, partner))
     return tuple(pairs)
 

@@ -18,7 +18,7 @@ import mpmath
 import numpy as np
 import sympy
 
-from hyperchoose import Hypergraph, ListAssignment, nullstellensatz
+from hyperchoose import Hypergraph, ListAssignment, core, nullstellensatz
 from hyperchoose.choosability import (
     MAX_UNIVERSE,
     MAX_VERTICES,
@@ -28,7 +28,7 @@ from hyperchoose.choosability import (
 from hyperchoose.core import _ListSearch
 from hyperchoose.dense import DenseExperimentReport, _rng, complete_proper_exists
 from hyperchoose.density import _peel_density, bound_gk
-from hyperchoose.errors import GuardExceededError
+from hyperchoose.errors import GuardExceededError, InputError, check_guard
 from hyperchoose.nullstellensatz import _tree_multiplicity, crossing_tree
 
 
@@ -200,6 +200,62 @@ def random_hypergraph(
     for _ in range(m):
         size = rnd.randint(min_size, min(max_size, n))
         edges.append(tuple(sorted(rnd.sample(range(n), size))))
+    return Hypergraph(n, tuple(edges))
+
+
+def reference_parse_hypergraph(text: str) -> Hypergraph:
+    """The HGR line reader: each line split, sorted and checked on its own.
+
+    Every document goes through this loop, so its results and its error
+    messages are the ones the block reader must reproduce.
+    """
+    n = None
+    declared = None
+    edges: list[tuple[int, ...]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        kind = tokens[0]
+        if kind == "e":
+            if n is None:
+                raise InputError("edge line before header", lineno)
+            try:
+                e = tuple(sorted(map(int, tokens[1:])))
+            except ValueError:
+                raise InputError(f"non-integer vertex in {raw.strip()!r}", lineno)
+            if len(e) < 2:
+                raise InputError("edge of size < 2", lineno)
+            if len(set(e)) != len(e):
+                raise InputError("duplicate vertex in edge", lineno)
+            if e[0] < 0 or e[-1] >= n:
+                v = next(v for v in map(int, tokens[1:]) if v < 0 or v >= n)
+                raise InputError(f"vertex index {v} outside 0..{n - 1}", lineno)
+            edges.append(e)
+        elif kind.startswith("c"):
+            continue
+        elif kind == "p":
+            if n is not None:
+                raise InputError("duplicate header line", lineno)
+            if len(tokens) != 4 or tokens[1] != "hg":
+                raise InputError(f"malformed header {raw.strip()!r}", lineno)
+            try:
+                n, declared = int(tokens[2]), int(tokens[3])
+            except ValueError:
+                raise InputError(
+                    f"non-integer header field in {raw.strip()!r}", lineno
+                )
+            if n < 0 or declared < 0:
+                raise InputError("negative count in header", lineno)
+            check_guard(n, core.HGR_VERTEX_GUARD, f"header n = {n} vertices")
+        else:
+            raise InputError(f"unknown line type {kind!r}", lineno)
+    if n is None:
+        raise InputError("missing header line")
+    if len(edges) != declared:
+        raise InputError(
+            f"header declares {declared} edges but document has {len(edges)}"
+        )
     return Hypergraph(n, tuple(edges))
 
 

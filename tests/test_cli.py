@@ -59,6 +59,54 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def test_emit_prints_the_indented_json_of_every_golden_document(capsys):
+    for path in sorted(GOLDEN.glob("*.json")):
+        doc = json.loads(path.read_text())
+        cli._emit(doc)
+        assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _random_json(rng, depth=0):
+    """A seeded document of every kind of value json.dumps writes."""
+    leaves = [
+        lambda: rng.randint(-10**20, 10**20),
+        lambda: rng.choice([True, False, None]),
+        lambda: rng.choice([0.5, -0.0, 1e300, float("nan"), float("inf"), float("-inf")]),
+        lambda: rng.choice(["", "a", "é", "\u2603", "\u2028", '"\\', "\x00\n", "\U0001f600"]),
+    ]
+    kind = rng.randrange(7 if depth < 4 else 1)
+    if kind == 0:
+        return rng.choice(leaves)()
+    if kind == 1:  # plain ints, with now and then a bool among them
+        ints = [rng.randint(-5, 10**6) for _ in range(rng.randint(0, 6))]
+        if ints and rng.random() < 0.3:
+            ints[rng.randrange(len(ints))] = rng.choice([True, False])
+        return ints
+    if kind == 2:
+        return tuple(rng.randint(0, 9) for _ in range(rng.randint(0, 3)))
+    if kind in (3, 4):
+        return [_random_json(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    keys = rng.choice([
+        lambda: rng.choice(["a", "b", "n", "é", "\u2603", "z z", ""]),
+        lambda: rng.randint(-3, 3),
+    ])
+    return {keys(): _random_json(rng, depth + 1) for _ in range(rng.randint(0, 4))}
+
+
+def test_emit_prints_the_indented_json_of_seeded_documents(capsys):
+    rng = random.Random(40)
+    for _ in range(2000):
+        doc = _random_json(rng)
+        cli._emit(doc)
+        assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    for doc in ({"a": {1, 2}}, [1, object()], {(1, 2): 0}, {"a": 1, 2: 1}):
+        with pytest.raises(TypeError) as want:
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(TypeError) as got:
+            cli._emit(doc)
+        assert str(got.value) == str(want.value)
+
+
 def test_analyze_k33(capsys, k33_path):
     code, out = run(capsys, "analyze", k33_path, "--exact", "--no-timing")
     assert code == 0

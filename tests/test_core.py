@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import accumulate
 
 import pytest
 
@@ -33,6 +34,7 @@ from oracles import (
     flat_reference_flow,
     random_hypergraph,
     reference_gen_k_regular_k_uniform,
+    reference_parse_hypergraph,
 )
 
 K33_TEXT = "p hg 6 9\n" + "".join(f"e {a} {b}\n" for a in (0, 1, 2) for b in (3, 4, 5))
@@ -88,15 +90,16 @@ def test_parse_rejects_malformed(text, message):
     assert str(err.value) == message
 
 
+ACCEPTED = [
+    "p hg 3 1\ne\t2\t0\n",
+    "p hg 3 1\n \t \ne 2 0\n",
+    "p hg 3 1\r\ne 2 0\r\n",
+    "p hg 3 1\ncx 1 2\n  e 0  2 \n",
+]
+
+
 @pytest.mark.parametrize(
-    "text",
-    [
-        "p hg 3 1\ne\t2\t0\n",
-        "p hg 3 1\n \t \ne 2 0\n",
-        "p hg 3 1\r\ne 2 0\r\n",
-        "p hg 3 1\ncx 1 2\n  e 0  2 \n",
-    ],
-    ids=["tab-separated", "whitespace-only line", "CRLF", "cx comment"],
+    "text", ACCEPTED, ids=["tab-separated", "whitespace-only line", "CRLF", "cx comment"]
 )
 def test_parse_accepts_any_whitespace_and_comment(text):
     hg = parse_hypergraph(text)
@@ -115,6 +118,170 @@ def test_roundtrip_reproduces_edges():
         assert again == hg and again.n == hg.n and again.edges == hg.edges
         assert Hypergraph(again.n, again.edges).edges == again.edges
         assert serialize_hypergraph(again) == serialize_hypergraph(hg)
+
+
+def _parses_as_reference(text):
+    """Assert parse_hypergraph returns or raises what the line reader does.
+
+    Returns True when the block reader read the document itself.
+    """
+    try:
+        want = reference_parse_hypergraph(text)
+    except (InputError, GuardExceededError) as exc:
+        with pytest.raises(type(exc)) as err:
+            parse_hypergraph(text)
+        assert (type(err.value), str(err.value)) == (type(exc), str(exc)), text[:200]
+        assert core._parse_blocks(text) is None
+        return False
+    got = parse_hypergraph(text)
+    assert got == want and got.n == want.n and got.edges == want.edges, text[:200]
+    assert all(type(v) is int for e in got.edges for v in e)
+    return core._parse_blocks(text) is not None
+
+
+@pytest.mark.parametrize(
+    "text", [t for t, _, _ in MALFORMED] + ACCEPTED + [
+        # Each character other than "\n" that ends a line for the line
+        # reader, where int() would take it as a vertex's padding.
+        f"p hg 3 1\ne 0{c} 2\n" for c in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+    ],
+)
+def test_parse_matches_the_line_reader_on_fixed_cases(text):
+    assert not _parses_as_reference(text)
+
+
+def test_parse_matches_the_line_reader_on_round_trips():
+    # Serialized documents, uniform and of mixed edge sizes, are all read by
+    # the block reader; mixed sizes within one block are left to the lines.
+    rnd = random.Random(40)
+    blocks = 0
+    for trial in range(300):
+        n = rnd.randint(2, 30)
+        low = rnd.randint(2, min(4, n))
+        high = low if trial % 2 else min(n, low + rnd.randint(0, 2))
+        hg = random_hypergraph(rnd, n, rnd.randint(0, 3 * n), low, high)
+        text = serialize_hypergraph(hg)
+        took_blocks = _parses_as_reference(text)
+        blocks += took_blocks
+        assert took_blocks == (len({len(e) for e in hg.edges}) == 1)
+    assert blocks > 150
+
+
+def _mutated(rnd, text):
+    """``text`` with one seeded change of the kinds the line reader handles."""
+    lines = text.split("\n")[:-1]
+    head, body = lines[0], lines[1:]
+    n = int(head.split()[2])
+    i = rnd.randrange(len(body))
+    vs = body[i].split()[1:]
+    j = rnd.randrange(len(vs))
+    kind = rnd.choice(
+        ["blank", "comment", "crlf", "tab", "reverse", "repeat", "trailing e",
+         "drop", "extra", "minus one", "n", "plus", "no newline", "joined", "none"]
+    )
+    if kind == "joined" and i + 1 < len(body):
+        # Two edges on one line, and the line count kept by a blank line.
+        body[i : i + 2] = [body[i] + " " + body[i + 1], ""]
+    elif kind == "blank":
+        body.insert(i, rnd.choice(["", " ", "  "]))
+    elif kind == "comment":
+        body.insert(i, "c " + body[i])
+    elif kind == "crlf":
+        return "\r\n".join([head] + body) + "\r\n"
+    elif kind == "tab":
+        body[i] = "e\t" + " ".join(vs)
+    elif kind == "reverse":
+        body[i] = "e " + " ".join(vs[::-1])
+    elif kind == "repeat":
+        vs.insert(j, vs[j])
+        body[i] = "e " + " ".join(vs)
+    elif kind == "trailing e":
+        body[i] += " e"
+    elif kind == "drop":
+        del body[i]
+    elif kind == "extra":
+        body.insert(i, body[rnd.randrange(len(body))])
+    elif kind in ("minus one", "n"):
+        vs[j] = "-1" if kind == "minus one" else str(n)
+        body[i] = "e " + " ".join(vs)
+    elif kind == "plus":
+        vs[j] = "+" + vs[j]
+        body[i] = "e " + " ".join(vs)
+    elif kind == "no newline":
+        return "\n".join([head] + body)
+    return "\n".join([head] + body) + "\n"
+
+
+@pytest.mark.parametrize("block", [None, 1, 24])
+def test_parse_matches_the_line_reader_on_mutated_documents(monkeypatch, block):
+    # At the default block size each document is one block; at 1 and 24
+    # characters a block is one line or a few, and the edges of a document
+    # may change size from one block to the next.
+    if block is not None:
+        monkeypatch.setattr(core, "HGR_BLOCK_CHARS", block)
+    rnd = random.Random(20261017)
+    paths = set()
+    for _ in range(1500):
+        n = rnd.randint(3, 12)
+        low = rnd.randint(2, min(4, n))
+        high = low if block is None else min(n, low + rnd.randint(0, 1))
+        hg = random_hypergraph(rnd, n, rnd.randint(1, 10), low, high)
+        paths.add(_parses_as_reference(_mutated(rnd, serialize_hypergraph(hg))))
+    assert paths == {True, False}
+
+
+def test_a_block_ends_with_the_line_holding_its_last_character(monkeypatch):
+    # At 8 characters a block, "e 10 11\n" is a whole block, so the next
+    # line may hold an edge of another size; "e 1 2\n" is not, so the first
+    # block holds two sizes and the line reader reads the document.
+    monkeypatch.setattr(core, "HGR_BLOCK_CHARS", 8)
+    assert _parses_as_reference("p hg 20 2\ne 10 11\ne 1 2 3\n")
+    assert not _parses_as_reference("p hg 20 2\ne 1 2\ne 3 4 5\n")
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_parse_matches_the_line_reader_at_the_vertex_guard(extra):
+    n = core.HGR_VERTEX_GUARD + extra
+    text = f"p hg {n} 2\ne 0 {n - 1}\ne 1 2\n"
+    assert _parses_as_reference(text) == (extra == 0)
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+@pytest.mark.parametrize("spill", [0, 1])
+def test_parse_matches_the_line_reader_at_block_boundaries(blocks, spill):
+    # A chain whose edge lines fill ``blocks`` blocks of HGR_BLOCK_CHARS
+    # characters, plus ``spill`` more lines.  A block ends with the line
+    # holding its last character, so the second one starts at the first
+    # line that starts at or past HGR_BLOCK_CHARS.  A fault on that line, on
+    # the one before or on the last line is found only after a whole block
+    # was read, and the line reader reports it.
+    lines, chars = [], 0
+    while chars < blocks * core.HGR_BLOCK_CHARS or spill > 0:
+        if chars >= blocks * core.HGR_BLOCK_CHARS:
+            spill -= 1
+        lines.append(f"e {len(lines)} {len(lines) + 1}")
+        chars += len(lines[-1]) + 1
+    m = len(lines)
+    text = f"p hg {m + 1} {m}\n" + "".join(line + "\n" for line in lines)
+    assert _parses_as_reference(text)
+    assert _parses_as_reference(text[:-1])
+    starts = list(accumulate((len(line) + 1 for line in lines), initial=0))
+    second = next((i for i, at in enumerate(starts) if at >= core.HGR_BLOCK_CHARS), m)
+    if second < m:
+        # Edges one vertex wider from the second block on are still read in
+        # blocks; from one line earlier, the first block mixes two sizes.
+        for at in (second, second - 1):
+            wider = lines[:at] + [line + f" {m + 1}" for line in lines[at:]]
+            doc = f"p hg {m + 2} {m}\n" + "".join(line + "\n" for line in wider)
+            assert _parses_as_reference(doc) == (at == second)
+    for at in {second - 1, min(second, m - 1), m - 1}:
+        for fault in ("e 1 0", "e 0 0", f"e 0 {m + 1}", "c x", "e 0 x", ""):
+            changed = lines[:at] + [fault] + lines[at + 1:]
+            doc = f"p hg {m + 1} {m}\n" + "".join(line + "\n" for line in changed)
+            assert not _parses_as_reference(doc)
+    assert not _parses_as_reference(text + "e 0 1\n")
+    assert not _parses_as_reference(text + "\n")
+    assert not _parses_as_reference(text.replace(f" {m}\n", f" {m + 1}\n", 1))
 
 
 def test_equality_follows_the_stored_edge_order():
@@ -618,3 +785,65 @@ def test_from_json_follows_its_precedence_rule_on_random_documents():
         "vertex #: negative color in list #",
         "valid",
     }
+
+
+def test_from_json_matches_the_constructor_on_lists_of_one_size(monkeypatch):
+    # Lists of one size, most of them sorted, so that both the column check
+    # and the constructor's path run: the value, or the same error, as the
+    # constructor gives on the same lists.
+    checked = ListAssignment._checked
+    fast = []
+    monkeypatch.setattr(
+        ListAssignment, "_checked", lambda lists: fast.append(lists) or checked(lists)
+    )
+
+    class Color(int):
+        pass
+
+    class Lists(list):
+        pass
+
+    rng = random.Random(40)
+    valid = 0
+    for _ in range(2000):
+        size = rng.randint(0, 4)
+        lists = [sorted(rng.sample(range(9), size)) for _ in range(rng.randint(0, 6))]
+        if lists:
+            lv = lists[rng.randrange(len(lists))]
+            fault = rng.choice(
+                ["none", "none", "unsorted", "duplicate", "negative", "empty",
+                 "bool", "int subclass", "list subclass", "mixed sizes"]
+            )
+            if fault == "unsorted" and len(lv) > 1:
+                lv.reverse()
+            elif fault == "duplicate" and lv:
+                lv.append(lv[0])
+            elif fault == "negative" and lv:
+                lv[0] = -1 - lv[0]
+            elif fault == "empty":
+                lv.clear()
+            elif fault == "bool" and lv:
+                lv[-1] = True
+            elif fault == "int subclass" and lv:
+                lv[-1] = Color(lv[-1])
+            elif fault == "list subclass":
+                lists[0] = Lists(lists[0])
+            elif fault == "mixed sizes":
+                lv.append(9)
+        try:
+            expected = ListAssignment(tuple(map(tuple, lists)))
+        except ValueError as exc:
+            expected = exc
+        if any(type(c) is bool for lv in lists for c in lv):
+            expected = InputError(TYPES)
+        try:
+            got = ListAssignment.from_json({"n": len(lists), "lists": lists})
+        except ValueError as exc:
+            got = exc
+        if isinstance(expected, ListAssignment):
+            assert got == expected and got.lists == expected.lists, lists
+            assert all(type(lv) is tuple for lv in got.lists)
+            valid += 1
+        else:
+            assert (type(got), str(got)) == (type(expected), str(expected)), lists
+    assert 400 < len(fast) < valid - 50
